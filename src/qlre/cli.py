@@ -40,6 +40,7 @@ from .errors import (
     ConvergenceFailure,
     IntegrationFailure,
     NumericalFailure,
+    UndefinedResultError,
     UnsupportedConfigurationError,
 )
 from .hilbert import (
@@ -180,7 +181,7 @@ def run_config(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> RunSu
         series = traj.observables[name]
         try:
             t_half = half_max_time(series, traj.times)
-        except Exception:
+        except UndefinedResultError:  # the series never rises above zero
             t_half = None
         obs_summary[name] = {"final": float(series[-1]), "t_half": t_half}
 
@@ -286,7 +287,8 @@ def _sweep_worker(payload):
     try:
         summary = run_config(cfg, Path(out_dir), force=force)
     except Exception as exc:  # the row records the failure, the sweep continues
-        return {"value": value, "status": f"failed: {type(exc).__name__}", "obs": {}}
+        status = f"failed: {type(exc).__name__}: {exc}"
+        return {"value": value, "status": status, "obs": {}}
     return {"value": value, "status": "ok", "obs": summary.observables}
 
 
@@ -324,7 +326,10 @@ def cmd_sweep(args) -> int:
     lines = [",".join(header)]
     failed = 0
     for row in rows:
-        cells = [_fmt(row["value"]), row["status"]]
+        # the file is plain comma-joined: a failure message keeps its text
+        # but not its commas or line breaks
+        status = " ".join(row["status"].replace(",", ";").split())
+        cells = [_fmt(row["value"]), status]
         for n in obs_names:
             entry = row["obs"].get(n)
             if entry is None:

@@ -7,7 +7,17 @@ excited spin decays as exp(-2 tau).  Thermal, per-spin, and dephasing rates
 are expressed relative to that unit.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with step-size
-control and first-same-as-last reuse, run directly on the density matrix.
+control and first-same-as-last reuse.  It does not step the d x d density
+matrix.  Every channel changes the total excitation number n by a fixed
+amount (lowering -1, raising +1, dephasing 0), so the coherence order
+n(i) - n(j) of a matrix element is conserved (the weak U(1) symmetry of
+Buca & Prosen, New J. Phys. 14, 073007 (2012)).  ``evolve`` and
+``steady_state`` therefore pack the elements of the orders present in
+rho0 into one vector and apply the Liouvillian restricted to them as one
+sparse matrix, built from the jumps' nonzero entries when the run starts.
+A jump without a fixed shift widens the kept set to every element.
+``lindblad_rhs`` stays the plain matrix form, the reference for tests.
+
 Steady states are found by integrating until the right-hand side is small
 in Frobenius norm; the stationary manifold is degenerate (dark states), so
 the limit depends on the initial state and a Liouvillian null-space solve
@@ -19,7 +29,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -37,6 +46,7 @@ from .hilbert import (
     BasisDescriptor,
     DensityMatrix,
     Operator,
+    excitation_numbers,
     partial_trace,
     reservoir_jump,
     single_spin_lowering,
@@ -79,67 +89,26 @@ class MasterEquation:
             if term.jump.basis != self.basis:
                 raise ValueError("all jump operators must share the equation basis")
 
-    @cached_property
-    def _compiled(self):
-        """Stacked jump blocks and the summed rate*O^dag O, for the fast rhs.
-
-        The K active jumps, scaled by sqrt(2*rate), are stacked vertically
-        (V, shape (K d, d)) and horizontally (H, shape (d, K d)) so the
-        whole sandwich sum  sum_k 2 r_k O_k rho O_k^dag  costs two matrix
-        products per evaluation instead of two per term.
-        """
-        blocks = []
-        acc = None
-        for term in self.terms:
-            if term.rate == 0.0:
-                continue
-            O = term.jump.matrix
-            w = math.sqrt(2.0 * term.rate)
-            blocks.append(w * O)
-            OdO = term.rate * (O.conj().T @ O)
-            acc = OdO if acc is None else acc + OdO
-        if acc is None:
-            return None
-        acc = 0.5 * (acc + acc.conj().T)
-        sparse = any(sp.issparse(b) for b in blocks)
-        if sparse:
-            blocks = [sp.csr_array(b) if not sp.issparse(b) else b for b in blocks]
-            V = sp.csr_array(sp.vstack(blocks, format="csr"))
-            H = sp.csr_array(sp.hstack(blocks, format="csr"))
-            acc = sp.csr_array(acc)
-            accT = sp.csr_array(acc.T)
-        else:
-            V = np.vstack(blocks)
-            H = np.hstack(blocks)
-            accT = np.ascontiguousarray(acc.T)
-        return len(blocks), V, H, acc, accT
-
-
-def _rhs_matrix(eq: MasterEquation, y: np.ndarray) -> np.ndarray:
-    compiled = eq._compiled
-    if compiled is None:
-        return np.zeros_like(y)
-    n_blocks, V, H, acc, accT = compiled
-    d = y.shape[0]
-    out = -(acc @ y)
-    out -= np.asarray(accT @ np.ascontiguousarray(y.T)).T  # -(y @ acc)
-    W = V @ y  # stacked sqrt(2r_k) O_k y
-    Wdag = np.ascontiguousarray(
-        W.reshape(n_blocks, d, d).transpose(0, 2, 1).conj().reshape(n_blocks * d, d)
-    )
-    out += np.asarray(H @ Wdag).conj().T  # sum_k 2 r_k O_k y O_k^dag
-    return out
-
 
 def lindblad_rhs(eq: MasterEquation, rho: DensityMatrix) -> np.ndarray:
-    """d rho / d(scaled time) for the given equation.
+    """d rho / d(scaled time) for the given equation, as a d x d matrix.
 
-    The result is Hermitian and traceless to 1e-12; a violation signals a
+    A plain sum over terms of rate * (2 O rho O^dag - O^dag O rho - rho O^dag O),
+    kept as the reference the packed integrator is tested against.  The
+    result is Hermitian and traceless to 1e-12; a violation signals a
     numeric problem in the assembled terms.
     """
     if rho.basis != eq.basis:
         raise ValueError(f"basis mismatch: {rho.basis} vs {eq.basis}")
-    out = _rhs_matrix(eq, rho.matrix)
+    y = rho.matrix
+    out = np.zeros_like(y)
+    for term in eq.terms:
+        if term.rate == 0.0:
+            continue
+        O = term.jump.matrix
+        Od = O.conj().T
+        Oy = O @ y
+        out += term.rate * (2.0 * (Oy @ Od) - Od @ Oy - (y @ Od) @ O)
     herm = np.max(np.abs(out - out.conj().T)) if out.size else 0.0
     tr = abs(out.trace())
     if herm > 1e-12 or tr > 1e-12:
@@ -287,6 +256,99 @@ class SteadyStateResult:
 
 
 # ---------------------------------------------------------------------------
+# excitation-sector Liouvillian
+# ---------------------------------------------------------------------------
+
+
+def _fixed_shift(O: sp.csc_array, n: np.ndarray) -> bool:
+    """True if every nonzero entry of O changes the excitation number alike."""
+    cols = np.repeat(np.arange(O.shape[1]), np.diff(O.indptr))
+    shifts = (n[O.indices] - n[cols])[O.data != 0]
+    return shifts.size == 0 or bool(np.all(shifts == shifts[0]))
+
+
+class _Sector:
+    """The density-matrix elements the integrator keeps, and L restricted to them.
+
+    Element (i, j) has coherence order n(i) - n(j), with n the total
+    excitation number.  A jump that shifts n by a fixed amount maps every
+    order onto itself under O rho O^dag and O^dag O rho, so only the orders
+    present in rho0 (closed under negation, for the adjoint) are kept.  A
+    jump without a fixed shift mixes orders, and then every element is
+    kept.  Elements are stored row-major: ``keys`` holds the flat indices
+    i * d + j in increasing order.
+    """
+
+    def __init__(self, eq: MasterEquation, rho0: np.ndarray):
+        d = eq.basis.dim
+        n = excitation_numbers(eq.basis)
+        active = [(t.rate, sp.csc_array(t.jump.matrix)) for t in eq.terms if t.rate != 0.0]
+        if all(_fixed_shift(O, n) for _, O in active):
+            i, j = np.nonzero(rho0)
+            orders = {int(q) for q in n[i] - n[j]}
+            orders |= {-q for q in orders}
+        else:
+            orders = None
+        levels = [np.flatnonzero(n == k) for k in np.unique(n)]
+        keys = np.sort(np.concatenate([
+            (a[:, None] * d + b[None, :]).ravel()
+            for a in levels
+            for b in levels
+            if orders is None or int(n[a[0]] - n[b[0]]) in orders
+        ]))
+        self.d = d
+        self.keys = keys
+        rows, cols = keys // d, keys % d
+        self.diagonal = np.flatnonzero(rows == cols)
+        self.adjoint = np.searchsorted(keys, cols * d + rows)  # position of (j, i)
+
+        # one term at a time, so the COO entries of only one are held at once
+        m = keys.size
+        L = sp.csr_array((m, m), dtype=complex)
+        lindblad_sum = None  # sum_k r_k O_k^dag O_k
+        for rate, O in active:
+            L = L + self._superoperator(O, O, 2.0 * rate, rows, cols)
+            OdO = rate * (O.conj().T @ O)
+            lindblad_sum = OdO if lindblad_sum is None else lindblad_sum + OdO
+        if lindblad_sum is not None:
+            A = sp.csc_array(0.5 * (lindblad_sum + lindblad_sum.conj().T))
+            eye = sp.eye_array(d, dtype=complex, format="csc")
+            L = L - self._superoperator(A, eye, 1.0, rows, cols)  # A rho
+            L = L - self._superoperator(eye, A, 1.0, rows, cols)  # rho A
+        self.liouvillian = L
+
+    def _superoperator(self, X, Y, weight, rows, cols) -> sp.csr_array:
+        """The map rho -> weight * X rho Y^dag on the sector, as a CSR matrix.
+
+        Kept element (a, b) feeds (i, j) with X[i, a] conj(Y[j, b]) for every
+        stored entry of column a of X and column b of Y.
+        """
+        ca = np.diff(X.indptr)[rows]
+        cb = np.diff(Y.indptr)[cols]
+        count = ca * cb
+        src = np.repeat(np.arange(rows.size), count)
+        offset = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
+        width = cb[src]
+        ea = X.indptr[rows[src]] + offset // width
+        eb = Y.indptr[cols[src]] + offset % width
+        target = X.indices[ea] * self.d + Y.indices[eb]
+        m = self.keys.size
+        dst = np.searchsorted(self.keys, target)
+        if np.any(self.keys[np.minimum(dst, m - 1)] != target):
+            raise NumericalFailure("a jump maps the kept coherence orders outside themselves")
+        values = weight * X.data[ea] * Y.data[eb].conj()
+        return sp.csr_array((values, (dst, src)), shape=(m, m))
+
+    def pack(self, matrix: np.ndarray) -> np.ndarray:
+        return matrix.reshape(-1)[self.keys]
+
+    def unpack(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.d * self.d, dtype=complex)
+        out[self.keys] = y
+        return out.reshape(self.d, self.d)
+
+
+# ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) stepper
 # ---------------------------------------------------------------------------
 
@@ -308,31 +370,41 @@ _MIN_SHRINK = 0.2
 _SAFETY = 0.9
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(x) ** 2)))
-
-
 class _Stepper:
-    """Adaptive integrator state: current matrix, time, cached derivative."""
+    """Adaptive integrator state on the packed sector: vector, time, cached derivative.
 
-    def __init__(self, eq: MasterEquation, y0: np.ndarray, t0: float = 0.0):
-        self.eq = eq
-        self.y = np.array(y0, dtype=complex, copy=True)
+    The error norm is the root mean square over all d^2 matrix elements, as
+    if the full matrix were stepped: elements outside the sector are
+    exactly zero and add nothing to the sum, so dividing by d^2 (not by the
+    sector size) keeps the accepted-step sequence of a full-matrix
+    integration.
+    """
+
+    def __init__(self, eq: MasterEquation, rho0: np.ndarray, t0: float = 0.0):
+        self.sector = _Sector(eq, rho0)
+        self._size = float(eq.basis.dim) ** 2
+        self.y = self.sector.pack(rho0)
         self.t = float(t0)
         self.rtol = RTOL
         self.atol = ATOL
-        self.k1 = _rhs_matrix(eq, self.y)
+        self.k1 = self.rhs(self.y)
         self.worst_trace_drift = 0.0
         self.worst_herm_drift = 0.0
         self.h = self._initial_step()
 
+    def rhs(self, y: np.ndarray) -> np.ndarray:
+        return self.sector.liouvillian @ y
+
+    def _rms(self, x: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(np.abs(x) ** 2) / self._size))
+
     def _initial_step(self) -> float:
         scale = self.atol + self.rtol * np.abs(self.y)
-        d0 = _rms(self.y / scale)
-        d1 = _rms(self.k1 / scale)
+        d0 = self._rms(self.y / scale)
+        d1 = self._rms(self.k1 / scale)
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        f1 = _rhs_matrix(self.eq, self.y + h0 * self.k1)
-        d2 = _rms((f1 - self.k1) / scale) / h0
+        f1 = self.rhs(self.y + h0 * self.k1)
+        d2 = self._rms((f1 - self.k1) / scale) / h0
         dmax = max(d1, d2)
         h1 = max(1e-6, h0 * 1e-3) if dmax <= 1e-15 else (0.01 / dmax) ** 0.2
         return min(100 * h0, h1)
@@ -342,26 +414,34 @@ class _Stepper:
         """Frobenius norm of the right-hand side at the current state."""
         return float(np.linalg.norm(self.k1))
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The current state as a d x d matrix."""
+        return self.sector.unpack(self.y)
+
+    def _adjoint(self, y: np.ndarray) -> np.ndarray:
+        return y[self.sector.adjoint].conj()
+
     def symmetrize(self):
         """Replace the state by its Hermitian part (sample points only).
 
         The derivative cache stays consistent because the equation is linear
         and maps adjoints to adjoints.
         """
-        self.y = 0.5 * (self.y + self.y.conj().T)
-        self.k1 = 0.5 * (self.k1 + self.k1.conj().T)
+        self.y = 0.5 * (self.y + self._adjoint(self.y))
+        self.k1 = 0.5 * (self.k1 + self._adjoint(self.k1))
 
     def _attempt(self, h: float):
         k = [self.k1]
         for row in _DP_A[1:]:
             y_stage = self.y + h * sum(a * ki for a, ki in zip(row, k) if a != 0.0)
-            k.append(_rhs_matrix(self.eq, y_stage))
+            k.append(self.rhs(y_stage))
         y_new = self.y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-        k7 = _rhs_matrix(self.eq, y_new)
+        k7 = self.rhs(y_new)
         k.append(k7)
         err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
         scale = self.atol + self.rtol * np.maximum(np.abs(self.y), np.abs(y_new))
-        return y_new, k7, _rms(err / scale)
+        return y_new, k7, self._rms(err / scale)
 
     def step_once(self, t_limit: float) -> bool:
         """Take one accepted step, not crossing t_limit.  True if t advanced."""
@@ -377,8 +457,8 @@ class _Stepper:
                 )
             y_new, k7, err = self._attempt(h)
             if err <= 1.0:
-                trace_drift = abs(y_new.trace() - 1.0)
-                herm_drift = float(np.max(np.abs(y_new - y_new.conj().T)))
+                trace_drift = abs(y_new[self.sector.diagonal].sum() - 1.0)
+                herm_drift = float(np.max(np.abs(y_new - self._adjoint(y_new))))
                 if trace_drift > TRACE_DRIFT_TOL or herm_drift > TRACE_DRIFT_TOL:
                     # conservation slipped though the error test passed;
                     # retry with a smaller step
@@ -443,6 +523,11 @@ def evolve(
     With ``keep``, the reduced state over those domains is stored at every
     sample.  The state is symmetrized at sample points; trace and
     Hermiticity drift are watched over the whole run.
+
+    The integrator steps the packed sector vector of rho0's coherence
+    orders (see the module docstring); observables and snapshots see the
+    full d x d matrix, unpacked at each sample.  Its error norm divides by
+    d^2, so the accepted steps are those of stepping the whole matrix.
     """
     if rho0.basis != eq.basis:
         raise ValueError(f"basis mismatch: {rho0.basis} vs {eq.basis}")
@@ -461,20 +546,18 @@ def evolve(
     for t in times:
         stepper.advance_to(float(t))
         stepper.symmetrize()
-        current = DensityMatrix(stepper.y, eq.basis, validate=False)
+        # Solver output carries integrator-scale noise; eigenvalues may dip a
+        # few 1e-9 below zero for large systems, which validation would reject.
+        current = DensityMatrix(stepper.matrix, eq.basis, validate=False)
         for name, value in _evaluate_observables(observables, current).items():
             series[name].append(value)
         if snapshots is not None:
-            reduced = partial_trace(current, keep_idx)
-            snapshots.append(DensityMatrix(reduced.matrix.copy(), reduced.basis, validate=False))
-    # Solver output carries integrator-scale noise; eigenvalues may dip a few
-    # 1e-9 below zero for large systems, which input validation would reject.
-    final = DensityMatrix(stepper.y.copy(), eq.basis, validate=False)
+            snapshots.append(partial_trace(current, keep_idx))
     return Trajectory(
         times=times,
         observables={k: np.asarray(v) for k, v in series.items()},
         snapshots=snapshots,
-        final_rho=final,
+        final_rho=current,  # the state at the last sample, t_max
     )
 
 
@@ -490,6 +573,10 @@ def steady_state(
     degenerate dark manifold, so there is no unique null vector to solve
     for.  Raises ConvergenceFailure if the residual has not crossed tol by
     ``max_scaled_time``.
+
+    Integration runs on the packed sector vector, as in ``evolve``; the
+    residual is the norm of the packed derivative, which equals the
+    Frobenius norm of the full one because the elements left out are zero.
     """
     if rho0.basis != eq.basis:
         raise ValueError(f"basis mismatch: {rho0.basis} vs {eq.basis}")
@@ -508,7 +595,7 @@ def steady_state(
         resid = stepper.residual
         if resid < tol:
             stepper.symmetrize()
-            rho = DensityMatrix(stepper.y.copy(), eq.basis, validate=False)
+            rho = DensityMatrix(stepper.matrix, eq.basis, validate=False)
             return SteadyStateResult(rho, stepper.residual, stepper.t)
         if resid < 0.5 * best:
             best = resid

@@ -214,6 +214,24 @@ def _popcounts(num_bits: int) -> np.ndarray:
     return np.array([bin(i).count("1") for i in range(2**num_bits)], dtype=np.int64)
 
 
+def excitation_numbers(basis: BasisDescriptor) -> np.ndarray:
+    """Total number of excited spins in every basis state, in basis order.
+
+    Collective backend: level index i of an N-spin domain holds N - i
+    excitations.  Full backend: the number of up (0) bits.  Jump operators
+    that change this count by a fixed amount conserve the coherence order
+    n(i) - n(j) of density-matrix elements, which the integrator exploits.
+    """
+    total = np.zeros(1, dtype=np.int64)
+    for N in basis.domain_pops:
+        if basis.backend is Backend.COLLECTIVE:
+            local = N - np.arange(N + 1, dtype=np.int64)
+        else:
+            local = N - _popcounts(N)
+        total = (total[:, None] + local[None, :]).ravel()
+    return total
+
+
 def collective_lowering(N: int, backend: Backend) -> Operator:
     """Collective lowering operator J- for a single domain of N spins.
 

@@ -203,9 +203,18 @@ def _validate_initial(fieldname: str, init: InitialSpec, population: int, mixed_
         _fail(fieldname, f"{init.kind!r} initial does not take mixture weights")
 
 
+# Names become output file names, so they may not carry path separators
+# or start with a dot.
+_NAME_PATTERN = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9_.+-]*")
+
+
 def _validate_config(cfg: ScenarioConfig):
-    if not isinstance(cfg.name, str) or not cfg.name:
-        _fail("name", "must be a nonempty string")
+    if not isinstance(cfg.name, str) or not _NAME_PATTERN.fullmatch(cfg.name):
+        _fail(
+            "name",
+            f"must be a nonempty string of letters, digits and '_.+-' "
+            f"not starting with '.', got {cfg.name!r}",
+        )
     if len(cfg.domains) < 2:
         _fail("domains", f"need at least 2 domains, got {len(cfg.domains)}")
     if cfg.backend not in _BACKEND_CHOICES:
@@ -258,12 +267,7 @@ def _validate_config(cfg: ScenarioConfig):
     dt = _check_finite("sample_dt", cfg.sample_dt, minimum=0.0, strict=True)
     if dt > cfg.t_max:
         _fail("sample_dt", f"sampling interval {dt} exceeds t_max {cfg.t_max}")
-    needs_full = (
-        cfg.include_individual
-        or cfg.gamma_dep_over_gamma > 0
-        or (_has_mixed(cfg) and cfg.mixed_basis == "full")
-    )
-    if cfg.backend == "collective" and needs_full:
+    if cfg.backend == "collective" and _needs_full(cfg):
         _fail(
             "backend",
             "per-spin noise and full-identity mixed preparation require the "
@@ -285,6 +289,15 @@ def _has_mixed(cfg: ScenarioConfig) -> bool:
     return any(d.initial.kind == "mixed" for d in cfg.domains)
 
 
+def _needs_full(cfg: ScenarioConfig) -> bool:
+    """Per-spin noise and full-identity mixed preparation leave the ladder."""
+    return (
+        cfg.include_individual
+        or cfg.gamma_dep_over_gamma > 0
+        or (_has_mixed(cfg) and cfg.mixed_basis == "full")
+    )
+
+
 # ---------------------------------------------------------------------------
 # derived quantities and builders
 # ---------------------------------------------------------------------------
@@ -301,12 +314,7 @@ def effective_backend(cfg: ScenarioConfig) -> Backend:
         return Backend.COLLECTIVE
     if cfg.backend == "full":
         return Backend.FULL
-    needs_full = (
-        cfg.include_individual
-        or cfg.gamma_dep_over_gamma > 0
-        or (_has_mixed(cfg) and cfg.mixed_basis == "full")
-    )
-    return Backend.FULL if needs_full else Backend.COLLECTIVE
+    return Backend.FULL if _needs_full(cfg) else Backend.COLLECTIVE
 
 
 def hilbert_dimension(cfg: ScenarioConfig) -> int:
@@ -805,6 +813,13 @@ def _initial_to_json(init: InitialSpec):
     return {"mixed": {"a": init.a, "b": init.b}}
 
 
+def _json_number(fieldname: str, value) -> float:
+    """A JSON number as a float; null, booleans, strings, lists and objects fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(fieldname, f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _initial_from_json(fieldname: str, data) -> InitialSpec:
     if isinstance(data, str):
         if data not in ("ground", "excited"):
@@ -819,7 +834,11 @@ def _initial_from_json(fieldname: str, data) -> InitialSpec:
             inner = data["mixed"]
             if not isinstance(inner, dict) or set(inner) != {"a", "b"}:
                 _fail(fieldname + ".mixed", "expected an object with keys 'a' and 'b'")
-            return InitialSpec("mixed", a=float(inner["a"]), b=float(inner["b"]))
+            return InitialSpec(
+                "mixed",
+                a=_json_number(fieldname + ".mixed.a", inner["a"]),
+                b=_json_number(fieldname + ".mixed.b", inner["b"]),
+            )
         _fail(fieldname, f"unknown initial object with keys {sorted(data)}")
     _fail(fieldname, f"expected a string or object, got {data!r}")
 
@@ -903,7 +922,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             _fail(f"reservoirs[{i}]", f"unknown keys {sorted(unknown)}")
         if "domains" not in r or not isinstance(r["domains"], list):
             _fail(f"reservoirs[{i}].domains", "expected a list of domain indices")
-        reservoirs.append(ReservoirSpec(tuple(r["domains"]), float(r.get("rate", 1.0))))
+        rate = _json_number(f"reservoirs[{i}].rate", r.get("rate", 1.0))
+        reservoirs.append(ReservoirSpec(tuple(r["domains"]), rate))
     temperature = None
     if "temperature" in data:
         t = data["temperature"]
@@ -912,17 +932,17 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 "temperature",
                 "expected an object with keys 'T_kelvin' and 'omega0_over_2pi_hz'",
             )
-        temperature = TemperatureSpec(float(t["T_kelvin"]), float(t["omega0_over_2pi_hz"]))
+        temperature = TemperatureSpec(
+            _json_number("temperature.T_kelvin", t["T_kelvin"]),
+            _json_number("temperature.omega0_over_2pi_hz", t["omega0_over_2pi_hz"]),
+        )
     kwargs = {}
     for key in ("include_individual", "backend", "mixed_basis"):
         if key in data:
             kwargs[key] = data[key]
     for key in ("gamma_dep_over_gamma", "t_max", "sample_dt"):
         if key in data:
-            try:
-                kwargs[key] = float(data[key])
-            except (TypeError, ValueError):
-                _fail(key, f"expected a number, got {data[key]!r}")
+            kwargs[key] = _json_number(key, data[key])
     if "observables" in data:
         if not isinstance(data["observables"], list):
             _fail("observables", "expected a list of strings")
@@ -931,7 +951,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         name=data["name"],
         domains=tuple(domains),
         reservoirs=tuple(reservoirs),
-        nbar=float(data.get("nbar", 0.0)),
+        nbar=_json_number("nbar", data.get("nbar", 0.0)),
         temperature=temperature,
         **kwargs,
     )

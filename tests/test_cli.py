@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from qlre.cli import main
+from qlre import cli
+from qlre.cli import main, run_config
 from qlre.scenarios import (
     DomainSpec,
     InitialSpec,
@@ -104,6 +106,47 @@ class TestSimulate:
         # same run squeaks through with the override flag
         assert main(["simulate", "--config", src, "--out", str(tmp_path), "--force"]) == 0
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("reservoirs[0].rate", lambda d: d["reservoirs"][0].update(rate=None)),
+            ("nbar", lambda d: d.update(nbar=[1])),
+        ],
+    )
+    def test_non_numeric_field_exits_1(self, field, edit, tmp_path, capsys):
+        data = config_to_dict(chain())
+        edit(data)
+        src = tmp_path / "c.json"
+        src.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["simulate", "--config", str(src), "--out", str(tmp_path)])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+
+    def test_path_like_name_exits_1(self, tmp_path, capsys):
+        data = config_to_dict(chain())
+        data["name"] = "../../evil"
+        src = tmp_path / "c.json"
+        src.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "a" / "b"
+        rc = main(["simulate", "--config", str(src), "--out", str(out)])
+        assert rc == 1
+        assert "name" in capsys.readouterr().err
+        assert not list(tmp_path.glob("evil*"))
+
+    def test_undefined_half_max_time_is_recorded_as_null(self, tmp_path):
+        cfg = chain(t_max=1.0)
+        ground = tuple(dataclasses.replace(d, initial=InitialSpec("ground")) for d in cfg.domains)
+        summary = run_config(dataclasses.replace(cfg, domains=ground), tmp_path)
+        assert summary.observables["E_F(A,C)"] == {"final": 0.0, "t_half": None}
+
+    def test_other_half_max_time_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(series, times):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "half_max_time", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_config(chain(t_max=1.0), tmp_path)
+
     @pytest.mark.parametrize("raw", ["zero", "0", "-5"])
     def test_memory_cap_must_be_positive(self, raw, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QLRE_MAX_MEM_BYTES", raw)
@@ -149,6 +192,24 @@ class TestSweep:
         assert ok_row[0] == "1" and ok_row[1] == "ok"
         assert bad_row[0] == "8" and bad_row[1].startswith("failed:")
         assert bad_row[2] == "" and bad_row[3] == ""
+
+    def test_failed_row_keeps_message(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QLRE_MAX_MEM_BYTES", "4096")
+        rc, out = self.run_sweep(tmp_path, "8")
+        assert rc == 3
+        status = (out / "sweep.csv").read_text().splitlines()[1].split(",")[1]
+        assert status.startswith("failed: _ConfigError: ")
+        assert "exceeds the cap of 4096" in status
+
+    def test_failure_message_commas_do_not_split_cells(self, tmp_path, monkeypatch):
+        def failing(cfg, out_dir, force=False):
+            raise ValueError("bad, worse\nworst")
+
+        monkeypatch.setattr(cli, "run_config", failing)
+        rc, out = self.run_sweep(tmp_path, "2")
+        assert rc == 3
+        row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row == ["2", "failed: ValueError: bad; worse worst", "", ""]
 
     def test_unknown_parameter(self, tmp_path, capsys):
         src = write_config(tmp_path / "base.json", chain())

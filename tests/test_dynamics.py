@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qlre.dynamics import (
+    _Sector,
+    _Stepper,
     LindbladTerm,
     MasterEquation,
     Trajectory,
@@ -25,9 +27,11 @@ from qlre.hilbert import (
     Backend,
     BasisDescriptor,
     DensityMatrix,
+    Operator,
     collective_jz,
     collective_lowering,
     embed,
+    excitation_numbers,
     ground_state,
     partial_trace,
     product_state,
@@ -94,6 +98,86 @@ class TestRhs:
         term = LindbladTerm(reservoir_jump(other, [0]), 1.0)
         with pytest.raises(ValueError):
             MasterEquation((term,), b)
+
+
+def random_order_zero_density(rng, basis):
+    """Random state with no coherence between different excitation numbers."""
+    n = excitation_numbers(basis)
+    m = random_density(rng, basis).matrix.copy()
+    m[n[:, None] != n[None, :]] = 0.0  # a pinching keeps the matrix positive
+    return DensityMatrix(m, basis)
+
+
+class TestSector:
+    @pytest.mark.parametrize(
+        "backend, pops, kwargs",
+        [
+            (Backend.COLLECTIVE, (1, 3, 1), {}),
+            (Backend.COLLECTIVE, (1, 3, 1), {"nbar": 0.25}),
+            (
+                Backend.FULL,
+                (1, 2, 1),
+                {"nbar": 0.25, "include_individual": True, "gamma_dep_over_gamma": 0.1},
+            ),
+        ],
+    )
+    def test_superoperator_matches_matrix_rhs(self, backend, pops, kwargs):
+        rng = np.random.default_rng(11)
+        b = BasisDescriptor(backend, pops)
+        eq = build_realistic(b, [[0, 1], [1, 2]], **kwargs)
+        for _ in range(3):
+            rho = random_order_zero_density(rng, b)
+            sector = _Sector(eq, rho.matrix)
+            assert sector.keys.size < b.dim**2
+            reference = lindblad_rhs(eq, rho)
+            # the matrix rhs has no weight outside the kept elements
+            assert np.max(np.abs(sector.unpack(sector.pack(reference)) - reference)) < 1e-12
+            packed = sector.liouvillian @ sector.pack(rho.matrix)
+            assert np.max(np.abs(packed - sector.pack(reference))) < 1e-12
+
+    def test_coherent_qubit_keeps_orders_plus_minus_one(self):
+        b, eq = single_qubit_eq()
+        plus = np.full((2, 2), 0.5, dtype=complex)  # |+><+|, index 0 excited
+        rho0 = product_state(b, [plus])
+        n = excitation_numbers(b)
+        sector = _Sector(eq, rho0.matrix)
+        rows, cols = np.divmod(sector.keys, b.dim)
+        assert set(n[rows] - n[cols]) == {-1, 0, 1}
+        traj = evolve(
+            eq,
+            rho0,
+            2.0,
+            0.1,
+            observables={
+                "coherence": lambda r: r.matrix[0, 1].real,
+                "pe": lambda r: r.matrix[0, 0].real,
+            },
+        )
+        t = traj.times
+        assert np.max(np.abs(traj.observables["coherence"] - 0.5 * np.exp(-t))) < 1e-8
+        assert np.max(np.abs(traj.observables["pe"] - 0.5 * np.exp(-2.0 * t))) < 1e-8
+
+    @pytest.mark.parametrize("jump", [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]]], ids=["x", "y"])
+    def test_jump_without_fixed_shift_keeps_every_element(self, jump):
+        b = BasisDescriptor(Backend.COLLECTIVE, (1,))
+        sigma = Operator(np.array(jump, dtype=complex), b)
+        eq = MasterEquation((LindbladTerm(sigma, 1.0),), b)
+        rho0 = product_state(b, [1])
+        assert _Sector(eq, rho0.matrix).keys.size == b.dim**2
+        traj = evolve(eq, rho0, 2.0, 0.1, observables={"pe": lambda r: r.matrix[0, 0].real})
+        expected = 0.5 * (1.0 + np.exp(-4.0 * traj.times))
+        assert np.max(np.abs(traj.observables["pe"] - expected)) < 1e-8
+
+    def test_error_norm_counts_every_matrix_element(self):
+        # dividing by d^2, not by the sector size, keeps the step sequence
+        # of stepping the full matrix
+        rng = np.random.default_rng(3)
+        b, eq = chain_eq(3)
+        rho0 = product_state(b, [0, 3, 0])
+        stepper = _Stepper(eq, rho0.matrix)
+        x = rng.normal(size=stepper.y.size) + 1j * rng.normal(size=stepper.y.size)
+        full = stepper.sector.unpack(x)
+        assert stepper._rms(x) == pytest.approx(np.sqrt(np.mean(np.abs(full) ** 2)), rel=1e-12)
 
 
 class TestBuilders:

@@ -14,6 +14,7 @@ from qlre.hilbert import (
     collective_lowering,
     dicke_level_vector,
     embed,
+    excitation_numbers,
     fidelity_with_pure,
     ground_state,
     partial_trace,
@@ -281,6 +282,24 @@ class TestPartialTrace:
         red_f = partial_trace(to_full_basis(psi.projector()), [0])
         back = to_collective_basis(red_f)
         assert np.allclose(back.matrix, red_c.matrix)
+
+
+class TestExcitationNumbers:
+    def test_collective_levels(self):
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, 2))
+        assert excitation_numbers(b).tolist() == [3, 2, 1, 2, 1, 0]
+
+    def test_full_bitstrings(self):
+        b = BasisDescriptor(Backend.FULL, (1, 2))
+        # up = 0: index 0 is all-up, index 7 all-down
+        assert excitation_numbers(b).tolist() == [3, 2, 2, 1, 2, 1, 1, 0]
+
+    def test_backends_agree_through_the_isometry(self):
+        b = BasisDescriptor(Backend.COLLECTIVE, (2, 3))
+        S = basis_isometry(b).toarray()
+        rows, cols = np.nonzero(S)
+        n_full = excitation_numbers(b.counterpart())
+        assert np.array_equal(n_full[rows], excitation_numbers(b)[cols])
 
 
 class TestIsometry:

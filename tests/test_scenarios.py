@@ -95,6 +95,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="backend"):
             chain_config(backend="sparse")
 
+    @pytest.mark.parametrize("name", ["../../tmp/evil", "a/b", ".hidden", "", "sp ace", "a\\b"])
+    def test_unsafe_names_rejected(self, name):
+        with pytest.raises(ValueError, match="name"):
+            chain_config(name=name)
+
+    def test_sweep_names_with_exponents_are_accepted(self):
+        out = sweep(chain_config(backend="full"), "gamma_dep_over_gamma", [1e-5])
+        assert out[0].name == "chain_gamma_dep_over_gamma1e-05"
+
     def test_dicke_needs_count(self):
         with pytest.raises(ValueError, match=r"domains\[1\]\.initial"):
             chain_config(initials=("ground", "dicke", "ground"))
@@ -462,6 +471,11 @@ class TestSweep:
         assert "N_B" in SWEEP_PARAMETERS
 
 
+def _replace_temperature_by_nbar(d, value):
+    del d["temperature"]
+    d["nbar"] = value
+
+
 class TestJsonRoundTrip:
     def sample(self):
         return ScenarioConfig(
@@ -529,6 +543,30 @@ class TestJsonRoundTrip:
         d = config_to_dict(self.sample())
         d["nbar"] = 0.3
         with pytest.raises(ValueError, match="nbar"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("bad", [None, [1], {"x": 1}, "0.5", True])
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("nbar", _replace_temperature_by_nbar),
+            (r"reservoirs\[0\]\.rate", lambda d, v: d["reservoirs"][0].update(rate=v)),
+            ("temperature.T_kelvin", lambda d, v: d["temperature"].update(T_kelvin=v)),
+            ("t_max", lambda d, v: d.update(t_max=v)),
+            ("gamma_dep_over_gamma", lambda d, v: d.update(gamma_dep_over_gamma=v)),
+        ],
+    )
+    def test_non_numeric_field_named(self, field, edit, bad):
+        d = config_to_dict(self.sample())
+        edit(d, bad)
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("bad", [None, [0.5]])
+    def test_non_numeric_mixture_weight_named(self, bad):
+        d = config_to_dict(self.sample())
+        d["domains"][1]["initial"] = {"mixed": {"a": bad, "b": 0.1}}
+        with pytest.raises(ValueError, match=r"domains\[1\]\.initial\.mixed\.a"):
             config_from_dict(d)
 
     def test_malformed_temperature_block(self):
