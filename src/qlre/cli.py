@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -349,138 +349,94 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _curve_csv(path: Path, header: list, rows: list):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) if not isinstance(c, str) else c for c in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+class _Curve(NamedTuple):
+    """A plot-ready CSV, one ``row(config, summary)`` per run: the figure's runs,
+    or the ``configs()`` run for the curve alone and left out of the manifest."""
+
+    file: str
+    header: str
+    panel: str
+    row: Callable
+    configs: Optional[Callable] = None
 
 
-def _reproduce_runs(configs, out_dir, force):
-    summaries = []
-    for cfg in configs:
-        summaries.append(run_config(cfg, out_dir, force=force))
-    return summaries
+class _Figure(NamedTuple):
+    families: tuple  # preset families, run in order
+    panel: str  # manifest panel of each of their time series
+    curve: Optional[_Curve] = None
+
+
+def _final(s: RunSummary, name: str) -> float:
+    return s.observables[name]["final"]
+
+
+_DYNAMICS = "entanglement and relaxation dynamics"
+_NOISE = "pair entanglement under noise"
+
+# figure id -> what `qlre reproduce <id>` runs and writes
+_FIGURES = {
+    "intro": _Figure(("intro-pair",), "two-spin pair entanglement versus time"),
+    "fig1a": _Figure(("fig1a-sweep",), "per-size time series", _Curve(
+        "fig1a_curve.csv", "N_A,E_N", "steady log-negativity versus N_A",
+        lambda c, s: (c.domains[0].population, _final(s, "E_N(A|B)")),
+    )),
+    "fig3a": _Figure(("fig3a",), _DYNAMICS),
+    "fig3b": _Figure(("fig3b",), _DYNAMICS, _Curve(
+        "fig3b_curve.csv", "N_B,E_F,t_half", "steady entanglement and half-rise time versus N_B",
+        lambda c, s: (
+            c.domains[1].population, _final(s, "E_F(A,C)"), s.observables["E_F(A,C)"]["t_half"]
+        ),
+    )),
+    "fig4": _Figure(("fig4-chain4", "fig4-chain5"), "outer-domain pair entanglement"),
+    "fig5a": _Figure(("fig5a-dephasing",), _NOISE),
+    "fig5b": _Figure(("fig5b-individual",), _NOISE),
+    "fig5c": _Figure(("fig5c-thermal",), _NOISE),
+    "fig6": _Figure(("fig6-star",), "tripartite negativity versus time", _Curve(
+        "fig6_inset.csv", "N_D,N_ABC", "steady tripartite negativity versus N_D",
+        lambda c, s: (c.domains[3].population, _final(s, "N_ABC")),
+        configs=lambda: sweep(preset("fig6-star")[0], "N_D", list(range(1, 12))),
+    )),
+    "appA": _Figure(("appA-initial-states",), "per-initial-state entanglement dynamics"),
+    "appA-mixed": _Figure(("appA-mixed",), "mixed-preparation dynamics", _Curve(
+        "appA_mixed_curve.csv", "F_0,E_F", "steady entanglement versus preparation fidelity",
+        lambda c, s: (c.domains[1].initial.a + c.domains[1].initial.b, _final(s, "E_F(A,C)")),
+    )),
+    "appB": _Figure(("appB-oracle",), "oracle-scenario dynamics", _Curve(
+        "appB_curve.csv", "N_B,C,x_d", "steady concurrence and dark-state weight versus N_B",
+        lambda c, s: (c.domains[1].population, _final(s, "C(A,C)"), _final(s, "x_d")),
+    )),
+}
 
 
 def cmd_reproduce(args) -> int:
     out_dir = Path(args.out)
     figure = args.figure
-    known = (
-        "intro",
-        "fig1a",
-        "fig3a",
-        "fig3b",
-        "fig4",
-        "fig5a",
-        "fig5b",
-        "fig5c",
-        "fig6",
-        "appA",
-        "appA-mixed",
-        "appB",
-    )
-    if figure not in known:
+    if figure not in _FIGURES:
         print(
-            f"error: unknown figure {figure!r}; valid ids: {', '.join(known)}",
+            f"error: unknown figure {figure!r}; valid ids: {', '.join(_FIGURES)}",
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    manifest = {"figure": figure, "files": []}
-
-    def note(fname, panel):
-        manifest["files"].append({"file": fname, "panel": panel})
-
+    families, panel, curve = _FIGURES[figure]
+    files, runs = [], []
     try:
-        if figure == "intro":
-            s = _reproduce_runs(preset("intro-pair"), out_dir, args.force)
-            note("intro-pair_timeseries.csv", "two-spin pair entanglement versus time")
-        elif figure == "fig1a":
-            summaries = _reproduce_runs(preset("fig1a-sweep"), out_dir, args.force)
-            rows = []
-            for cfg, s in zip(preset("fig1a-sweep"), summaries):
-                note(f"{cfg.name}_timeseries.csv", "per-size time series")
-                rows.append((cfg.domains[0].population, s.observables["E_N(A|B)"]["final"]))
-            _curve_csv(out_dir / "fig1a_curve.csv", ["N_A", "E_N"], rows)
-            note("fig1a_curve.csv", "steady log-negativity versus N_A")
-        elif figure in ("fig3a", "fig3b"):
-            configs = preset(figure)
-            summaries = _reproduce_runs(configs, out_dir, args.force)
-            for cfg in configs:
-                note(f"{cfg.name}_timeseries.csv", "entanglement and relaxation dynamics")
-            if figure == "fig3b":
-                rows = [
-                    (
-                        cfg.domains[1].population,
-                        s.observables["E_F(A,C)"]["final"],
-                        s.observables["E_F(A,C)"]["t_half"],
-                    )
-                    for cfg, s in zip(configs, summaries)
-                ]
-                _curve_csv(out_dir / "fig3b_curve.csv", ["N_B", "E_F", "t_half"], rows)
-                note("fig3b_curve.csv", "steady entanglement and half-rise time versus N_B")
-        elif figure == "fig4":
-            for name in ("fig4-chain4", "fig4-chain5"):
-                for cfg in preset(name):
-                    run_config(cfg, out_dir, force=args.force)
-                    note(f"{cfg.name}_timeseries.csv", "outer-domain pair entanglement")
-        elif figure in ("fig5a", "fig5b", "fig5c"):
-            key = {
-                "fig5a": "fig5a-dephasing",
-                "fig5b": "fig5b-individual",
-                "fig5c": "fig5c-thermal",
-            }[figure]
-            for cfg in preset(key):
-                run_config(cfg, out_dir, force=args.force)
-                note(f"{cfg.name}_timeseries.csv", "pair entanglement under noise")
-        elif figure == "fig6":
-            star = preset("fig6-star")[0]
-            run_config(star, out_dir, force=args.force)
-            note(f"{star.name}_timeseries.csv", "tripartite negativity versus time")
-            rows = []
-            for cfg in sweep(star, "N_D", list(range(1, 12))):
-                s = run_config(cfg, out_dir, force=args.force)
-                rows.append((cfg.domains[3].population, s.observables["N_ABC"]["final"]))
-            _curve_csv(out_dir / "fig6_inset.csv", ["N_D", "N_ABC"], rows)
-            note("fig6_inset.csv", "steady tripartite negativity versus N_D")
-        elif figure == "appA":
-            for cfg in preset("appA-initial-states"):
-                run_config(cfg, out_dir, force=args.force)
-                note(f"{cfg.name}_timeseries.csv", "per-initial-state entanglement dynamics")
-        elif figure == "appA-mixed":
-            configs = preset("appA-mixed")
-            summaries = _reproduce_runs(configs, out_dir, args.force)
-            rows = []
-            for cfg, s in zip(configs, summaries):
-                init = cfg.domains[1].initial
-                rows.append((init.a + init.b, s.observables["E_F(A,C)"]["final"]))
-                note(f"{cfg.name}_timeseries.csv", "mixed-preparation dynamics")
-            _curve_csv(out_dir / "appA_mixed_curve.csv", ["F_0", "E_F"], rows)
-            note("appA_mixed_curve.csv", "steady entanglement versus preparation fidelity")
-        else:  # appB
-            configs = preset("appB-oracle")
-            summaries = _reproduce_runs(configs, out_dir, args.force)
-            rows = []
-            for cfg, s in zip(configs, summaries):
-                rows.append(
-                    (
-                        cfg.domains[1].population,
-                        s.observables["C(A,C)"]["final"],
-                        s.observables["x_d"]["final"],
-                    )
-                )
-                note(f"{cfg.name}_timeseries.csv", "oracle-scenario dynamics")
-            _curve_csv(out_dir / "appB_curve.csv", ["N_B", "C", "x_d"], rows)
-            note("appB_curve.csv", "steady concurrence and dark-state weight versus N_B")
-    except _ConfigError as exc:
+        for family in families:
+            for cfg in preset(family):
+                runs.append((cfg, run_config(cfg, out_dir, force=args.force)))
+                files.append({"file": f"{cfg.name}_timeseries.csv", "panel": panel})
+        if curve is not None:
+            if curve.configs is not None:
+                runs = [(c, run_config(c, out_dir, force=args.force)) for c in curve.configs()]
+            rows = [",".join(_fmt(x) for x in curve.row(c, s)) for c, s in runs]
+            _atomic_write(out_dir / curve.file, "\n".join([curve.header] + rows) + "\n")
+            files.append({"file": curve.file, "panel": curve.panel})
+    except (_ConfigError, IntegrationFailure, ConvergenceFailure, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (IntegrationFailure, ConvergenceFailure, NumericalFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+        return EXIT_CONFIG if isinstance(exc, _ConfigError) else EXIT_INTEGRATION
 
+    manifest = {"figure": figure, "files": files}
     _atomic_write(out_dir / f"{figure}_manifest.json", json.dumps(manifest, indent=2) + "\n")
-    print(f"{figure}: wrote {len(manifest['files'])} files to {out_dir}")
+    print(f"{figure}: wrote {len(files)} files to {out_dir}")
     return EXIT_OK
 
 
@@ -622,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_rep = sub.add_parser("reproduce", help="write plot-ready CSVs for a figure id")
-    p_rep.add_argument("figure", help="figure id, e.g. fig3b or appA")
+    p_rep.add_argument("figure", help=f"figure id: {', '.join(_FIGURES)}")
     p_rep.add_argument("--out", default="qlre_out", help="output directory")
     p_rep.add_argument("--force", action="store_true", help="bypass the memory guard")
     p_rep.set_defaults(fn=cmd_reproduce)

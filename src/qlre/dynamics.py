@@ -26,8 +26,8 @@ would not be meaningful.
 
 from __future__ import annotations
 
+import logging
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -191,10 +191,10 @@ def build_realistic(
                     f"{INDIVIDUAL_SPIN_CAP}; pass allow_large=True to proceed"
                 )
             bytes_needed = 16 * basis.dim**2
-            print(
-                f"large full-backend run: dimension {basis.dim}, "
-                f"density matrix ~{bytes_needed / 2**20:.0f} MiB",
-                file=sys.stderr,
+            logging.getLogger(__name__).warning(
+                "large full-backend run: dimension %d, density matrix ~%.0f MiB",
+                basis.dim,
+                bytes_needed / 2**20,
             )
 
     terms: list[LindbladTerm] = []

@@ -162,6 +162,11 @@ def _fail(fieldname: str, message: str):
     raise ValueError(f"{fieldname}: {message}")
 
 
+def _is_int(value) -> bool:
+    """An integer, but not a boolean (``bool`` subclasses ``int``)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_finite(fieldname: str, value, minimum=None, strict=False):
     try:
         v = float(value)
@@ -183,7 +188,7 @@ def _validate_initial(fieldname: str, init: InitialSpec, population: int, mixed_
     if init.kind not in _INITIAL_KINDS:
         _fail(fieldname, f"unknown kind {init.kind!r}, expected one of {_INITIAL_KINDS}")
     if init.kind == "dicke":
-        if init.dicke_k is None or not isinstance(init.dicke_k, (int, np.integer)):
+        if not _is_int(init.dicke_k):
             _fail(fieldname, "dicke initial needs an integer excitation count")
         if not 0 <= init.dicke_k <= population:
             _fail(fieldname, f"dicke k={init.dicke_k} outside [0, {population}]")
@@ -227,7 +232,7 @@ def _validate_config(cfg: ScenarioConfig):
     for i, dom in enumerate(cfg.domains):
         if not isinstance(dom, DomainSpec):
             _fail(f"domains[{i}]", f"expected a DomainSpec, got {dom!r}")
-        if not isinstance(dom.population, (int, np.integer)) or dom.population < 1:
+        if not _is_int(dom.population) or dom.population < 1:
             _fail(f"domains[{i}].population", f"must be an integer >= 1, got {dom.population!r}")
         _validate_initial(f"domains[{i}].initial", dom.initial, dom.population, cfg.mixed_basis)
     if not cfg.reservoirs:
@@ -239,7 +244,7 @@ def _validate_config(cfg: ScenarioConfig):
         if not idx:
             _fail(f"reservoirs[{i}].domains", "must reference at least one domain")
         for j in idx:
-            if not isinstance(j, (int, np.integer)) or not 0 <= j < len(cfg.domains):
+            if not _is_int(j) or not 0 <= j < len(cfg.domains):
                 _fail(
                     f"reservoirs[{i}].domains",
                     f"index {j!r} outside 0..{len(cfg.domains) - 1}",
@@ -319,13 +324,7 @@ def effective_backend(cfg: ScenarioConfig) -> Backend:
 
 def hilbert_dimension(cfg: ScenarioConfig) -> int:
     """Total dimension under the effective backend; pure arithmetic, no allocation."""
-    dim = 1
-    for dom in cfg.domains:
-        if effective_backend(cfg) is Backend.FULL:
-            dim *= 2**dom.population
-        else:
-            dim *= dom.population + 1
-    return dim
+    return build_basis(cfg).dim
 
 
 def build_basis(cfg: ScenarioConfig) -> BasisDescriptor:
@@ -333,14 +332,9 @@ def build_basis(cfg: ScenarioConfig) -> BasisDescriptor:
 
 
 def _mixed_domain_matrix(population: int, a: float, b: float, backend: Backend) -> np.ndarray:
-    if backend is Backend.FULL:
-        dim = 2**population
-        m = b * np.eye(dim, dtype=complex)
-        m[0, 0] += a  # index 0 is the all-up bitstring
-        return m
-    dim = population + 1
+    dim = 2**population if backend is Backend.FULL else population + 1
     m = b * np.eye(dim, dtype=complex)
-    m[0, 0] += a  # ladder index 0 is the fully excited level
+    m[0, 0] += a  # index 0 is the all-up bitstring, on the ladder the fully excited level
     return m
 
 
@@ -827,7 +821,7 @@ def _initial_from_json(fieldname: str, data) -> InitialSpec:
         return InitialSpec(data)
     if isinstance(data, dict):
         if set(data) == {"dicke"}:
-            if not isinstance(data["dicke"], int):
+            if not _is_int(data["dicke"]):
                 _fail(fieldname + ".dicke", f"expected an integer, got {data['dicke']!r}")
             return InitialSpec("dicke", dicke_k=data["dicke"])
         if set(data) == {"mixed"}:
@@ -907,7 +901,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             _fail(f"domains[{i}]", f"unknown keys {sorted(unknown)}")
         if "population" not in d:
             _fail(f"domains[{i}].population", "missing required key")
-        if not isinstance(d["population"], int):
+        if not _is_int(d["population"]):
             _fail(f"domains[{i}].population", f"expected an integer, got {d['population']!r}")
         init = _initial_from_json(f"domains[{i}].initial", d.get("initial", "ground"))
         domains.append(DomainSpec(d["population"], init))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import types
 
 import pytest
 
@@ -121,6 +122,24 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(src), "--out", str(tmp_path)])
         assert rc == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("domains[1].population", lambda d: d["domains"][1].update(population=True)),
+            ("domains[1].initial.dicke", lambda d: d["domains"][1].update(initial={"dicke": True})),
+            ("reservoirs[0].domains", lambda d: d["reservoirs"][0].update(domains=[False, True])),
+        ],
+    )
+    def test_boolean_integer_field_exits_1(self, field, edit, tmp_path, capsys):
+        data = config_to_dict(chain())
+        edit(data)
+        src = tmp_path / "c.json"
+        src.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["simulate", "--config", str(src), "--out", str(tmp_path)])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_summary.json"))
 
     def test_path_like_name_exits_1(self, tmp_path, capsys):
         data = config_to_dict(chain())
@@ -245,6 +264,129 @@ class TestReproduce:
             assert (tmp_path / entry["file"]).exists()
             assert entry["panel"]
         assert no_temp_leftovers(tmp_path)
+
+
+# Each stub run returns, for observable n of the k-th run (k from 1),
+# final = k + _STUB_FINAL[n] and t_half = k + 0.5, so a curve row shows
+# both which run and which observable it was read from.
+_STUB_FINAL = {"E_N(A|B)": 0.125, "E_F(A,C)": 0.25, "C(A,C)": 0.375, "x_d": 0.5, "N_ABC": 0.625}
+
+
+def _series(names, panel):
+    return [{"file": f"{n}_timeseries.csv", "panel": panel} for n in names]
+
+
+_FIG1A = [f"fig1a_na{n}" for n in range(1, 9)]
+_FIG3A = [f"fig3a_nb{n}" for n in (3, 6, 9, 12)]
+_FIG3B = [f"fig3b_nb{n}" for n in range(2, 13)]
+_FIG5A = [f"fig5a_dep{g}" for g in ("0", "0.02", "0.05", "0.1", "0.2")]
+_FIG5C = [f"fig5c_T{t}" for t in ("0", "0.1", "0.3", "0.5", "1")]
+_FIG6 = ["fig6_star_nd11"] + [f"fig6_star_nd11_N_D{n}" for n in range(1, 12)]
+_APPA = [f"appA_{p}" for p in ("ddd", "dud", "udd", "ddu", "uuu", "udu", "uud", "duu")]
+_APPA_MIXED = [f"appA_mixed_f{f}" for f in ("0.5", "0.6", "0.7", "0.8", "0.9", "1")]
+_APPB = [f"appB_nb{n}" for n in range(1, 9)]
+_NOISE = "pair entanglement under noise"
+_DYNAMICS = "entanglement and relaxation dynamics"
+
+# figure id -> (configs run in order, manifest files, curve CSV texts)
+_REPRODUCE_PINS = {
+    "intro": (
+        ["intro-pair"],
+        _series(["intro-pair"], "two-spin pair entanglement versus time"),
+        {},
+    ),
+    "fig1a": (
+        _FIG1A,
+        _series(_FIG1A, "per-size time series")
+        + [{"file": "fig1a_curve.csv", "panel": "steady log-negativity versus N_A"}],
+        {"fig1a_curve.csv": "N_A,E_N\n"
+         "1,1.125\n2,2.125\n3,3.125\n4,4.125\n5,5.125\n6,6.125\n7,7.125\n8,8.125\n"},
+    ),
+    "fig3a": (_FIG3A, _series(_FIG3A, _DYNAMICS), {}),
+    "fig3b": (
+        _FIG3B,
+        _series(_FIG3B, _DYNAMICS)
+        + [{"file": "fig3b_curve.csv",
+            "panel": "steady entanglement and half-rise time versus N_B"}],
+        {"fig3b_curve.csv": "N_B,E_F,t_half\n"
+         "2,1.25,1.5\n3,2.25,2.5\n4,3.25,3.5\n5,4.25,4.5\n6,5.25,5.5\n7,6.25,6.5\n"
+         "8,7.25,7.5\n9,8.25,8.5\n10,9.25,9.5\n11,10.25,10.5\n12,11.25,11.5\n"},
+    ),
+    "fig4": (
+        ["fig4_chain4", "fig4_chain5"],
+        _series(["fig4_chain4", "fig4_chain5"], "outer-domain pair entanglement"),
+        {},
+    ),
+    "fig5a": (_FIG5A, _series(_FIG5A, _NOISE), {}),
+    "fig5b": (["fig5b_individual"], _series(["fig5b_individual"], _NOISE), {}),
+    "fig5c": (_FIG5C, _series(_FIG5C, _NOISE), {}),
+    # twelve runs, but only the star's own series and the inset are listed
+    "fig6": (
+        _FIG6,
+        _series(_FIG6[:1], "tripartite negativity versus time")
+        + [{"file": "fig6_inset.csv", "panel": "steady tripartite negativity versus N_D"}],
+        {"fig6_inset.csv": "N_D,N_ABC\n"
+         "1,2.625\n2,3.625\n3,4.625\n4,5.625\n5,6.625\n6,7.625\n7,8.625\n8,9.625\n"
+         "9,10.625\n10,11.625\n11,12.625\n"},
+    ),
+    "appA": (_APPA, _series(_APPA, "per-initial-state entanglement dynamics"), {}),
+    "appA-mixed": (
+        _APPA_MIXED,
+        _series(_APPA_MIXED, "mixed-preparation dynamics")
+        + [{"file": "appA_mixed_curve.csv",
+            "panel": "steady entanglement versus preparation fidelity"}],
+        {"appA_mixed_curve.csv": "F_0,E_F\n"
+         "0.5,1.25\n0.6,2.25\n0.7,3.25\n0.8,4.25\n0.9,5.25\n1,6.25\n"},
+    ),
+    "appB": (
+        _APPB,
+        _series(_APPB, "oracle-scenario dynamics")
+        + [{"file": "appB_curve.csv",
+            "panel": "steady concurrence and dark-state weight versus N_B"}],
+        {"appB_curve.csv": "N_B,C,x_d\n"
+         "1,1.375,1.5\n2,2.375,2.5\n3,3.375,3.5\n4,4.375,4.5\n5,5.375,5.5\n"
+         "6,6.375,6.5\n7,7.375,7.5\n8,8.375,8.5\n"},
+    ),
+}
+
+
+class TestReproduceTable:
+    """Pins what every figure id runs and writes, with the solver stubbed out."""
+
+    @pytest.fixture
+    def stub_runs(self, monkeypatch):
+        ran = []
+
+        def stub(cfg, out_dir, force=False):
+            ran.append(cfg.name)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            k = len(ran)
+            observables = {
+                n: {"final": k + _STUB_FINAL.get(n, 0.0), "t_half": k + 0.5}
+                for n in cfg.observables
+            }
+            return types.SimpleNamespace(observables=observables)
+
+        monkeypatch.setattr(cli, "run_config", stub)
+        return ran
+
+    @pytest.mark.parametrize("figure", list(_REPRODUCE_PINS))
+    def test_figure_outputs(self, figure, stub_runs, tmp_path):
+        runs, files, curves = _REPRODUCE_PINS[figure]
+        assert main(["reproduce", figure, "--out", str(tmp_path)]) == 0
+        assert stub_runs == runs
+        manifest = json.loads((tmp_path / f"{figure}_manifest.json").read_text())
+        assert manifest == {"figure": figure, "files": files}
+        written = {p.name: p.read_text() for p in tmp_path.glob("*.csv")}
+        assert written == curves
+        assert no_temp_leftovers(tmp_path)
+
+    def test_valid_ids_listed_in_order(self, tmp_path, capsys):
+        assert main(["reproduce", "fig9", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: unknown figure 'fig9'; valid ids: " + ", ".join(_REPRODUCE_PINS) + "\n"
+        )
 
 
 class TestValidate:

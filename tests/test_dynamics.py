@@ -1,8 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from qlre import dynamics
 from qlre.dynamics import (
     _Sector,
     _Stepper,
@@ -233,6 +235,17 @@ class TestBuilders:
         b = BasisDescriptor(Backend.FULL, (1, 12, 1))
         with pytest.raises(UnsupportedConfigurationError):
             build_realistic(b, [[0, 1], [1, 2]])
+
+    def test_large_run_notice_is_logged(self, monkeypatch, caplog, capsys):
+        monkeypatch.setattr(dynamics, "INDIVIDUAL_SPIN_CAP", 1)
+        b = BasisDescriptor(Backend.FULL, (1, 1, 1))
+        with caplog.at_level(logging.WARNING, logger="qlre.dynamics"):
+            build_realistic(b, [[0, 1], [1, 2]], allow_large=True)
+        [record] = caplog.records
+        assert record.name == "qlre.dynamics"
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == "large full-backend run: dimension 8, density matrix ~0 MiB"
+        assert capsys.readouterr() == ("", "")
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan")])
     def test_invalid_rates_rejected(self, bad):

@@ -165,6 +165,22 @@ class TestValidation:
                 reservoirs=(ReservoirSpec((0, 2)),),
             )
 
+    @pytest.mark.parametrize(
+        "field, domains, reservoir",
+        [
+            (r"domains\[1\]\.population", (DomainSpec(1), DomainSpec(True)), (0, 1)),
+            (
+                r"domains\[1\]\.initial",
+                (DomainSpec(1), DomainSpec(2, InitialSpec("dicke", dicke_k=True))),
+                (0, 1),
+            ),
+            (r"reservoirs\[0\]\.domains", (DomainSpec(1), DomainSpec(1)), (False, True)),
+        ],
+    )
+    def test_boolean_is_not_an_integer(self, field, domains, reservoir):
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(name="x", domains=domains, reservoirs=(ReservoirSpec(reservoir),))
+
     def test_reservoir_duplicate_domain(self):
         with pytest.raises(ValueError, match="duplicate"):
             ScenarioConfig(
@@ -559,6 +575,26 @@ class TestJsonRoundTrip:
     def test_non_numeric_field_named(self, field, edit, bad):
         d = config_to_dict(self.sample())
         edit(d, bad)
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            (r"domains\[1\]\.population", lambda d: d["domains"][1].update(population=True)),
+            (
+                r"domains\[1\]\.initial\.dicke",
+                lambda d: d["domains"][1].update(initial={"dicke": True}),
+            ),
+            (
+                r"reservoirs\[0\]\.domains",
+                lambda d: d["reservoirs"][0].update(domains=[False, True]),
+            ),
+        ],
+    )
+    def test_boolean_integer_field_named(self, field, edit):
+        d = config_to_dict(self.sample())
+        edit(d)
         with pytest.raises(ValueError, match=field):
             config_from_dict(d)
 
