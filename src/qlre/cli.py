@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -86,6 +87,9 @@ EXIT_INTEGRATION = 2
 EXIT_SWEEP_PARTIAL = 3
 EXIT_VALIDATION = 4
 
+# by name: under "python -m qlre.cli" __name__ is "__main__", outside "qlre"
+_log = logging.getLogger("qlre.cli")
+
 
 class _ConfigError(Exception):
     """User-facing config problem; message names the failing field."""
@@ -153,10 +157,7 @@ def _check_memory(cfg: ScenarioConfig, force: bool):
     dim = hilbert_dimension(cfg)
     estimate = 16 * dim * dim
     cap = _mem_cap()
-    print(
-        f"{cfg.name}: dimension {dim}, density matrix ~{estimate / 2**20:.1f} MiB",
-        file=sys.stderr,
-    )
+    _log.info("%s: dimension %d, density matrix ~%.1f MiB", cfg.name, dim, estimate / 2**20)
     if estimate > cap and not force:
         raise _ConfigError(
             f"{cfg.name}: estimated {estimate} bytes exceeds the cap of {cap}; "
@@ -312,10 +313,12 @@ def cmd_sweep(args) -> int:
         (json.dumps(config_to_dict(cfg)), str(out_dir), args.force, value)
         for cfg, value in zip(swept, values)
     ]
-    if args.jobs <= 1:
+    # more workers than cores or points only oversubscribe the machine
+    workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
+    if workers <= 1:
         rows = [_sweep_worker(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
 
     rows.sort(key=lambda r: r["value"])
@@ -572,7 +575,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="JSON config path or preset name")
     p_sweep.add_argument("--param", required=True, help="parameter to vary")
     p_sweep.add_argument("--values", required=True, help="comma-separated value list")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1, help="parallel worker processes, at most one per core"
+    )
     p_sweep.add_argument("--out", default="qlre_out", help="output directory")
     p_sweep.add_argument("--force", action="store_true", help="bypass the memory guard")
     p_sweep.set_defaults(fn=cmd_sweep)
@@ -592,8 +597,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    # the package logs; the command line shows those records as plain
+    # stderr lines for the duration of the command
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    package = logging.getLogger("qlre")
+    level = package.level
+    package.addHandler(handler)
+    package.setLevel(logging.INFO)
+    try:
+        args = _build_parser().parse_args(argv)
+        return args.fn(args)
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 if __name__ == "__main__":

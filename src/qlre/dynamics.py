@@ -18,10 +18,15 @@ sparse matrix, built from the jumps' nonzero entries when the run starts.
 A jump without a fixed shift widens the kept set to every element.
 ``lindblad_rhs`` stays the plain matrix form, the reference for tests.
 
-Steady states are found by integrating until the right-hand side is small
-in Frobenius norm; the stationary manifold is degenerate (dark states), so
-the limit depends on the initial state and a Liouvillian null-space solve
-would not be meaningful.
+The stationary manifold is degenerate (dark states), so the steady state
+depends on rho0: it is rho_inf = P_inf rho0, the projection that keeps the
+weight of every conserved quantity (Albert & Jiang, Phys. Rev. A 89,
+022118 (2014)).  ``steady_state`` reaches it as the limit of implicit
+Euler steps, which keep those weights exactly.  Without raising jumps L
+is block lower-triangular in the excitation number of an element's row,
+so each step is one sweep from the top level down with a small dense
+inverse per level.  A raising or unshifted jump, or a level too large to
+invert densely, sends the search back to the explicit integrator.
 """
 
 from __future__ import annotations
@@ -58,6 +63,9 @@ ATOL = 1e-11
 TRACE_DRIFT_TOL = 1e-8
 STEADY_STATE_TOL = 1e-10
 MAX_SCALED_TIME = 200.0
+# steady_state inverts each excitation level's block of the sector densely;
+# above this many elements in one block it integrates explicitly instead.
+LEVEL_BLOCK_LIMIT = 1024
 # Full-backend runs above this many physical spins need an explicit override.
 INDIVIDUAL_SPIN_CAP = 13
 
@@ -260,11 +268,13 @@ class SteadyStateResult:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_shift(O: sp.csc_array, n: np.ndarray) -> bool:
-    """True if every nonzero entry of O changes the excitation number alike."""
+def _shift(O: sp.csc_array, n: np.ndarray) -> Optional[int]:
+    """The change of excitation number shared by every nonzero entry of O, or None."""
     cols = np.repeat(np.arange(O.shape[1]), np.diff(O.indptr))
     shifts = (n[O.indices] - n[cols])[O.data != 0]
-    return shifts.size == 0 or bool(np.all(shifts == shifts[0]))
+    if shifts.size == 0:
+        return 0
+    return int(shifts[0]) if np.all(shifts == shifts[0]) else None
 
 
 class _Sector:
@@ -276,14 +286,17 @@ class _Sector:
     present in rho0 (closed under negation, for the adjoint) are kept.  A
     jump without a fixed shift mixes orders, and then every element is
     kept.  Elements are stored row-major: ``keys`` holds the flat indices
-    i * d + j in increasing order.
+    i * d + j in increasing order.  ``shifts`` holds each active jump's
+    change of n (None without a fixed one) and ``row_levels`` the n(i) of
+    each kept element; ``_LevelSweep`` orders the solve by them.
     """
 
     def __init__(self, eq: MasterEquation, rho0: np.ndarray):
         d = eq.basis.dim
         n = excitation_numbers(eq.basis)
         active = [(t.rate, sp.csc_array(t.jump.matrix)) for t in eq.terms if t.rate != 0.0]
-        if all(_fixed_shift(O, n) for _, O in active):
+        self.shifts = [_shift(O, n) for _, O in active]
+        if None not in self.shifts:
             i, j = np.nonzero(rho0)
             orders = {int(q) for q in n[i] - n[j]}
             orders |= {-q for q in orders}
@@ -299,6 +312,7 @@ class _Sector:
         self.d = d
         self.keys = keys
         rows, cols = keys // d, keys % d
+        self.row_levels = n[rows]
         self.diagonal = np.flatnonzero(rows == cols)
         self.adjoint = np.searchsorted(keys, cols * d + rows)  # position of (j, i)
 
@@ -346,6 +360,47 @@ class _Sector:
         out = np.zeros(self.d * self.d, dtype=complex)
         out[self.keys] = y
         return out.reshape(self.d, self.d)
+
+
+class _LevelSweep:
+    """One implicit Euler step y <- (I - h L)^-1 y on the sector, level by level.
+
+    When no jump raises the excitation number, element (i, j) feeds only
+    elements whose row level n(i) is the same or lower, so L is block
+    lower-triangular in n(i) taken from the top level down.  A step solves
+    the levels in that order: each level's diagonal block of I - h L is
+    inverted once, densely, and the levels above feed in through a sparse
+    slice of L.
+    """
+
+    def __init__(self, sector: _Sector, h: float):
+        self.order = np.argsort(-sector.row_levels, kind="stable")
+        levels = sector.row_levels[self.order]
+        cuts = np.flatnonzero(np.diff(levels)) + 1
+        L = sector.liouvillian[self.order][:, self.order]
+        self.blocks = []
+        for start, stop in zip(np.r_[0, cuts], np.r_[cuts, levels.size]):
+            inverse = np.linalg.inv(np.eye(stop - start) - h * L[start:stop, start:stop].toarray())
+            feed = h * L[start:stop, :start]
+            self.blocks.append((start, stop, inverse, feed if feed.nnz else None))
+
+    @staticmethod
+    def applies(sector: _Sector) -> bool:
+        """No jump raises n or lacks a fixed shift, and every level block is small."""
+        if any(s is None or s > 0 for s in sector.shifts):
+            return False
+        _, sizes = np.unique(sector.row_levels, return_counts=True)
+        return int(sizes.max()) <= LEVEL_BLOCK_LIMIT
+
+    def step(self, y: np.ndarray) -> np.ndarray:
+        x = y[self.order]
+        for start, stop, inverse, feed in self.blocks:
+            if feed is not None:
+                x[start:stop] += feed @ x[:start]
+            x[start:stop] = inverse @ x[start:stop]
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -567,24 +622,69 @@ def steady_state(
     tol: float = STEADY_STATE_TOL,
     max_scaled_time: float = MAX_SCALED_TIME,
 ) -> SteadyStateResult:
-    """Integrate until the right-hand side is below tol in Frobenius norm.
+    """The state rho0 relaxes to, found when the right-hand side is below tol.
 
-    The stationary state generally depends on rho0: the dissipators share a
-    degenerate dark manifold, so there is no unique null vector to solve
-    for.  Raises ConvergenceFailure if the residual has not crossed tol by
-    ``max_scaled_time``.
+    The stationary state depends on rho0: the dissipators share a degenerate
+    dark manifold, and the limit keeps the weight rho0 gives each conserved
+    quantity J (rho_inf = P_inf rho0, Albert & Jiang, Phys. Rev. A 89,
+    022118 (2014)).  Implicit Euler steps y <- (I - h L)^-1 y on the packed
+    sector, with fixed h = min(1, max_scaled_time), reach that limit: every
+    J satisfies J^dag (I - h L) = J^dag, so each step keeps the trace and
+    every dark-state weight exactly, and the decaying modes shrink by
+    1 / |1 - h lambda| per step.  Each step is one sweep over the excitation
+    levels (``_LevelSweep``).  Raises ConvergenceFailure if the Frobenius
+    norm of the right-hand side has not fallen below tol by
+    ``max_scaled_time``; ``elapsed_scaled_time`` counts the steps taken
+    times h.
 
-    Integration runs on the packed sector vector, as in ``evolve``; the
-    residual is the norm of the packed derivative, which equals the
-    Frobenius norm of the full one because the elements left out are zero.
+    A jump that raises the excitation number (nbar > 0) or has no fixed
+    shift, or a level block above ``LEVEL_BLOCK_LIMIT`` elements, leaves
+    no level order to sweep in; then the adaptive explicit integrator of
+    ``evolve`` runs until the residual is below tol.
     """
     if rho0.basis != eq.basis:
         raise ValueError(f"basis mismatch: {rho0.basis} vs {eq.basis}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (math.isfinite(max_scaled_time) and max_scaled_time > 0):
+        raise ValueError(f"max_scaled_time must be finite and positive, got {max_scaled_time!r}")
+    sector = _Sector(eq, rho0.matrix)
+    y = sector.pack(rho0.matrix)
+    residual = float(np.linalg.norm(sector.liouvillian @ y))
+    if residual < tol:
+        return SteadyStateResult(rho0, residual, 0.0)
+    if not _LevelSweep.applies(sector):
+        return _integrate_to_steady_state(eq, rho0, tol, max_scaled_time)
+    h = min(1.0, float(max_scaled_time))
+    sweep = _LevelSweep(sector, h)
+    steps = 0
+    while residual >= tol:
+        if (steps + 1) * h > max_scaled_time:
+            raise ConvergenceFailure(
+                f"residual {residual:.3e} still above {tol:.1e} "
+                f"at scaled time {max_scaled_time:g}"
+            )
+        y = sweep.step(y)
+        steps += 1
+        trace_drift = abs(y[sector.diagonal].sum() - 1.0)
+        herm_drift = float(np.max(np.abs(y - y[sector.adjoint].conj())))
+        if trace_drift > TRACE_DRIFT_TOL or herm_drift > TRACE_DRIFT_TOL:
+            raise NumericalFailure(
+                f"implicit Euler step {steps} drifted: trace {trace_drift:.3e}, "
+                f"hermiticity {herm_drift:.3e}"
+            )
+        residual = float(np.linalg.norm(sector.liouvillian @ y))
+    y = 0.5 * (y + y[sector.adjoint].conj())
+    residual = float(np.linalg.norm(sector.liouvillian @ y))
+    rho = DensityMatrix(sector.unpack(y), eq.basis, validate=False)
+    return SteadyStateResult(rho, residual, steps * h)
+
+
+def _integrate_to_steady_state(
+    eq: MasterEquation, rho0: DensityMatrix, tol: float, max_scaled_time: float
+) -> SteadyStateResult:
+    """The explicit fallback of ``steady_state``: integrate until the residual is below tol."""
     stepper = _Stepper(eq, rho0.matrix)
-    if stepper.residual < tol:
-        return SteadyStateResult(rho0, stepper.residual, 0.0)
     # Near the stationary manifold an explicit stepper hovers at the
     # stability boundary and local truncation noise pins the residual at
     # roughly the local tolerance.  When the residual stalls above the

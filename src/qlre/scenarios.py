@@ -197,12 +197,16 @@ def _validate_initial(fieldname: str, init: InitialSpec, population: int, mixed_
     if init.kind == "mixed":
         a = _check_finite(fieldname + ".a", init.a, minimum=0.0)
         b = _check_finite(fieldname + ".b", init.b, minimum=0.0)
-        side = 2**population if mixed_basis == "full" else population + 1
-        total = a + b * side
+        # as a float: 2**population of a huge population would not fit in memory
+        if mixed_basis == "full":
+            side = 2.0**population if population < 1024 else math.inf
+        else:
+            side = float(population + 1)
+        total = a + b * side if b else a
         if abs(total - 1.0) > 1e-9:
             _fail(
                 fieldname,
-                f"mixed weights must satisfy a + b*{side} = 1, got {total!r}",
+                f"mixed weights must satisfy a + b*{side:g} = 1, got {total!r}",
             )
     elif init.a is not None or init.b is not None:
         _fail(fieldname, f"{init.kind!r} initial does not take mixture weights")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import types
 
 import pytest
@@ -247,6 +248,72 @@ class TestSweep:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "single base config" in capsys.readouterr().err
+
+
+class TestSweepJobs:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Worker counts asked of ProcessPoolExecutor; the points run in-process."""
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        return made
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, values, expected",
+        [
+            (64, 3, "1,2,3,4", [3]),  # capped by the cores
+            (64, 8, "1,2", [2]),  # capped by the points
+            (2, 8, "1,2,3", [2]),  # as asked
+            (64, 1, "1,2,3", []),  # one core: no pool at all
+            (64, None, "1,2", []),  # an unknown core count counts as one
+        ],
+    )
+    def test_workers_capped(self, jobs, cpus, values, expected, pools, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        src = write_config(tmp_path / "base.json", chain())
+        out = tmp_path / "out"
+        rc = main([
+            "sweep", "--config", src, "--param", "N_B", "--values", values,
+            "--jobs", str(jobs), "--out", str(out),
+        ])
+        assert rc == 0
+        assert pools == expected
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [[v, "ok"] for v in values.split(",")]
+
+
+class TestMemoryNotice:
+    def test_logged_not_printed(self, caplog, capsys):
+        with caplog.at_level(logging.INFO, logger="qlre.cli"):
+            cli._check_memory(chain(), force=False)
+        [record] = caplog.records
+        assert record.name == "qlre.cli"
+        assert record.levelno == logging.INFO
+        assert record.getMessage() == "cli_chain: dimension 12, density matrix ~0.0 MiB"
+        assert capsys.readouterr() == ("", "")
+
+    def test_command_line_shows_it_on_stderr(self, tmp_path, capsys):
+        src = write_config(tmp_path / "c.json", chain())
+        assert main(["simulate", "--config", src, "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "cli_chain: dimension 12, density matrix ~0.0 MiB\n"
+        assert out.startswith("cli_chain: residual ")
+        # the handler lives only as long as the command
+        assert logging.getLogger("qlre").handlers == []
 
 
 class TestReproduce:

@@ -431,3 +431,120 @@ class TestTrajectoryType:
         rho = ground_state(b)
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), {"x": np.array([1.0])}, None, rho)
+
+
+def projected_steady_state(eq, rho0):
+    """P_inf rho0 from an SVD of the dense sector Liouvillian.
+
+    The right singular vectors of zero singular value span the stationary
+    states, the left ones the conserved quantities J; the projector keeps
+    each weight Tr(J^dag rho0).
+    """
+    sector = _Sector(eq, rho0.matrix)
+    L = sector.liouvillian.toarray()
+    u, s, vh = np.linalg.svd(L)
+    k = int(np.sum(s < 1e-10 * s[0]))
+    stationary = vh[L.shape[0] - k :].conj().T
+    conserved = u[:, L.shape[0] - k :]
+    weights = np.linalg.solve(conserved.conj().T @ stationary, conserved.conj().T)
+    y = stationary @ (weights @ sector.pack(rho0.matrix))
+    return DensityMatrix(sector.unpack(y), eq.basis, validate=False)
+
+
+def _collective_121(**kwargs):
+    b = BasisDescriptor(Backend.COLLECTIVE, (1, 2, 1))
+    return b, build_realistic(b, [[0, 1], [1, 2]], **kwargs)
+
+
+def _steady_case(name):
+    plus = np.full((2, 2), 0.5, dtype=complex)  # |+><+|, index 0 excited
+    if name in ("udd", "udu", "duu"):
+        b, eq = _collective_121()
+        levels = {"udd": [1, 0, 0], "udu": [1, 0, 1], "duu": [0, 2, 1]}[name]
+        return eq, product_state(b, levels)
+    if name == "intro-pair":
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, 1))
+        return build_collective_zero_T(b, [[0, 1]]), product_state(b, [1, 0])
+    if name == "full-decay-dephasing":
+        b = BasisDescriptor(Backend.FULL, (1, 2, 1))
+        eq = build_realistic(
+            b, [[0, 1], [1, 2]], include_individual=True, gamma_dep_over_gamma=0.1
+        )
+        return eq, product_state(b, ["u", "ud", "d"])
+    if name == "coherent-plus":
+        b, eq = _collective_121()
+        return eq, product_state(b, [plus, 2, 0])
+    if name == "thermal":
+        b, eq = _collective_121(nbar=0.25)
+        return eq, product_state(b, [1, 0, 0])
+    if name == "sigma-x":
+        b = BasisDescriptor(Backend.COLLECTIVE, (1,))
+        sigma = Operator(np.array([[0, 1], [1, 0]], dtype=complex), b)
+        return MasterEquation((LindbladTerm(sigma, 1.0),), b), product_state(b, [1])
+    raise KeyError(name)
+
+
+_LEVEL_SWEEP_CASES = ["udd", "udu", "duu", "intro-pair", "full-decay-dephasing", "coherent-plus"]
+_EXPLICIT_CASES = ["thermal", "sigma-x"]
+
+
+class TestImplicitSteadyState:
+    @pytest.fixture
+    def explicit_calls(self, monkeypatch):
+        calls = []
+        original = dynamics._integrate_to_steady_state
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, "_integrate_to_steady_state", recording)
+        return calls
+
+    @pytest.mark.parametrize("name", _LEVEL_SWEEP_CASES + _EXPLICIT_CASES)
+    def test_matches_projected_initial_state(self, name, explicit_calls):
+        eq, rho0 = _steady_case(name)
+        # the explicit integrator stops ~2 tol away in trace distance on the
+        # thermal case; a tighter tol lets it land as close as the sweep
+        tol = 1e-12 if name in _EXPLICIT_CASES else dynamics.STEADY_STATE_TOL
+        res = steady_state(eq, rho0, tol=tol)
+        assert bool(explicit_calls) == (name in _EXPLICIT_CASES)
+        assert trace_distance(res.rho, projected_steady_state(eq, rho0)) < 1e-10
+        assert 0.0 < res.elapsed_scaled_time <= dynamics.MAX_SCALED_TIME
+        assert res.residual < tol
+        assert np.linalg.norm(lindblad_rhs(eq, res.rho)) < tol
+        assert abs(res.rho.matrix.trace() - 1.0) < 1e-12
+        assert np.array_equal(res.rho.matrix, res.rho.matrix.conj().T)
+
+    def test_degenerate_kernel_keeps_initial_weights(self):
+        # the three (1,2,1) patterns relax onto different dark-state mixtures
+        limits = [steady_state(*_steady_case(p)).rho for p in ("udd", "udu", "duu")]
+        assert trace_distance(limits[0], limits[1]) > 1e-3
+        assert trace_distance(limits[0], limits[2]) > 1e-3
+        assert trace_distance(limits[1], limits[2]) > 1e-3
+
+    def test_coherences_survive_between_levels(self):
+        eq, rho0 = _steady_case("coherent-plus")
+        n = excitation_numbers(eq.basis)
+        rho = steady_state(eq, rho0).rho.matrix
+        assert np.max(np.abs(rho[n[:, None] - n[None, :] == 1])) > 1e-3
+
+    def test_steps_of_one_unit_up_to_the_limit(self):
+        eq, rho0 = _steady_case("udd")
+        res = steady_state(eq, rho0, max_scaled_time=60.0)
+        assert res.elapsed_scaled_time == int(res.elapsed_scaled_time) <= 60.0
+        with pytest.raises(ConvergenceFailure):
+            steady_state(eq, rho0, max_scaled_time=res.elapsed_scaled_time - 0.5)
+
+    def test_large_level_block_falls_back(self, monkeypatch, explicit_calls):
+        eq, rho0 = _steady_case("udu")
+        monkeypatch.setattr(dynamics, "LEVEL_BLOCK_LIMIT", 3)
+        res = steady_state(eq, rho0)
+        assert len(explicit_calls) == 1
+        assert trace_distance(res.rho, projected_steady_state(eq, rho0)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_invalid_max_scaled_time(self, bad):
+        b, eq = chain_eq(2)
+        with pytest.raises(ValueError, match="max_scaled_time"):
+            steady_state(eq, product_state(b, [0, 2, 0]), max_scaled_time=bad)
