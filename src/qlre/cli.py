@@ -73,6 +73,7 @@ from .scenarios import (
     config_from_dict,
     config_hash,
     config_to_dict,
+    effective_backend,
     hilbert_dimension,
     preset,
     sweep,
@@ -154,11 +155,20 @@ class RunSummary:
 
 
 def _check_memory(cfg: ScenarioConfig, force: bool):
-    dim = hilbert_dimension(cfg)
-    estimate = 16 * dim * dim
     cap = _mem_cap()
-    _log.info("%s: dimension %d, density matrix ~%.1f MiB", cfg.name, dim, estimate / 2**20)
-    if estimate > cap and not force:
+    full = effective_backend(cfg) is Backend.FULL
+    log2_dim = sum(d.population if full else math.log2(d.population + 1) for d in cfg.domains)
+    if log2_dim > 64:
+        # d = 2**population may be an integer too large to build at all, and
+        # no machine holds 16 d^2 bytes: compare in log space
+        over = 4 + 2 * log2_dim > math.log2(cap)
+        estimate = f"2^{4 + 2 * log2_dim:.6g}"
+    else:
+        dim = hilbert_dimension(cfg)
+        estimate = 16 * dim * dim
+        _log.info("%s: dimension %d, density matrix ~%.1f MiB", cfg.name, dim, estimate / 2**20)
+        over = estimate > cap
+    if over and not force:
         raise _ConfigError(
             f"{cfg.name}: estimated {estimate} bytes exceeds the cap of {cap}; "
             f"rerun with --force or raise {MEM_ENV_VAR}"

@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from qlre import cli
+from qlre import cli, scenarios
 from qlre.cli import main, run_config
 from qlre.scenarios import (
     DomainSpec,
@@ -314,6 +314,37 @@ class TestMemoryNotice:
         assert out.startswith("cli_chain: residual ")
         # the handler lives only as long as the command
         assert logging.getLogger("qlre").handlers == []
+
+
+class TestMemoryGuardHugePopulation:
+    @pytest.fixture
+    def no_dimension(self, monkeypatch):
+        # building 2**(2**40) as an integer never returns: fail instead of hanging
+        def never(cfg):
+            raise AssertionError("the memory guard built the Hilbert-space dimension")
+
+        for module in (cli, scenarios):
+            monkeypatch.setattr(module, "hilbert_dimension", never)
+            monkeypatch.setattr(module, "build_basis", never)
+
+    def test_refused_with_exit_1_naming_the_config(self, no_dimension, tmp_path, capsys):
+        data = config_to_dict(chain(name="huge_full"))
+        data["backend"] = "full"
+        data["include_individual"] = True
+        data["domains"][1]["population"] = 2**40
+        src = tmp_path / "huge.json"
+        src.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["simulate", "--config", str(src), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: huge_full: estimated 2^")
+        assert "exceeds the cap" in err
+        assert no_temp_leftovers(tmp_path)
+
+    def test_collective_population_of_the_same_size_is_refused_too(self, no_dimension):
+        cfg = chain(name="huge_collective", n_b=2**70)
+        with pytest.raises(cli._ConfigError, match="huge_collective: estimated 2\\^"):
+            cli._check_memory(cfg, force=False)
 
 
 class TestReproduce:

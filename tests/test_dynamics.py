@@ -42,6 +42,7 @@ from qlre.hilbert import (
     to_full_basis,
     trace_distance,
 )
+from qlre.scenarios import build_initial_state, build_master_equation, preset
 
 
 def single_qubit_eq():
@@ -180,6 +181,155 @@ class TestSector:
         x = rng.normal(size=stepper.y.size) + 1j * rng.normal(size=stepper.y.size)
         full = stepper.sector.unpack(x)
         assert stepper._rms(x) == pytest.approx(np.sqrt(np.mean(np.abs(full) ** 2)), rel=1e-12)
+
+
+def random_hermitian(rng, d, real=False):
+    a = rng.normal(size=(d, d))
+    if not real:
+        a = a + 1j * rng.normal(size=(d, d))
+    return a + a.conj().T
+
+
+def _sigma_y_pair():
+    """Full (1,1) with a sigma_y jump on the first spin (complex) and collective decay."""
+    b = BasisDescriptor(Backend.FULL, (1, 1))
+    sigma_y = Operator(np.kron(np.array([[0, -1j], [1j, 0]]), np.eye(2)), b)
+    terms = (LindbladTerm(sigma_y, 1.0), LindbladTerm(reservoir_jump(b, [0, 1]), 0.5))
+    return b, MasterEquation(terms, b)
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_euclidean_norm_is_frobenius_norm(self, real):
+        rng = np.random.default_rng(21)
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, 3, 1))
+        eq = build_collective_zero_T(b, [[0, 1], [1, 2]])
+        for _ in range(3):
+            rho = random_hermitian(rng, b.dim, real)  # every coherence order: all kept
+            sector = _Sector(eq, rho)
+            assert sector.keys.size == b.dim**2
+            assert np.linalg.norm(sector.pack(rho)) == pytest.approx(
+                np.linalg.norm(rho), rel=1e-13
+            )
+
+    @pytest.mark.parametrize("case", ["sigma-y", "thermal"])
+    def test_complex_input_keeps_im_coordinates(self, case):
+        rng = np.random.default_rng(22)
+        if case == "sigma-y":  # a complex jump
+            b, eq = _sigma_y_pair()
+        else:  # real jumps, with a raising channel
+            b = BasisDescriptor(Backend.COLLECTIVE, (1, 2, 1))
+            eq = build_realistic(b, [[0, 1], [1, 2]], nbar=0.3)
+        for _ in range(3):
+            rho = random_density(rng, b)  # complex, every coherence order
+            sector = _Sector(eq, rho.matrix)
+            # d real diagonal entries, then Re and Im of each of the d(d-1)/2 pairs
+            assert sector.levels.size == b.dim**2
+            assert sector.liouvillian.dtype == np.float64
+            reference = lindblad_rhs(eq, rho)
+            x = sector.liouvillian @ sector.pack(rho.matrix)
+            assert np.max(np.abs(x - sector.pack(reference))) < 1e-12
+            assert np.max(np.abs(sector.unpack(x) - reference)) < 1e-12
+
+    def test_real_preset_keeps_one_coordinate_per_pair(self):
+        cfg = preset("fig4-chain4")[0]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        sector = _Sector(eq, rho0.matrix)
+        rows, cols = np.divmod(sector.keys, eq.basis.dim)
+        assert sector.levels.size == np.count_nonzero(rows <= cols)
+        assert sector.levels.size == (sector.keys.size + np.count_nonzero(rows == cols)) // 2
+
+    def test_levels_are_sorted_sums_of_excitation_numbers(self):
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, 2, 1))
+        eq = build_collective_zero_T(b, [[0, 1], [1, 2]])
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        sector = _Sector(eq, product_state(b, [plus, 2, 0]).matrix)
+        n = excitation_numbers(b)
+        assert np.all(np.diff(sector.levels) <= 0)
+        # every coordinate's level is n(i) + n(j) of the elements it reads
+        rows, cols = np.divmod(sector.keys, b.dim)
+        reads = sector._to_coordinates.tocoo()
+        assert np.array_equal(
+            sector.levels[reads.row], n[rows[reads.col]] + n[cols[reads.col]]
+        )
+
+    @pytest.mark.parametrize("case", ["real", "complex"])
+    def test_unpack_is_exactly_hermitian(self, case):
+        rng = np.random.default_rng(24)
+        if case == "real":
+            b, eq = chain_eq(3)
+            rho0 = product_state(b, [0, 3, 0]).matrix
+        else:
+            b, eq = _sigma_y_pair()
+            rho0 = random_density(rng, b).matrix
+        sector = _Sector(eq, rho0)
+        m = sector.unpack(rng.normal(size=sector.levels.size))
+        assert np.array_equal(m, m.conj().T)
+        assert np.all(m.diagonal().imag == 0.0)
+
+    def test_plus_i_coherence_decays_with_im_coordinates(self):
+        # |+i> = (|e> + i|g>)/sqrt(2) under D[sigma-]: rho_eg = -(i/2) e^{-tau}
+        b, eq = single_qubit_eq()
+        plus_i = np.array([[0.5, -0.5j], [0.5j, 0.5]])  # index 0 excited
+        rho0 = product_state(b, [plus_i])
+        assert _Sector(eq, rho0.matrix).levels.size == 4  # Im coordinate kept
+        traj = evolve(
+            eq,
+            rho0,
+            2.0,
+            0.1,
+            observables={
+                "re": lambda r: r.matrix[0, 1].real,
+                "im": lambda r: r.matrix[0, 1].imag,
+                "pe": lambda r: r.matrix[0, 0].real,
+            },
+        )
+        t = traj.times
+        assert np.max(np.abs(traj.observables["re"])) < 1e-12
+        assert np.max(np.abs(traj.observables["im"] + 0.5 * np.exp(-t))) < 1e-8
+        assert np.max(np.abs(traj.observables["pe"] - 0.5 * np.exp(-2.0 * t))) < 1e-8
+        assert np.array_equal(traj.final_rho.matrix, traj.final_rho.matrix.conj().T)
+
+
+class TestSolverStats:
+    @staticmethod
+    def _identity_holds(stats):
+        return stats.rhs_calls == 2 + 6 * (stats.accepted + stats.rejected)
+
+    def test_chain4_to_a_quarter_takes_422_rhs_calls(self):
+        cfg = preset("fig4-chain4")[0]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        stats = evolve(eq, rho0, 0.25, 0.25).stats
+        assert stats.rhs_calls == 422
+        assert self._identity_holds(stats)
+        assert 0.0 <= stats.worst_trace_drift <= dynamics.TRACE_DRIFT_TOL
+
+    def test_rejected_steps_are_counted(self):
+        # the thermal (1,2,1) run rejects steps in its stiff stretch
+        b, eq = _collective_121(nbar=0.25)
+        stats = evolve(eq, product_state(b, [1, 0, 0]), 10.0, 1.0).stats
+        assert stats.rejected > 0
+        assert self._identity_holds(stats)
+
+    def test_trace_drift_retries_count_as_rejected(self, monkeypatch):
+        original = _Stepper._attempt
+        spoiled = []
+
+        def attempt(self, h):
+            y_new, k7, err = original(self, h)
+            if err <= 1.0 and len(spoiled) < 3:
+                spoiled.append(h)
+                y_new = y_new.copy()
+                y_new[self.sector.diagonal[0]] += 1e-6  # a trace drift of 1e-6
+            return y_new, k7, err
+
+        monkeypatch.setattr(_Stepper, "_attempt", attempt)
+        b, eq = chain_eq(3)
+        traj = evolve(eq, product_state(b, [0, 3, 0]), 1.0, 0.5)
+        assert len(spoiled) == 3
+        assert traj.stats.rejected >= 3
+        assert self._identity_holds(traj.stats)
+        assert traj.stats.worst_trace_drift < dynamics.TRACE_DRIFT_TOL
 
 
 class TestBuilders:
