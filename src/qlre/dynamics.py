@@ -66,6 +66,9 @@ MAX_SCALED_TIME = 200.0
 # steady_state inverts each excitation level's block of the sector densely;
 # above this many coordinates in one block it integrates explicitly instead.
 LEVEL_BLOCK_LIMIT = 1024
+# The integrator applies the sector's L as a dense array up to this many coordinates
+# and as CSR above; one product breaks even between ~150 and ~200 on fig3b.
+SECTOR_DENSE_LIMIT = 128
 # Full-backend runs above this many physical spins need an explicit override.
 INDIVIDUAL_SPIN_CAP = 13
 
@@ -241,12 +244,17 @@ class SolverStats:
     derivative and the initial-step probe), so
     rhs_calls = 2 + 6 * (accepted + rejected).  ``rejected`` counts failed
     error tests and the retries after a trace drift above TRACE_DRIFT_TOL.
+    ``min_step`` and ``max_step`` bound the accepted steps that were not
+    cut short to land on a sample time (both 0.0 if every one was), so a
+    run held at the stability limit shows a narrow range.
     """
 
     accepted: int
     rejected: int
     rhs_calls: int
     worst_trace_drift: float
+    min_step: float
+    max_step: float
 
 
 @dataclass
@@ -275,9 +283,18 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
+    """The steady state, its residual, and how it was reached.
+
+    ``steps`` counts the implicit-Euler sweeps (0 if rho0 was already
+    stationary or the explicit fallback ran); ``stats`` is the fallback's
+    SolverStats, None when it did not run.
+    """
+
     rho: DensityMatrix
     residual: float
     elapsed_scaled_time: float
+    steps: int = 0
+    stats: Optional[SolverStats] = None
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +469,14 @@ _DP_A = (
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5 + (0.0,), _DP_B4))
+# row s - 1 weights stages k_1..k_s into the input of stage s + 1; row 5 (b5)
+# makes the new state, whose derivative is k_7, and row 6 the error estimate
+_DP_TABLE = np.array([row + (0.0,) * (7 - len(row)) for row in _DP_A[1:] + (_DP_B5, _DP_ERR)])
 
 _MIN_STEP = 1e-13
 _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 _SAFETY = 0.9
-
-
-def _axpys(out: np.ndarray, h: float, coefficients, k) -> np.ndarray:
-    """out += h * sum_i coefficients[i] * k[i], one in-place axpy per nonzero term."""
-    for c, ki in zip(coefficients, k):
-        if c != 0.0:
-            out += (h * c) * ki
-    return out
 
 
 class _Stepper:
@@ -475,12 +487,21 @@ class _Stepper:
     so it divides by d^2, and coordinate x_k scales its error by
     atol + rtol * weights[k] * |x_k|, which without Im coordinates is the
     elementwise scale of the matrix.  That keeps the accepted steps.
+
+    An attempt keeps its seven stages as the rows of one preallocated array,
+    so each stage input is y plus one product of a row of h * _DP_TABLE
+    with the stages so far, and the error estimate one product with the
+    last row.  Up to SECTOR_DENSE_LIMIT coordinates L is applied as a dense
+    array, whose product costs less than a CSR one there; above it as CSR.
     """
 
     def __init__(self, eq: MasterEquation, rho0: np.ndarray, t0: float = 0.0):
         self.sector = _Sector(eq, rho0)
+        L = self.sector.liouvillian
+        self._map = L.toarray() if L.shape[0] <= SECTOR_DENSE_LIMIT else L
         self._size = float(eq.basis.dim) ** 2
         self.y = self.sector.pack(rho0)
+        self._stages = np.empty((7, self.y.size))
         self.t = float(t0)
         self.rtol = RTOL
         self.atol = ATOL
@@ -488,12 +509,14 @@ class _Stepper:
         self.rejected = 0
         self.rhs_calls = 0
         self.worst_trace_drift = 0.0
+        self.min_step = math.inf
+        self.max_step = 0.0
         self.k1 = self.rhs(self.y)
         self.h = self._initial_step()
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         self.rhs_calls += 1
-        return self.sector.liouvillian @ y
+        return self._map @ y
 
     def _rms(self, x: np.ndarray) -> float:
         return float(np.sqrt(np.vdot(x, x).real / self._size))
@@ -522,16 +545,21 @@ class _Stepper:
     @property
     def stats(self) -> SolverStats:
         drift = float(self.worst_trace_drift)
-        return SolverStats(self.accepted, self.rejected, self.rhs_calls, drift)
+        low = self.min_step if self.max_step > 0 else 0.0
+        return SolverStats(
+            self.accepted, self.rejected, self.rhs_calls, drift, low, self.max_step
+        )
 
     def _attempt(self, h: float):
-        k = [self.k1]
-        for row in _DP_A[1:] + (_DP_B5,):  # the last stage is the new state
-            y_new = _axpys(self.y.copy(), h, row, k)
-            k.append(self.rhs(y_new))
-        err = _axpys(np.zeros_like(self.y), h, _DP_ERR, k)
+        a = h * _DP_TABLE
+        k = self._stages
+        k[0] = self.k1
+        for s in range(1, 7):  # the sixth input is the new state, k[6] its derivative
+            y_new = a[s - 1, :s] @ k[:s] + self.y
+            k[s] = self.rhs(y_new)
+        err = a[6] @ k
         err /= self.atol + self.rtol * self.sector.weights * np.maximum(abs(self.y), abs(y_new))
-        return y_new, k[-1], self._rms(err)
+        return y_new, k[6].copy(), self._rms(err)
 
     def step_once(self, t_limit: float) -> bool:
         """Take one accepted step, not crossing t_limit.  True if t advanced."""
@@ -560,6 +588,8 @@ class _Stepper:
                 self.y = y_new
                 self.k1 = k7
                 if not clipped:
+                    self.min_step = min(self.min_step, h)
+                    self.max_step = max(self.max_step, h)
                     factor = _MAX_GROWTH if err == 0 else min(
                         _MAX_GROWTH, max(_MIN_SHRINK, _SAFETY * err**-0.2)
                     )
@@ -707,7 +737,7 @@ def steady_state(
             raise NumericalFailure(f"implicit Euler step {steps} drifted: trace {trace_drift:.3e}")
         residual = float(np.linalg.norm(sector.liouvillian @ y))
     rho = DensityMatrix(sector.unpack(y), eq.basis, validate=False)
-    return SteadyStateResult(rho, residual, steps * h)
+    return SteadyStateResult(rho, residual, steps * h, steps)
 
 
 def _integrate_to_steady_state(
@@ -725,7 +755,7 @@ def _integrate_to_steady_state(
         resid = stepper.residual
         if resid < tol:
             rho = DensityMatrix(stepper.matrix, eq.basis, validate=False)
-            return SteadyStateResult(rho, stepper.residual, stepper.t)
+            return SteadyStateResult(rho, resid, stepper.t, stats=stepper.stats)
         if resid < 0.5 * best:
             best = resid
             since_improvement = 0

@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -500,3 +504,19 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
+
+
+class TestImportWeight:
+    # each of these adds 8-30 MiB of RSS at import, more than the
+    # benchmark's peak-RSS bound allows; a path no workload takes may
+    # import one lazily
+    HEAVY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.integrate")
+
+    def test_cli_import_leaves_heavy_scipy_modules_out(self):
+        src = str(Path(cli.__file__).resolve().parents[1])  # the copy under test
+        code = f"import sys, qlre.cli; print([m for m in {self.HEAVY!r} if m in sys.modules])"
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"

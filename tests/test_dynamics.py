@@ -698,3 +698,143 @@ class TestImplicitSteadyState:
         b, eq = chain_eq(2)
         with pytest.raises(ValueError, match="max_scaled_time"):
             steady_state(eq, product_state(b, [0, 2, 0]), max_scaled_time=bad)
+
+
+def _fig3b(n_b):
+    cfg = preset("fig3b")[n_b - 2]
+    assert cfg.name == f"fig3b_nb{n_b}"
+    return build_master_equation(cfg), build_initial_state(cfg)
+
+
+def _attempt_cases():
+    """A real sector (fig3b N_B = 4) and a complex one (sigma_y pair with a random rho)."""
+    eq, rho0 = _fig3b(4)
+    b, eq_y = _sigma_y_pair()
+    return [(eq, rho0.matrix), (eq_y, random_density(np.random.default_rng(31), b).matrix)]
+
+
+def _plain_dp5_step(stepper, h):
+    """One Dormand-Prince 5(4) attempt, one stage at a time from the coefficient tuples.
+
+    Also returns the RMS of the unsummed error terms over the same scale:
+    the error estimate is a cancelling difference, so its rounding is
+    relative to the terms, not to the result.
+    """
+    L = stepper.sector.liouvillian
+    y = stepper.y
+    k = [stepper.k1]
+    for row in dynamics._DP_A[1:] + (dynamics._DP_B5,):
+        y_new = y + h * sum(c * ki for c, ki in zip(row, k))
+        k.append(L @ y_new)
+    scale = stepper.atol + stepper.rtol * stepper.sector.weights * np.maximum(abs(y), abs(y_new))
+    err = h * sum(c * ki for c, ki in zip(dynamics._DP_ERR, k)) / scale
+    terms = h * sum(abs(c * ki) for c, ki in zip(dynamics._DP_ERR, k)) / scale
+    return y_new, k[-1], stepper._rms(err), stepper._rms(terms)
+
+
+class TestStackedAttempt:
+    def test_table_rows_are_the_coefficient_tuples(self):
+        rows = dynamics._DP_A[1:] + (dynamics._DP_B5, dynamics._DP_ERR)
+        assert dynamics._DP_TABLE.shape == (len(rows), 7)
+        for table_row, row in zip(dynamics._DP_TABLE, rows):
+            assert np.array_equal(table_row[: len(row)], row)
+            assert not np.any(table_row[len(row) :])
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["real-fig3b", "complex-sigma-y"])
+    def test_attempt_matches_plain_dp5_step(self, case):
+        eq, rho0 = _attempt_cases()[case]
+        stepper = _Stepper(eq, rho0)
+        for h in (stepper.h, 0.01, 0.05, 0.2):
+            y_new, k7, err = stepper._attempt(h)
+            y_ref, k7_ref, err_ref, terms = _plain_dp5_step(stepper, h)
+            assert np.max(np.abs(y_new - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
+            assert np.max(np.abs(k7 - k7_ref)) <= 1e-13 * np.max(np.abs(k7_ref))
+            assert abs(err - err_ref) <= 1e-13 * terms
+        assert stepper.rhs_calls == 2 + 6 * 4
+
+    def test_attempt_leaves_the_state_and_derivative_alone(self):
+        eq, rho0 = _attempt_cases()[0]
+        stepper = _Stepper(eq, rho0)
+        y, k1 = stepper.y.copy(), stepper.k1.copy()
+        _, k7, _ = stepper._attempt(0.05)
+        kept = k7.copy()
+        stepper._attempt(0.01)  # a later attempt must not overwrite an earlier k7
+        assert np.array_equal(stepper.y, y) and np.array_equal(stepper.k1, k1)
+        assert np.array_equal(k7, kept)
+
+
+class TestDenseSectorMap:
+    def _stepper(self, monkeypatch, limit):
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", limit)
+        eq, rho0 = _fig3b(4)
+        return _Stepper(eq, rho0.matrix)
+
+    def test_dense_and_csr_maps_agree(self, monkeypatch):
+        csr = self._stepper(monkeypatch, 0)
+        dense = self._stepper(monkeypatch, 10**9)
+        assert not isinstance(csr._map, np.ndarray)
+        assert isinstance(dense._map, np.ndarray)
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            y = rng.normal(size=csr.y.size)
+            expected = csr.rhs(y)
+            assert np.max(np.abs(dense.rhs(y) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_small_preset_sectors_are_dense(self):
+        eq, rho0 = _fig3b(12)
+        stepper = _Stepper(eq, rho0.matrix)
+        assert stepper.y.size <= dynamics.SECTOR_DENSE_LIMIT
+        assert isinstance(stepper._map, np.ndarray)
+
+    def test_evolve_agrees_on_both_maps(self, monkeypatch):
+        eq, rho0 = _fig3b(4)
+        runs = []
+        for limit in (0, 10**9):
+            monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", limit)
+            states = []
+            record = {"state": lambda r: states.append(r) or 0.0}
+            traj = evolve(eq, rho0, 8.0, 0.1, observables=record)
+            assert traj.stats.rhs_calls == 2 + 6 * (traj.stats.accepted + traj.stats.rejected)
+            runs.append(states)
+        assert len(runs[0]) == len(runs[1]) == 81
+        assert max(trace_distance(a, b) for a, b in zip(*runs)) < 1e-9
+
+
+class TestStepRange:
+    def test_chain4_range_keeps_422_rhs_calls(self):
+        cfg = preset("fig4-chain4")[0]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        stats = evolve(eq, rho0, 0.25, 0.25).stats
+        assert stats.rhs_calls == 422
+        assert 0.0 < stats.min_step <= stats.max_step < 0.25
+
+    def test_clipped_steps_are_left_out(self, monkeypatch):
+        # every accepted step lands on a sample time: no unclipped step to report
+        b, eq = single_qubit_eq()
+        monkeypatch.setattr(_Stepper, "_initial_step", lambda self: 1.0)
+        stats = evolve(eq, product_state(b, [1]), 1e-3, 1e-4).stats
+        assert stats.accepted == 10
+        assert stats.min_step == stats.max_step == 0.0
+
+
+class TestSteadyStateRecord:
+    def test_sweeps_times_step_is_elapsed_time(self):
+        cfg = preset("appB-oracle")[1]
+        assert cfg.domains[1].population == 2
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        res = steady_state(eq, rho0)
+        assert res.steps > 0 and res.stats is None
+        assert res.steps * 1.0 == res.elapsed_scaled_time
+
+    def test_early_return_takes_no_steps(self):
+        b, eq = chain_eq(4)
+        res = steady_state(eq, ground_state(b))
+        assert res.steps == 0 and res.stats is None
+
+    def test_fallback_records_its_solver_stats(self):
+        eq, rho0 = _steady_case("thermal")
+        res = steady_state(eq, rho0)
+        assert res.steps == 0
+        assert res.stats is not None and res.stats.accepted > 0
+        assert res.stats.rhs_calls == 2 + 6 * (res.stats.accepted + res.stats.rejected)
+        assert 0.0 < res.stats.min_step <= res.stats.max_step
