@@ -6,17 +6,22 @@ scaled units (gamma t / 2), so the base collective rate is 1 and a single
 excited spin decays as exp(-2 tau).  Thermal, per-spin, and dephasing rates
 are expressed relative to that unit.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with step-size
-control and first-same-as-last reuse.  It does not step the d x d density
-matrix.  Every channel changes the total excitation number n by a fixed
-amount (lowering -1, raising +1, dephasing 0), so the coherence order
-n(i) - n(j) of a matrix element is conserved (the weak U(1) symmetry of
-Buca & Prosen, New J. Phys. 14, 073007 (2012)).  ``evolve`` and
-``steady_state`` therefore step the real Hermitian coordinates of the
-elements of the orders present in rho0, with the Liouvillian as one real
-sparse matrix built when the run starts; Hermiticity holds by
-construction.  A jump without a fixed shift keeps every element.
-``lindblad_rhs`` stays the plain matrix form, the reference for tests.
+Nothing steps the d x d density matrix.  Every channel changes the total
+excitation number n by a fixed amount (lowering -1, raising +1, dephasing
+0), so the coherence order n(i) - n(j) of a matrix element is conserved
+(the weak U(1) symmetry of Buca & Prosen, New J. Phys. 14, 073007
+(2012)).  ``evolve`` and ``steady_state`` therefore work on the real
+Hermitian coordinates of the elements of the orders present in rho0, with
+the Liouvillian as one real sparse matrix built when the run starts;
+Hermiticity holds by construction.  A jump without a fixed shift keeps
+every element.  ``lindblad_rhs`` stays the plain matrix form, the
+reference for tests.
+
+L is constant, so a sector of at most SECTOR_DENSE_LIMIT coordinates is
+advanced between samples by its exact propagator exp(h L), formed once
+per interval length by scaling and squaring.  Larger sectors are
+integrated by an embedded Dormand-Prince 5(4) pair with step-size control
+and first-same-as-last reuse.
 
 The stationary manifold is degenerate (dark states), so the steady state
 depends on rho0: it is rho_inf = P_inf rho0, the projection that keeps the
@@ -66,8 +71,9 @@ MAX_SCALED_TIME = 200.0
 # steady_state inverts each excitation level's block of the sector densely;
 # above this many coordinates in one block it integrates explicitly instead.
 LEVEL_BLOCK_LIMIT = 1024
-# The integrator applies the sector's L as a dense array up to this many coordinates
-# and as CSR above; one product breaks even between ~150 and ~200 on fig3b.
+# Up to this many coordinates evolve propagates exactly, and the integrator applies
+# the sector's L as a dense array, CSR above; one product breaks even between ~150
+# and ~200 on fig3b.
 SECTOR_DENSE_LIMIT = 128
 # Full-backend runs above this many physical spins need an explicit override.
 INDIVIDUAL_SPIN_CAP = 13
@@ -259,7 +265,11 @@ class SolverStats:
 
 @dataclass
 class Trajectory:
-    """Sampled time series from one integration run."""
+    """Sampled time series from one integration run.
+
+    ``stats`` is the integrator's SolverStats, or None when the sector was
+    small enough to be propagated exactly (no steps to count).
+    """
 
     times: np.ndarray
     observables: dict[str, np.ndarray]
@@ -495,14 +505,14 @@ class _Stepper:
     array, whose product costs less than a CSR one there; above it as CSR.
     """
 
-    def __init__(self, eq: MasterEquation, rho0: np.ndarray, t0: float = 0.0):
-        self.sector = _Sector(eq, rho0)
+    def __init__(self, eq: MasterEquation, rho0: np.ndarray, sector: Optional[_Sector] = None):
+        self.sector = _Sector(eq, rho0) if sector is None else sector
         L = self.sector.liouvillian
         self._map = L.toarray() if L.shape[0] <= SECTOR_DENSE_LIMIT else L
         self._size = float(eq.basis.dim) ** 2
         self.y = self.sector.pack(rho0)
         self._stages = np.empty((7, self.y.size))
-        self.t = float(t0)
+        self.t = 0.0
         self.rtol = RTOL
         self.atol = ATOL
         self.accepted = 0
@@ -605,6 +615,81 @@ class _Stepper:
 
 
 # ---------------------------------------------------------------------------
+# exact propagation of small sectors
+# ---------------------------------------------------------------------------
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) of a dense square matrix by scaling and squaring.
+
+    s is the smallest integer with ||A / 2^s||_1 <= 1/2; there the degree-14
+    Taylor polynomial, evaluated by Horner, leaves out less than
+    (1/2)^15 / 15! ~ 2e-17, below unit roundoff, and s squarings undo the
+    scaling (Moler & Van Loan, SIAM Rev. 45, 3 (2003); Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)).  numpy only: importing
+    scipy.linalg would add ~8 MiB to every run.
+    """
+    mantissa, exponent = math.frexp(float(np.abs(A).sum(axis=0).max(initial=0.0)))
+    s = max(0, exponent + (mantissa > 0.5))
+    X = A / 2.0**s
+    n = A.shape[0]
+    P = X / 14
+    P.flat[:: n + 1] += 1.0
+    for k in range(13, 0, -1):  # I + X/k (I + X/(k+1) (... (I + X/14)))
+        P = X @ P
+        P /= k
+        P.flat[:: n + 1] += 1.0
+    for _ in range(s):
+        P = P @ P
+    return P
+
+
+class _Propagator:
+    """Exact advance y <- exp(h L) y between samples, for a sector held densely.
+
+    The propagator of sample_dt is formed at its first use and reused; only
+    the grid's shorter last interval, if it has one, needs a second.  Being
+    exact, it is stable at any spacing, where an explicit integrator on a
+    stiff sector takes steps far below it.  Each advance checks the trace
+    drift like the integrator does; there are no steps, so ``stats`` is None.
+    """
+
+    stats = None
+
+    def __init__(self, sector: _Sector, rho0: np.ndarray, sample_dt: float):
+        self.sector = sector
+        self.y = sector.pack(rho0)
+        self.t = 0.0
+        self._L = sector.liouvillian.toarray()
+        self._dt = float(sample_dt)
+        self._step: Optional[np.ndarray] = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The current state as a d x d matrix."""
+        return self.sector.unpack(self.y)
+
+    def advance_to(self, target: float):
+        if target <= self.t:
+            return
+        # ``_sample_grid`` puts sample i at i * sample_dt, and appends t_max only
+        # when it falls between two of them, after a shorter last interval
+        if target == round(target / self._dt) * self._dt:
+            if self._step is None:
+                self._step = _expm(self._dt * self._L)
+            P = self._step
+        else:
+            P = _expm((target - self.t) * self._L)
+        self.y = P @ self.y
+        self.t = target
+        trace_drift = abs(self.y[self.sector.diagonal].sum() - 1.0)
+        if trace_drift > TRACE_DRIFT_TOL:
+            raise NumericalFailure(
+                f"propagated state drifted at scaled time {target:.6g}: trace {trace_drift:.3e}"
+            )
+
+
+# ---------------------------------------------------------------------------
 # high-level drivers
 # ---------------------------------------------------------------------------
 
@@ -637,18 +722,21 @@ def evolve(
     keep: Optional[Iterable[int]] = None,
     observables: Optional[Mapping[str, ObservableSpec]] = None,
 ) -> Trajectory:
-    """Integrate from rho0 and sample on a regular scaled-time grid.
+    """Evolve rho0 and sample on a regular scaled-time grid.
 
     ``observables`` maps series names to either Hermitian operators
     (recorded as expectation values) or callables on the sampled state.
     With ``keep``, the reduced state over those domains is stored at every
-    sample.  Trace drift is watched over the whole run, and ``stats``
-    records the steps, rejections and right-hand sides it took.
+    sample.  Trace drift is watched over the whole run.
 
-    The integrator steps the real Hermitian coordinates of rho0's coherence
-    orders (see the module docstring); observables and snapshots see the
-    d x d matrix, unpacked at each sample.  Its error norm divides by d^2,
-    so the accepted steps are those of stepping the whole matrix.
+    The state is the real Hermitian coordinates of rho0's coherence orders
+    (see the module docstring); observables and snapshots see the d x d
+    matrix, unpacked at each sample.  Up to SECTOR_DENSE_LIMIT coordinates
+    it is carried from sample to sample by the exact propagator exp(h L),
+    and ``stats`` is None.  Above, the Dormand-Prince integrator steps it,
+    and ``stats`` records the steps, rejections and right-hand sides it
+    took; its error norm divides by d^2, so the accepted steps are those of
+    stepping the whole matrix.
     """
     if rho0.basis != eq.basis:
         raise ValueError(f"basis mismatch: {rho0.basis} vs {eq.basis}")
@@ -660,15 +748,19 @@ def evolve(
     keep_idx = None if keep is None else tuple(keep)
 
     times = _sample_grid(t_max, sample_dt)
-    stepper = _Stepper(eq, rho0.matrix)
+    sector = _Sector(eq, rho0.matrix)
+    if sector.liouvillian.shape[0] <= SECTOR_DENSE_LIMIT:
+        solver = _Propagator(sector, rho0.matrix, sample_dt)
+    else:
+        solver = _Stepper(eq, rho0.matrix, sector)
     series: dict[str, list[float]] = {name: [] for name in observables}
     snapshots: Optional[list[DensityMatrix]] = None if keep_idx is None else []
 
     for t in times:
-        stepper.advance_to(float(t))
+        solver.advance_to(float(t))
         # Solver output carries integrator-scale noise; eigenvalues may dip a
         # few 1e-9 below zero for large systems, which validation would reject.
-        current = DensityMatrix(stepper.matrix, eq.basis, validate=False)
+        current = DensityMatrix(solver.matrix, eq.basis, validate=False)
         for name, value in _evaluate_observables(observables, current).items():
             series[name].append(value)
         if snapshots is not None:
@@ -678,7 +770,7 @@ def evolve(
         observables={k: np.asarray(v) for k, v in series.items()},
         snapshots=snapshots,
         final_rho=current,  # the state at the last sample, t_max
-        stats=stepper.stats,
+        stats=solver.stats,
     )
 
 

@@ -15,7 +15,7 @@ class UnsupportedConfigurationError(QlreError):
 
 
 class IntegrationFailure(QlreError):
-    """The integrator violated a conservation tolerance (trace or Hermiticity)."""
+    """The adaptive step size underflowed: no step passed the error and trace-drift tests."""
 
 
 class ConvergenceFailure(QlreError):

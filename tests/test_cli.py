@@ -520,3 +520,22 @@ class TestImportWeight:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "[]"
+
+    def test_propagated_evolve_leaves_heavy_scipy_modules_out(self):
+        # fig3b N_B = 12 is the largest small-sweep sector, advanced by its exact propagator
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys, qlre.cli\n"
+            "from qlre.dynamics import evolve\n"
+            "from qlre.scenarios import build_initial_state, build_master_equation, preset\n"
+            "cfg = preset('fig3b')[10]\n"
+            "assert cfg.name == 'fig3b_nb12'\n"
+            "traj = evolve(build_master_equation(cfg), build_initial_state(cfg), 1.0, 0.1)\n"
+            "assert traj.stats is None\n"
+            f"print([m for m in {self.HEAVY!r} if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"

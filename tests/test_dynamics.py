@@ -22,6 +22,7 @@ from qlre.dynamics import (
 from qlre.entanglement import entanglement_of_formation
 from qlre.errors import (
     ConvergenceFailure,
+    NumericalFailure,
     UndefinedResultError,
     UnsupportedConfigurationError,
 )
@@ -304,7 +305,8 @@ class TestSolverStats:
         assert self._identity_holds(stats)
         assert 0.0 <= stats.worst_trace_drift <= dynamics.TRACE_DRIFT_TOL
 
-    def test_rejected_steps_are_counted(self):
+    def test_rejected_steps_are_counted(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
         # the thermal (1,2,1) run rejects steps in its stiff stretch
         b, eq = _collective_121(nbar=0.25)
         stats = evolve(eq, product_state(b, [1, 0, 0]), 10.0, 1.0).stats
@@ -312,6 +314,7 @@ class TestSolverStats:
         assert self._identity_holds(stats)
 
     def test_trace_drift_retries_count_as_rejected(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
         original = _Stepper._attempt
         spoiled = []
 
@@ -794,7 +797,10 @@ class TestDenseSectorMap:
             states = []
             record = {"state": lambda r: states.append(r) or 0.0}
             traj = evolve(eq, rho0, 8.0, 0.1, observables=record)
-            assert traj.stats.rhs_calls == 2 + 6 * (traj.stats.accepted + traj.stats.rejected)
+            if limit == 0:
+                assert traj.stats.rhs_calls == 2 + 6 * (traj.stats.accepted + traj.stats.rejected)
+            else:  # the propagator: no steps to count
+                assert traj.stats is None
             runs.append(states)
         assert len(runs[0]) == len(runs[1]) == 81
         assert max(trace_distance(a, b) for a, b in zip(*runs)) < 1e-9
@@ -810,6 +816,7 @@ class TestStepRange:
 
     def test_clipped_steps_are_left_out(self, monkeypatch):
         # every accepted step lands on a sample time: no unclipped step to report
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
         b, eq = single_qubit_eq()
         monkeypatch.setattr(_Stepper, "_initial_step", lambda self: 1.0)
         stats = evolve(eq, product_state(b, [1]), 1e-3, 1e-4).stats
@@ -838,3 +845,88 @@ class TestSteadyStateRecord:
         assert res.stats is not None and res.stats.accepted > 0
         assert res.stats.rhs_calls == 2 + 6 * (res.stats.accepted + res.stats.rejected)
         assert 0.0 < res.stats.min_step <= res.stats.max_step
+
+
+def _sample_states(eq, rho0, t_max, sample_dt, keep=None):
+    """evolve's sampled states, and its trajectory."""
+    states = []
+    record = {"state": lambda r: states.append(r) or 0.0}
+    traj = evolve(eq, rho0, t_max, sample_dt, keep=keep, observables=record)
+    return states, traj
+
+
+def _tight_dormand_prince(monkeypatch, *args, **kwargs):
+    """The same run on the Dormand-Prince integrator at rtol 1e-12, atol 1e-14."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
+        patch.setattr(dynamics, "RTOL", 1e-12)
+        patch.setattr(dynamics, "ATOL", 1e-14)
+        states, traj = _sample_states(*args, **kwargs)
+    assert traj.stats is not None
+    return states, traj
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("n_b", [2, 8, 12])
+    @pytest.mark.parametrize("h", [0.1, 0.5, 2.0])
+    def test_expm_matches_scipy(self, n_b, h):
+        import scipy.linalg
+
+        eq, rho0 = _fig3b(n_b)
+        A = h * _Sector(eq, rho0.matrix).liouvillian.toarray()
+        expected = scipy.linalg.expm(A)
+        assert np.max(np.abs(dynamics._expm(A) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_expm_of_zero_is_identity(self):
+        assert np.array_equal(dynamics._expm(np.zeros((5, 5))), np.eye(5))
+
+    def test_expm_keeps_every_taylor_term(self):
+        # N^15 = 0, so exp(N / 2) is its degree-14 Taylor polynomial, unscaled
+        N = np.eye(15, k=1)
+        expected = sum(0.5**k / math.factorial(k) * np.eye(15, k=k) for k in range(15))
+        result = dynamics._expm(0.5 * N)
+        upper = np.triu_indices(15)
+        assert np.max(np.abs(result[upper] / expected[upper] - 1.0)) <= 1e-13
+        assert not np.any(np.tril(result, -1))
+
+    @pytest.mark.parametrize("edge", [64.0, 96.0])
+    def test_expm_scales_until_the_norm_is_at_most_a_half(self, edge):
+        # ||A||_1 = 64 takes s = 7 and 96 takes s = 8: one squaring fewer
+        # leaves eigenvalues of A / 2^s at +-1 and +-3/4
+        a = np.array([-edge, -40.0, 3.0, edge])
+        result = dynamics._expm(np.diag(a))
+        assert np.max(np.abs(np.diag(result) / np.exp(a) - 1.0)) <= 1e-13
+        assert not np.any(result - np.diag(np.diag(result)))
+
+    @pytest.mark.parametrize("n_b", [4, 12])
+    def test_evolve_matches_tight_dormand_prince(self, monkeypatch, n_b):
+        eq, rho0 = _fig3b(n_b)
+        states, traj = _sample_states(eq, rho0, 8.0, 0.1)
+        assert traj.stats is None
+        reference, _ = _tight_dormand_prince(monkeypatch, eq, rho0, 8.0, 0.1)
+        assert len(states) == len(reference) == 81
+        assert max(trace_distance(a, b) for a, b in zip(states, reference)) < 1e-11
+
+    def test_short_last_interval_and_snapshots(self, monkeypatch):
+        eq, rho0 = _fig3b(4)
+        reference, ref_traj = _tight_dormand_prince(monkeypatch, eq, rho0, 1.05, 0.1, keep=[0, 2])
+        states, traj = _sample_states(eq, rho0, 1.05, 0.1, keep=[0, 2])
+        assert traj.times[-1] - traj.times[-2] == pytest.approx(0.05)
+        assert np.array_equal(traj.times, ref_traj.times)
+        assert max(trace_distance(a, b) for a, b in zip(states, reference)) < 1e-11
+        snapshots = zip(traj.snapshots, ref_traj.snapshots)
+        assert max(trace_distance(a, b) for a, b in snapshots) < 1e-11
+
+    def test_single_qubit_decays_exactly(self):
+        b, eq = single_qubit_eq()
+        traj = evolve(
+            eq, product_state(b, [1]), 3.05, 0.1, observables={"pe": lambda r: r.matrix[0, 0].real}
+        )
+        assert np.max(np.abs(traj.observables["pe"] - np.exp(-2.0 * traj.times))) < 1e-13
+
+    def test_trace_drift_raises(self, monkeypatch):
+        expm = dynamics._expm
+        monkeypatch.setattr(dynamics, "_expm", lambda A: expm(A) * (1.0 + 1e-6))
+        eq, rho0 = _fig3b(4)
+        with pytest.raises(NumericalFailure, match="drifted"):
+            evolve(eq, rho0, 1.0, 0.1)
