@@ -50,13 +50,17 @@ from .errors import (
     NumericalFailure,
     UndefinedResultError,
     UnsupportedConfigurationError,
+    at_sample,
 )
 from .hilbert import (
     Backend,
     BasisDescriptor,
     DensityMatrix,
     Operator,
+    PureState,
+    _check_domain_indices,
     excitation_numbers,
+    fidelity_with_pure,
     partial_trace,
     reservoir_jump,
     single_spin_lowering,
@@ -78,7 +82,43 @@ SECTOR_DENSE_LIMIT = 128
 # Full-backend runs above this many physical spins need an explicit override.
 INDIVIDUAL_SPIN_CAP = 13
 
-ObservableSpec = Union[Operator, Callable[[DensityMatrix], float]]
+
+@dataclass(frozen=True)
+class Observable:
+    """A linear part of rho, then a measure: callable on one DensityMatrix, batched in evolve.
+
+    The linear part is the reduced state over the domains ``keep``, or
+    Tr(O rho) for a Hermitian ``operator`` (a PureState: its projector).
+    ``measure(values, times)`` maps S results of it, an (S, d_k, d_k) stack
+    or S real values, to S values; ``times`` names a failing sample.
+    """
+
+    measure: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]
+    keep: Optional[tuple[int, ...]] = None
+    operator: Union[Operator, PureState, None] = None
+
+    @property
+    def part(self):  # equal linear parts share one map in evolve
+        return self.keep if self.operator is None else id(self.operator)
+
+    def evaluate(self, values: np.ndarray, times: Optional[np.ndarray] = None) -> np.ndarray:
+        """The measure of S results of the linear part: flattened reduced states, or Tr(O rho)."""
+        if self.operator is not None:
+            return self.measure(_real_parts(values, times), times)
+        d = math.isqrt(values.shape[1])
+        return self.measure(values.reshape(-1, d, d), times)
+
+    def __call__(self, rho: DensityMatrix) -> float:
+        op = self.operator
+        if op is None:
+            values = partial_trace(rho, self.keep).matrix.reshape(1, -1)
+        else:
+            value = fidelity_with_pure if isinstance(op, PureState) else expectation
+            values = np.array([value(rho, op)])
+        return float(self.evaluate(values)[0])
+
+
+ObservableSpec = Union[Observable, Operator, Callable[[DensityMatrix], float]]
 
 
 @dataclass(frozen=True)
@@ -358,6 +398,7 @@ class _Sector:
             if orders is None or int(n[a[0]] - n[b[0]]) in orders
         ]))
         self.d = d
+        self.basis = eq.basis
         self.keys = keys
         rows, cols = keys // d, keys % d
 
@@ -378,6 +419,7 @@ class _Sector:
         k = np.arange(p.size)
         S = sp.csr_array((np.r_[w, w.conj()], (np.r_[p, q], np.r_[k, k])), shape=(m, k.size))
         self._to_elements, self._to_coordinates = S, S.conj().T.tocsr()
+        self._pairs = p, q, w  # coordinate k reads w[k] rho[p[k]] + conj(w[k]) rho[q[k]]
 
         # one term at a time, so the COO entries of only one are held at once
         L = sp.csr_array((m, m), dtype=complex)
@@ -416,6 +458,38 @@ class _Sector:
             raise NumericalFailure("a jump maps the kept coherence orders outside themselves")
         values = weight * X.data[ea] * Y.data[eb].conj()
         return sp.csr_array((values, (dst, src)), shape=(m, m))
+
+    def readout(self, ob: Observable):
+        """The map from the coordinates to ob's linear part, built once per run.
+
+        Tr(O rho) is one row, with O checked here, once.  The flattened
+        reduced state over ob.keep gathers the coordinates whose elements
+        agree on every traced domain; dense up to SECTOR_DENSE_LIMIT of them.
+        """
+        p, q, w = self._pairs
+        rows, cols = np.divmod(self.keys, self.d)
+        if ob.operator is not None:  # Tr(O rho) = sum O_ji rho_ij
+            op = _check_operator(ob.operator, self.basis)
+            if isinstance(op, PureState):
+                weights = op.amplitudes[rows].conj() * op.amplitudes[cols]
+            else:
+                weights = op.matrix[cols, rows]
+            return w * weights[p] + w.conj() * weights[q]
+        idx = list(_check_domain_indices(self.basis, ob.keep))
+        dims = np.array(self.basis.domain_dims)
+        r, c = np.array(np.unravel_index(rows, dims)), np.array(np.unravel_index(cols, dims))
+        traced = [k for k in range(dims.size) if k not in idx]
+        kept = dims[idx]
+        size = int(np.prod(kept))
+        target = np.ravel_multi_index(r[idx], kept) * size + np.ravel_multi_index(c[idx], kept)
+        k = np.flatnonzero(np.all(r[traced] == c[traced], axis=0)[p])
+        index = (np.concatenate([target[p[k]], target[q[k]]]), np.concatenate([k, k]))
+        values = np.concatenate([w[k], w[k].conj()])
+        if p.size > SECTOR_DENSE_LIMIT:
+            return sp.csr_array((values, index), shape=(size * size, p.size))
+        R = np.zeros((size * size, p.size), dtype=complex)
+        np.add.at(R, index, values)
+        return R
 
     def pack(self, matrix: np.ndarray) -> np.ndarray:
         """The coordinates of the Hermitian part of matrix."""
@@ -664,11 +738,6 @@ class _Propagator:
         self._dt = float(sample_dt)
         self._step: Optional[np.ndarray] = None
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The current state as a d x d matrix."""
-        return self.sector.unpack(self.y)
-
     def advance_to(self, target: float):
         if target <= self.t:
             return
@@ -702,18 +771,6 @@ def _sample_grid(t_max: float, sample_dt: float) -> np.ndarray:
     return np.asarray(ts)
 
 
-def _evaluate_observables(
-    observables: Mapping[str, ObservableSpec], rho: DensityMatrix
-) -> dict[str, float]:
-    out = {}
-    for name, ob in observables.items():
-        if isinstance(ob, Operator):
-            out[name] = expectation(rho, ob)
-        else:
-            out[name] = float(ob(rho))
-    return out
-
-
 def evolve(
     eq: MasterEquation,
     rho0: DensityMatrix,
@@ -724,19 +781,25 @@ def evolve(
 ) -> Trajectory:
     """Evolve rho0 and sample on a regular scaled-time grid.
 
-    ``observables`` maps series names to either Hermitian operators
-    (recorded as expectation values) or callables on the sampled state.
-    With ``keep``, the reduced state over those domains is stored at every
+    ``observables`` maps series names to Observables (see
+    ``scenarios.compile_observables``), Hermitian operators (recorded as
+    expectation values) or other callables on the sampled state.  With
+    ``keep``, the reduced state over those domains is stored at every
     sample.  Trace drift is watched over the whole run.
 
     The state is the real Hermitian coordinates of rho0's coherence orders
-    (see the module docstring); observables and snapshots see the d x d
-    matrix, unpacked at each sample.  Up to SECTOR_DENSE_LIMIT coordinates
-    it is carried from sample to sample by the exact propagator exp(h L),
-    and ``stats`` is None.  Above, the Dormand-Prince integrator steps it,
-    and ``stats`` records the steps, rejections and right-hand sides it
-    took; its error norm divides by d^2, so the accepted steps are those of
+    (see the module docstring).  Up to SECTOR_DENSE_LIMIT coordinates it is
+    carried from sample to sample by the exact propagator exp(h L), and
+    ``stats`` is None.  Above, the Dormand-Prince integrator steps it, and
+    ``stats`` records the steps, rejections and right-hand sides it took;
+    its error norm divides by d^2, so the accepted steps are those of
     stepping the whole matrix.
+
+    Observables, operators and ``keep`` are read off the coordinates by one
+    map per distinct linear part (``_Sector.readout``), one product each per
+    sample; the measures run once, over all samples, after the last.  Only
+    other callables see the d x d matrix, unpacked at every sample for them;
+    otherwise ``final_rho`` is the one unpack.
     """
     if rho0.basis != eq.basis:
         raise ValueError(f"basis mismatch: {rho0.basis} vs {eq.basis}")
@@ -745,7 +808,12 @@ def evolve(
     if not (sample_dt > 0):
         raise ValueError(f"sample_dt must be positive, got {sample_dt!r}")
     observables = dict(observables or {})
-    keep_idx = None if keep is None else tuple(keep)
+    compiled, bare = {}, {}
+    for name, ob in observables.items():
+        if isinstance(ob, Operator):
+            ob = Observable(lambda v, t: v, operator=ob)
+        (compiled if isinstance(ob, Observable) else bare)[name] = ob
+    snapshot = None if keep is None else Observable(lambda v, t: v, keep=tuple(keep))
 
     times = _sample_grid(t_max, sample_dt)
     sector = _Sector(eq, rho0.matrix)
@@ -753,23 +821,35 @@ def evolve(
         solver = _Propagator(sector, rho0.matrix, sample_dt)
     else:
         solver = _Stepper(eq, rho0.matrix, sector)
-    series: dict[str, list[float]] = {name: [] for name in observables}
-    snapshots: Optional[list[DensityMatrix]] = None if keep_idx is None else []
+    maps = {}
+    for ob in list(compiled.values()) + ([] if snapshot is None else [snapshot]):
+        if ob.part not in maps:
+            maps[ob.part] = sector.readout(ob)
+    linear = {part: np.empty((times.size,) + R.shape[:-1], complex) for part, R in maps.items()}
+    series = {name: np.empty(times.size) for name in bare}
 
-    for t in times:
+    for k, t in enumerate(times):
         solver.advance_to(float(t))
-        # Solver output carries integrator-scale noise; eigenvalues may dip a
-        # few 1e-9 below zero for large systems, which validation would reject.
-        current = DensityMatrix(solver.matrix, eq.basis, validate=False)
-        for name, value in _evaluate_observables(observables, current).items():
-            series[name].append(value)
-        if snapshots is not None:
-            snapshots.append(partial_trace(current, keep_idx))
+        for part, R in maps.items():
+            linear[part][k] = R @ solver.y
+        if bare:
+            # Solver output carries integrator-scale noise; eigenvalues may dip a
+            # few 1e-9 below zero for large systems, which validation would reject.
+            current = DensityMatrix(sector.unpack(solver.y), eq.basis, validate=False)
+            for name, fn in bare.items():
+                series[name][k] = float(fn(current))
+    for name, ob in compiled.items():
+        series[name] = ob.evaluate(linear[ob.part], times)
+    snapshots = None
+    if snapshot is not None:
+        sub = eq.basis.subset(snapshot.keep)
+        stack = snapshot.evaluate(linear[snapshot.part])
+        snapshots = [DensityMatrix(x, sub, validate=False) for x in stack]
     return Trajectory(
         times=times,
-        observables={k: np.asarray(v) for k, v in series.items()},
+        observables={name: series[name] for name in observables},
         snapshots=snapshots,
-        final_rho=current,  # the state at the last sample, t_max
+        final_rho=DensityMatrix(sector.unpack(solver.y), eq.basis, validate=False),
         stats=solver.stats,
     )
 
@@ -864,21 +944,37 @@ def _integrate_to_steady_state(
     )
 
 
+def _check_operator(op, basis: BasisDescriptor):
+    """op, once its basis and, for an Operator, its Hermiticity are checked."""
+    if op.basis != basis:
+        raise ValueError(f"basis mismatch: {basis} vs {op.basis}")
+    if isinstance(op, Operator):
+        dev = op.matrix - op.matrix.conj().T
+        herm = abs(dev).max() if sp.issparse(dev) else float(np.max(np.abs(dev)))
+        if herm > 1e-10:
+            raise ValueError(f"operator is not Hermitian (max deviation {herm:.3e})")
+    return op
+
+
+def _real_parts(values: np.ndarray, times: Optional[np.ndarray] = None) -> np.ndarray:
+    """The real parts of expectation values; an imaginary residue above 1e-10 raises."""
+    bad = np.flatnonzero(np.abs(values.imag) > 1e-10)
+    if bad.size:
+        k = bad[0]
+        raise NumericalFailure(
+            f"expectation has imaginary residue {values.imag[k]:.3e}{at_sample(times, k)}"
+        )
+    return values.real
+
+
 def expectation(rho: DensityMatrix, op: Operator) -> float:
     """Tr(rho op) for a Hermitian operator; small imaginary residue dropped."""
-    if rho.basis != op.basis:
-        raise ValueError(f"basis mismatch: {rho.basis} vs {op.basis}")
-    dev = op.matrix - op.matrix.conj().T
-    herm = abs(dev).max() if sp.issparse(dev) else float(np.max(np.abs(dev)))
-    if herm > 1e-10:
-        raise ValueError(f"operator is not Hermitian (max deviation {herm:.3e})")
+    _check_operator(op, rho.basis)
     if op.is_sparse:
         val = complex(op.matrix.multiply(rho.matrix.T).sum())
     else:
         val = complex(np.einsum("ij,ji->", rho.matrix, op.matrix))
-    if abs(val.imag) > 1e-10:
-        raise NumericalFailure(f"expectation has imaginary residue {val.imag:.3e}")
-    return val.real
+    return float(_real_parts(np.array([val]))[0])
 
 
 def half_max_time(series: Sequence[float], times: Sequence[float]) -> float:

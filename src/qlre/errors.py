@@ -32,3 +32,8 @@ class UndefinedResultError(QlreError):
 
 class MemoryGuardExceeded(QlreError):
     """A run would allocate more memory than the configured cap allows."""
+
+
+def at_sample(times, k: int) -> str:
+    """Where sample k of a batched evaluation sits, for an error message ('' without times)."""
+    return "" if times is None else f" at scaled time {times[k]:.6g}"

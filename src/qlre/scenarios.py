@@ -12,24 +12,31 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import constants
 
-from .dynamics import MasterEquation, build_realistic, expectation
-from .entanglement import (
+# bench/tracing.py times the scalar measures, expectation, fidelity_with_pure
+# and partial_trace by rebinding them in this module, so they stay importable
+# here although compile_observables does not call them.
+from .dynamics import MasterEquation, Observable, build_realistic, expectation  # noqa: F401
+from .entanglement import (  # noqa: F401
     concurrence,
+    concurrence_array,
     entanglement_of_formation,
+    eof_from_concurrence_array,
     log_negativity,
+    log_negativity_array,
     negativity,
+    negativity_array,
     tripartite_negativity,
+    tripartite_negativity_array,
 )
-from .hilbert import (
+from .hilbert import (  # noqa: F401
     Backend,
     BasisDescriptor,
     DensityMatrix,
-    Operator,
     collective_jz,
     dicke_level_vector,
     embed,
@@ -442,36 +449,46 @@ def _parse_observable(fieldname: str, text: str, cfg: ScenarioConfig) -> dict:
     _fail(fieldname, f"unrecognized observable {text!r}")
 
 
+def _eof(mats: np.ndarray, times: Optional[np.ndarray]) -> np.ndarray:
+    return eof_from_concurrence_array(concurrence_array(mats, times))
+
+
 def compile_observables(cfg: ScenarioConfig, basis: BasisDescriptor) -> dict:
-    """Map each observable string to a callable on the full density matrix."""
-    out: dict[str, Callable[[DensityMatrix], float]] = {}
+    """Map each observable string to an ``Observable``: a linear part of rho, then a measure.
+
+    E_F, C, E_N, N and N_ABC reduce rho to their domains, then apply an
+    entanglement measure; Jz_X is Tr(Jz rho), divided by N_X when
+    normalized; x_d is the dark-state weight Tr(|d><d| rho), clamped to
+    [0, 1].  Nothing here builds a map: ``evolve`` builds one per distinct
+    linear part on its sector coordinates and runs each measure once over
+    all samples.  Each Observable is also callable on one DensityMatrix.
+    """
+    out: dict[str, Observable] = {}
     for i, text in enumerate(cfg.observables):
         plan = _parse_observable(f"observables[{i}]", text, cfg)
         kind = plan["kind"]
         if kind in ("E_F", "C"):
-            fn = entanglement_of_formation if kind == "E_F" else concurrence
-            keep = list(plan["keep"])
-            out[text] = lambda rho, fn=fn, keep=keep: fn(partial_trace(rho, keep))
+            out[text] = Observable(_eof if kind == "E_F" else concurrence_array, keep=plan["keep"])
         elif kind in ("E_N", "N"):
-            fn = log_negativity if kind == "E_N" else negativity
-            keep = list(plan["keep"])
+            fn = log_negativity_array if kind == "E_N" else negativity_array
+            dims = [basis.domain_dims[k] for k in plan["keep"]]
             part = [plan["part"]]
-            out[text] = lambda rho, fn=fn, keep=keep, part=part: fn(
-                partial_trace(rho, keep), part
+            out[text] = Observable(
+                lambda v, t, fn=fn, dims=dims, part=part: fn(v, dims, part), keep=plan["keep"]
             )
         elif kind == "Jz":
             m = plan["domain"]
             n = cfg.domains[m].population
             op = embed(collective_jz(n, basis.backend), basis, m)
             scale = 1.0 / n if plan["normalize"] else 1.0
-            out[text] = lambda rho, op=op, scale=scale: scale * expectation(rho, op)
+            out[text] = Observable(lambda v, t, scale=scale: scale * v, operator=op)
         elif kind == "N_ABC":
-            out[text] = lambda rho: tripartite_negativity(partial_trace(rho, [0, 1, 2]))
+            out[text] = Observable(lambda v, t: tripartite_negativity_array(v), keep=(0, 1, 2))
         else:  # x_d
             psi = dark_state(plan["n_b"])
             if basis.backend is Backend.COLLECTIVE:
                 psi = to_collective_basis(psi)
-            out[text] = lambda rho, psi=psi: fidelity_with_pure(rho, psi)
+            out[text] = Observable(lambda v, t: np.clip(v, 0.0, 1.0), operator=psi)
     return out
 
 

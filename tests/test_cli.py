@@ -65,7 +65,7 @@ class TestSimulate:
         summary = json.loads((tmp_path / "cli_chain_summary.json").read_text())
         assert summary.keys() == {
             "name", "config_hash", "backend", "dim", "steady_state_residual",
-            "wall_time_s", "observables", "config",
+            "wall_time_s", "phase_times_s", "observables", "config",
         }
         assert summary["backend"] == "collective"
         assert summary["dim"] == 12
@@ -75,6 +75,18 @@ class TestSimulate:
         entry = summary["observables"]["E_F(A,C)"]
         assert entry["final"] > 0.0
         assert 0.0 < entry["t_half"] < cfg.t_max
+
+    def test_phase_times_fill_the_wall_time(self, tmp_path):
+        summary = run_config(chain(), tmp_path)
+        written = json.loads((tmp_path / "cli_chain_summary.json").read_text())
+        assert written["phase_times_s"] == summary.phase_times_s
+        phases = summary.phase_times_s
+        assert list(phases) == ["build", "evolve", "residual", "write"]
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert phases["evolve"] > 0.0
+        # the phases are consecutive laps of one clock: they add up to the
+        # wall time but for the rounding of the sum
+        assert sum(phases.values()) <= summary.wall_time_s + 1e-9
 
     def test_preset_family_runs(self, tmp_path):
         assert main(["simulate", "--config", "intro-pair", "--out", str(tmp_path)]) == 0
@@ -515,6 +527,26 @@ class TestImportWeight:
     def test_cli_import_leaves_heavy_scipy_modules_out(self):
         src = str(Path(cli.__file__).resolve().parents[1])  # the copy under test
         code = f"import sys, qlre.cli; print([m for m in {self.HEAVY!r} if m in sys.modules])"
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
+    def test_run_config_leaves_heavy_scipy_modules_out(self, tmp_path):
+        # the batched observables of fig3b N_B = 12 through the whole run_config path
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from qlre.cli import run_config\n"
+            "from qlre.scenarios import preset\n"
+            "cfg = preset('fig3b')[10]\n"
+            "assert cfg.name == 'fig3b_nb12'\n"
+            f"summary = run_config(cfg, Path({str(tmp_path)!r}))\n"
+            "assert summary.observables['E_F(A,C)']['final'] > 0\n"
+            f"print([m for m in {self.HEAVY!r} if m in sys.modules])"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -31,6 +32,7 @@ from qlre.hilbert import (
     BasisDescriptor,
     DensityMatrix,
     Operator,
+    PureState,
     collective_jz,
     collective_lowering,
     embed,
@@ -43,7 +45,13 @@ from qlre.hilbert import (
     to_full_basis,
     trace_distance,
 )
-from qlre.scenarios import build_initial_state, build_master_equation, preset
+from qlre.scenarios import (
+    build_basis,
+    build_initial_state,
+    build_master_equation,
+    compile_observables,
+    preset,
+)
 
 
 def single_qubit_eq():
@@ -930,3 +938,197 @@ class TestPropagator:
         eq, rho0 = _fig3b(4)
         with pytest.raises(NumericalFailure, match="drifted"):
             evolve(eq, rho0, 1.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# observables read off the sector coordinates, measured over all samples at once
+# ---------------------------------------------------------------------------
+
+
+def _proper_keeps(count):
+    """Every nonempty proper subset of range(count)."""
+    return [
+        tuple(k for k in range(count) if mask >> k & 1) for mask in range(1, 2**count - 1)
+    ]
+
+
+def _readout_cases():
+    """(id, equation, rho0) for 3- and 4-domain chains on both backends, and a complex sector."""
+    cases = []
+    for backend in Backend:
+        for pops in ((1, 2, 1), (1, 2, 1, 1)):
+            b = BasisDescriptor(backend, pops)
+            reservoirs = [[m, m + 1] for m in range(len(pops) - 1)]
+            eq = build_collective_zero_T(b, reservoirs)
+            rho0 = product_state(b, [1] + [0] * (len(pops) - 1))
+            cases.append((f"{backend.value}-{len(pops)}", eq, rho0))
+    b = BasisDescriptor(Backend.FULL, (1, 1, 1))
+    sigma_y = Operator(np.kron(np.array([[0, -1j], [1j, 0]]), np.eye(4)), b)
+    terms = (LindbladTerm(sigma_y, 1.0), LindbladTerm(reservoir_jump(b, [0, 1, 2]), 0.5))
+    rho0 = random_density(np.random.default_rng(41), b)
+    cases.append(("sigma_y-complex", MasterEquation(terms, b), rho0))
+    return cases
+
+
+# every kind of observable string on the (1, 2, 1) and (1, 1, 1) chains
+_ALL_KINDS = {
+    (1, 2, 1): ("E_F(A,C)", "C(A,C)", "E_N(A|B)", "N(C|B)", "Jz_B", "Jz_B/N_B", "x_d"),
+    (1, 1, 1): ("N_ABC", "E_N(A|C)", "C(A,B)", "Jz_A"),
+}
+
+
+class TestReadout:
+    @pytest.mark.parametrize("case", _readout_cases(), ids=lambda c: c[0])
+    @pytest.mark.parametrize("limit", [None, 0], ids=["dense", "sparse"])
+    def test_reduction_map_is_the_partial_trace(self, monkeypatch, case, limit):
+        if limit is not None:
+            monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", limit)
+        _, eq, rho0 = case
+        sector = _Sector(eq, rho0.matrix)
+        if case[0] == "sigma_y-complex":  # the Im coordinates are kept
+            rows, cols = np.divmod(sector.keys, eq.basis.dim)
+            assert sector.levels.size > np.count_nonzero(rows <= cols)
+        rng = np.random.default_rng(43)
+        ys = [sector.pack(rho0.matrix), rng.normal(size=sector.levels.size)]
+        for keep in _proper_keeps(eq.basis.num_domains):
+            R = sector.readout(dynamics.Observable(None, keep=keep))
+            dense = sector.levels.size <= dynamics.SECTOR_DENSE_LIMIT
+            assert isinstance(R, np.ndarray) == dense
+            for y in ys:
+                rho = DensityMatrix(sector.unpack(y), eq.basis, validate=False)
+                expected = partial_trace(rho, keep).matrix.reshape(-1)
+                assert np.max(np.abs(R @ y - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("case", _readout_cases(), ids=lambda c: c[0])
+    def test_expectation_row_is_the_trace(self, case):
+        _, eq, rho0 = case
+        sector = _Sector(eq, rho0.matrix)
+        y = np.random.default_rng(44).normal(size=sector.levels.size)
+        rho = DensityMatrix(sector.unpack(y), eq.basis, validate=False)
+        a = np.random.default_rng(45).normal(size=(2, eq.basis.dim, eq.basis.dim))
+        hermitian = Operator(a[0] + a[0].T + 1j * (a[1] - a[1].T), eq.basis)
+        operators = [hermitian] + [
+            embed(collective_jz(n, eq.basis.backend), eq.basis, m)
+            for m, n in enumerate(eq.basis.domain_pops)
+        ]
+        for op in operators:
+            row = sector.readout(dynamics.Observable(None, operator=op))
+            assert abs(row @ y - np.trace(rho.matrix @ op.toarray())) <= 1e-13
+        amplitudes = a[0, 0] + 1j * a[1, 0]
+        psi = PureState(amplitudes / np.linalg.norm(amplitudes), eq.basis)
+        row = sector.readout(dynamics.Observable(None, operator=psi))
+        expected = np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)
+        assert abs(row @ y - expected) <= 1e-14
+
+    def test_non_hermitian_operator_is_refused_before_the_run(self):
+        b, eq = chain_eq(2)
+        lowering = reservoir_jump(b, [0, 1])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve(eq, product_state(b, [1, 0, 0]), 1.0, 0.1, observables={"j": lowering})
+
+    def test_operator_on_another_basis_is_refused(self):
+        b, eq = chain_eq(2)
+        other = collective_jz(2, Backend.COLLECTIVE)
+        with pytest.raises(ValueError, match="basis mismatch"):
+            evolve(eq, product_state(b, [1, 0, 0]), 1.0, 0.1, observables={"j": other})
+
+    def test_imaginary_residue_names_the_sample_time(self):
+        values = np.array([0.5, 0.25 + 1e-6j, 0.1])
+        with pytest.raises(NumericalFailure, match="imaginary residue 1.000e-06 at scaled time 0.2"):
+            dynamics._real_parts(values, np.array([0.0, 0.2, 0.4]))
+
+
+def _bare_wrappers(compiled):
+    """The same observables as plain callables, evaluated sample by sample."""
+    return {name: (lambda rho, ob=ob: ob(rho)) for name, ob in compiled.items()}
+
+
+def _assert_batched_matches_bare(eq, rho0, t_max, sample_dt, compiled):
+    batched = evolve(eq, rho0, t_max, sample_dt, observables=compiled)
+    bare = evolve(eq, rho0, t_max, sample_dt, observables=_bare_wrappers(compiled))
+    assert np.array_equal(batched.times, bare.times)
+    for name in compiled:
+        tol = 1e-12 if name.startswith(("Jz", "x_d")) else 1e-9
+        gap = np.max(np.abs(batched.observables[name] - bare.observables[name]))
+        assert gap <= tol, (name, gap)
+    return batched, bare
+
+
+class TestBatchedObservables:
+    @pytest.mark.parametrize("pops", sorted(_ALL_KINDS), ids=str)
+    @pytest.mark.parametrize("limit", [None, 0], ids=["propagator", "stepper"])
+    def test_every_kind_matches_per_sample_evaluation(self, monkeypatch, pops, limit):
+        if limit is not None:
+            monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", limit)
+        cfg = dataclasses.replace(
+            preset("fig3b")[0],
+            domains=tuple(dataclasses.replace(d, population=n)
+                          for d, n in zip(preset("fig3b")[0].domains, pops)),
+            observables=_ALL_KINDS[pops],
+        )
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        compiled = compile_observables(cfg, build_basis(cfg))
+        batched, _ = _assert_batched_matches_bare(eq, rho0, 4.0, 0.1, compiled)
+        assert (batched.stats is None) == (limit is None)
+
+    def test_fig3b_on_the_propagator(self):
+        cfg = preset("fig3b")[2]
+        assert cfg.name == "fig3b_nb4"
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        compiled = compile_observables(cfg, build_basis(cfg))
+        batched, _ = _assert_batched_matches_bare(eq, rho0, cfg.t_max, cfg.sample_dt, compiled)
+        assert batched.stats is None and batched.times.size == 401
+
+    def test_fig3b_on_the_stepper(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
+        cfg = preset("fig3b")[2]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        compiled = compile_observables(cfg, build_basis(cfg))
+        batched, _ = _assert_batched_matches_bare(eq, rho0, 8.0, cfg.sample_dt, compiled)
+        assert batched.stats is not None
+
+    def test_chain4_keeps_its_422_rhs_calls(self):
+        cfg = preset("fig4-chain4")[0]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        compiled = compile_observables(cfg, build_basis(cfg))
+        batched, bare = _assert_batched_matches_bare(eq, rho0, 0.25, 0.25, compiled)
+        assert batched.stats.rhs_calls == bare.stats.rhs_calls == 422
+
+    @pytest.mark.parametrize("limit", [None, 0], ids=["propagator", "stepper"])
+    def test_snapshots_are_the_partial_traces_of_the_samples(self, monkeypatch, limit):
+        if limit is not None:
+            monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", limit)
+        eq, rho0 = _fig3b(4)
+        for keep in ([0, 2], [2, 1], [1]):
+            states, traj = _sample_states(eq, rho0, 1.05, 0.1, keep=keep)
+            assert len(traj.snapshots) == len(states) == 12
+            for state, snapshot in zip(states, traj.snapshots):
+                expected = partial_trace(state, keep)
+                assert snapshot.basis == expected.basis
+                assert np.max(np.abs(snapshot.matrix - expected.matrix)) <= 1e-14
+
+    def test_compiled_observables_unpack_only_the_final_state(self, monkeypatch):
+        calls = []
+        unpack = _Sector.unpack
+        monkeypatch.setattr(_Sector, "unpack", lambda self, y: calls.append(1) or unpack(self, y))
+        monkeypatch.setattr(
+            dynamics, "partial_trace", lambda *a: pytest.fail("partial_trace called in evolve")
+        )
+        cfg = preset("fig3b")[0]
+        cfg = dataclasses.replace(cfg, observables=("E_F(A,C)", "Jz_B/N_B", "x_d", "N(A|B)"))
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        compiled = compile_observables(cfg, build_basis(cfg))
+        jz = compiled["Jz_B/N_B"].operator
+        traj = evolve(eq, rho0, 8.0, 0.1, keep=[0, 2], observables={**compiled, "jz": jz})
+        assert len(calls) == 1
+        assert traj.times.size == len(traj.snapshots) == 81
+        n_b = cfg.domains[1].population
+        assert np.allclose(traj.observables["jz"], n_b * traj.observables["Jz_B/N_B"], atol=1e-14)
+
+    def test_a_bare_callable_alone_takes_the_per_sample_path(self, monkeypatch):
+        calls = []
+        unpack = _Sector.unpack
+        monkeypatch.setattr(_Sector, "unpack", lambda self, y: calls.append(1) or unpack(self, y))
+        eq, rho0 = _fig3b(2)
+        evolve(eq, rho0, 1.0, 0.1, observables={"pe": lambda r: r.matrix[0, 0].real})
+        assert len(calls) == 11 + 1

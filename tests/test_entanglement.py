@@ -5,14 +5,20 @@ import pytest
 
 from qlre.entanglement import (
     concurrence,
+    concurrence_array,
     entanglement_of_formation,
     entanglement_report,
     eof_from_concurrence,
+    eof_from_concurrence_array,
     log_negativity,
+    log_negativity_array,
     negativity,
+    negativity_array,
     partial_transpose,
     tripartite_negativity,
+    tripartite_negativity_array,
 )
+from qlre.errors import NumericalFailure
 from qlre.hilbert import (
     Backend,
     BasisDescriptor,
@@ -266,3 +272,97 @@ class TestReport:
         assert rep.concurrence == 0.0
         assert rep.eof == 0.0
         assert rep.negativity == 0.0
+
+
+def random_mixed(rng, dim, rank):
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    m = a @ a.conj().T
+    return m / m.trace()
+
+
+def _stack(rng, dim, count=24):
+    """Random states of every rank, plus the exact Bell state and the ground state."""
+    mats = [random_mixed(rng, dim, 1 + i % dim) for i in range(count)]
+    v = np.zeros(dim, dtype=complex)
+    v[1] = v[2] = 1 / math.sqrt(2)
+    ground = np.zeros((dim, dim), dtype=complex)
+    ground[-1, -1] = 1.0
+    return np.array(mats + [np.outer(v, v.conj()), ground])
+
+
+class TestArrayForms:
+    def test_concurrence_and_eof_match_the_scalar_functions(self):
+        mats = _stack(np.random.default_rng(51), 4)
+        c = concurrence_array(mats)
+        e = eof_from_concurrence_array(c)
+        b = qubit_basis(2)
+        for k, m in enumerate(mats):
+            rho = DensityMatrix(m, b)
+            assert c[k] == pytest.approx(concurrence(rho), abs=1e-14)
+            assert e[k] == pytest.approx(entanglement_of_formation(rho), abs=1e-14)
+        assert np.any(c > 0.1) and np.any(c == 0.0)
+
+    @pytest.mark.parametrize(
+        "pops, partition", [((1, 1), [0]), ((1, 1, 1), [1]), ((1, 1, 1), [0, 2])]
+    )
+    def test_negativities_match_the_scalar_functions(self, pops, partition):
+        b = qubit_basis(len(pops))
+        mats = _stack(np.random.default_rng(52), b.dim)
+        n = negativity_array(mats, b.domain_dims, partition)
+        ln = log_negativity_array(mats, b.domain_dims, partition)
+        for k, m in enumerate(mats):
+            rho = DensityMatrix(m, b)
+            assert n[k] == pytest.approx(negativity(rho, partition), abs=1e-14)
+            assert ln[k] == pytest.approx(log_negativity(rho, partition), abs=1e-14)
+        assert np.any(n > 0.05)
+
+    def test_negativities_on_unequal_factors(self):
+        b = BasisDescriptor(Backend.COLLECTIVE, (2, 1))  # a qutrit and a qubit
+        mats = _stack(np.random.default_rng(53), b.dim)
+        n = negativity_array(mats, b.domain_dims, [1])
+        for k, m in enumerate(mats):
+            assert n[k] == pytest.approx(negativity(DensityMatrix(m, b), [1]), abs=1e-14)
+
+    def test_tripartite_matches_the_scalar_function(self):
+        mats = _stack(np.random.default_rng(54), 8)
+        w = np.zeros(8, dtype=complex)
+        w[[3, 5, 6]] = 1 / math.sqrt(3)
+        mats = np.concatenate([mats, [np.outer(w, w.conj())]])
+        t = tripartite_negativity_array(mats)
+        b = qubit_basis(3)
+        for k, m in enumerate(mats):
+            assert t[k] == pytest.approx(tripartite_negativity(DensityMatrix(m, b)), abs=1e-14)
+        assert t[-1] == pytest.approx(math.sqrt(2) / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.diag([0.5, -0.5, 0.5, 0.5]).astype(complex), "negative eigenvalue -2.500e-01"),
+        (0.25 * np.eye(4) + 0.125j * np.eye(4, k=1), "imaginary residue 2.706e-02"),
+    ], ids=["negative", "imaginary"])
+    def test_one_bad_matrix_names_its_sample_time(self, bad, message):
+        mats = _stack(np.random.default_rng(55), 4, count=5)
+        mats[3] = bad
+        times = 0.25 * np.arange(len(mats))
+        with pytest.raises(NumericalFailure, match=f"{message}.* at scaled time 0.75$"):
+            concurrence_array(mats, times)
+        with pytest.raises(NumericalFailure, match=message):
+            concurrence_array(mats)
+
+    def test_concurrence_never_exceeds_one_on_maximally_entangled_states(self):
+        # the singlet under random local unitaries: unclamped, draws 189, 204 and
+        # 315 round to 1 + 2.2e-16, and E_F then refused the concurrence
+        rng = np.random.default_rng(0)
+        singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
+        mats = []
+        for _ in range(400):
+            q = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                 for _ in range(2)]
+            v = np.kron(q[0], q[1]) @ singlet
+            mats.append(np.outer(v, v.conj()))
+        c = concurrence_array(np.array(mats))
+        assert np.all(c <= 1.0) and np.any(c == 1.0)
+        b = qubit_basis(2)
+        eof = np.array([entanglement_of_formation(DensityMatrix(m, b)) for m in mats])
+        assert np.all(eof[c == 1.0] == 1.0)
+        # elsewhere the square roots of the three ~1e-17 eigenvalues leave C
+        # up to ~3e-8 short of 1 (see concurrence_array)
+        assert np.all(np.abs(eof - 1.0) <= 1e-7)
