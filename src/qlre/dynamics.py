@@ -109,13 +109,10 @@ class Observable:
         return self.measure(values.reshape(-1, d, d), times)
 
     def __call__(self, rho: DensityMatrix) -> float:
-        op = self.operator
-        if op is None:
-            values = partial_trace(rho, self.keep).matrix.reshape(1, -1)
-        else:
-            value = fidelity_with_pure if isinstance(op, PureState) else expectation
-            values = np.array([value(rho, op)])
-        return float(self.evaluate(values)[0])
+        if self.operator is None:
+            return float(self.evaluate(partial_trace(rho, self.keep).matrix.reshape(1, -1))[0])
+        value = fidelity_with_pure if isinstance(self.operator, PureState) else expectation
+        return float(self.evaluate(np.array([value(rho, self.operator)]))[0])
 
 
 ObservableSpec = Union[Observable, Operator, Callable[[DensityMatrix], float]]
@@ -419,7 +416,6 @@ class _Sector:
         k = np.arange(p.size)
         S = sp.csr_array((np.r_[w, w.conj()], (np.r_[p, q], np.r_[k, k])), shape=(m, k.size))
         self._to_elements, self._to_coordinates = S, S.conj().T.tocsr()
-        self._pairs = p, q, w  # coordinate k reads w[k] rho[p[k]] + conj(w[k]) rho[q[k]]
 
         # one term at a time, so the COO entries of only one are held at once
         L = sp.csr_array((m, m), dtype=complex)
@@ -462,33 +458,31 @@ class _Sector:
     def readout(self, ob: Observable):
         """The map from the coordinates to ob's linear part, built once per run.
 
-        Tr(O rho) is one row, with O checked here, once.  The flattened
-        reduced state over ob.keep gathers the coordinates whose elements
-        agree on every traced domain; dense up to SECTOR_DENSE_LIMIT of them.
+        Both parts are linear in the kept elements, which _to_elements gives:
+        Tr(O rho) = sum O_ji rho_ij is one row, with O checked here, once; the
+        flattened reduced state over ob.keep is the CSR map that sums the
+        elements agreeing on every traced domain.
         """
-        p, q, w = self._pairs
         rows, cols = np.divmod(self.keys, self.d)
-        if ob.operator is not None:  # Tr(O rho) = sum O_ji rho_ij
+        if ob.operator is not None:
             op = _check_operator(ob.operator, self.basis)
             if isinstance(op, PureState):
                 weights = op.amplitudes[rows].conj() * op.amplitudes[cols]
             else:
                 weights = op.matrix[cols, rows]
-            return w * weights[p] + w.conj() * weights[q]
+            return self._to_elements.T @ weights
         idx = list(_check_domain_indices(self.basis, ob.keep))
         dims = np.array(self.basis.domain_dims)
         r, c = np.array(np.unravel_index(rows, dims)), np.array(np.unravel_index(cols, dims))
-        traced = [k for k in range(dims.size) if k not in idx]
         kept = dims[idx]
         size = int(np.prod(kept))
         target = np.ravel_multi_index(r[idx], kept) * size + np.ravel_multi_index(c[idx], kept)
-        k = np.flatnonzero(np.all(r[traced] == c[traced], axis=0)[p])
-        index = (np.concatenate([target[p[k]], target[q[k]]]), np.concatenate([k, k]))
-        values = np.concatenate([w[k], w[k].conj()])
-        if p.size > SECTOR_DENSE_LIMIT:
-            return sp.csr_array((values, index), shape=(size * size, p.size))
-        R = np.zeros((size * size, p.size), dtype=complex)
-        np.add.at(R, index, values)
+        e = np.flatnonzero(np.all(np.delete(r, idx, 0) == np.delete(c, idx, 0), axis=0))
+        trace = sp.csr_array((np.ones(e.size), (target[e], e)), shape=(size * size, rows.size))
+        R = trace @ self._to_elements
+        # ascending columns sum each element in partial_trace's order; the
+        # concurrence's square roots turn a changed last bit into ~1e-9
+        R.sort_indices()
         return R
 
     def pack(self, matrix: np.ndarray) -> np.ndarray:

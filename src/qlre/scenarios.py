@@ -457,11 +457,9 @@ def compile_observables(cfg: ScenarioConfig, basis: BasisDescriptor) -> dict:
     """Map each observable string to an ``Observable``: a linear part of rho, then a measure.
 
     E_F, C, E_N, N and N_ABC reduce rho to their domains, then apply an
-    entanglement measure; Jz_X is Tr(Jz rho), divided by N_X when
-    normalized; x_d is the dark-state weight Tr(|d><d| rho), clamped to
-    [0, 1].  Nothing here builds a map: ``evolve`` builds one per distinct
-    linear part on its sector coordinates and runs each measure once over
-    all samples.  Each Observable is also callable on one DensityMatrix.
+    entanglement measure; Jz_X is Tr(Jz rho), over N_X when normalized; x_d
+    is the dark-state weight Tr(|d><d| rho), clamped to [0, 1].  No map is
+    built here: ``evolve`` builds those on its sector coordinates.
     """
     out: dict[str, Observable] = {}
     for i, text in enumerate(cfg.observables):
@@ -471,8 +469,7 @@ def compile_observables(cfg: ScenarioConfig, basis: BasisDescriptor) -> dict:
             out[text] = Observable(_eof if kind == "E_F" else concurrence_array, keep=plan["keep"])
         elif kind in ("E_N", "N"):
             fn = log_negativity_array if kind == "E_N" else negativity_array
-            dims = [basis.domain_dims[k] for k in plan["keep"]]
-            part = [plan["part"]]
+            dims, part = [basis.domain_dims[k] for k in plan["keep"]], [plan["part"]]
             out[text] = Observable(
                 lambda v, t, fn=fn, dims=dims, part=part: fn(v, dims, part), keep=plan["keep"]
             )

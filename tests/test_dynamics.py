@@ -979,10 +979,7 @@ _ALL_KINDS = {
 
 class TestReadout:
     @pytest.mark.parametrize("case", _readout_cases(), ids=lambda c: c[0])
-    @pytest.mark.parametrize("limit", [None, 0], ids=["dense", "sparse"])
-    def test_reduction_map_is_the_partial_trace(self, monkeypatch, case, limit):
-        if limit is not None:
-            monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", limit)
+    def test_reduction_map_is_the_partial_trace(self, case):
         _, eq, rho0 = case
         sector = _Sector(eq, rho0.matrix)
         if case[0] == "sigma_y-complex":  # the Im coordinates are kept
@@ -992,8 +989,6 @@ class TestReadout:
         ys = [sector.pack(rho0.matrix), rng.normal(size=sector.levels.size)]
         for keep in _proper_keeps(eq.basis.num_domains):
             R = sector.readout(dynamics.Observable(None, keep=keep))
-            dense = sector.levels.size <= dynamics.SECTOR_DENSE_LIMIT
-            assert isinstance(R, np.ndarray) == dense
             for y in ys:
                 rho = DensityMatrix(sector.unpack(y), eq.basis, validate=False)
                 expected = partial_trace(rho, keep).matrix.reshape(-1)
