@@ -1089,6 +1089,16 @@ class TestBatchedObservables:
         batched, bare = _assert_batched_matches_bare(eq, rho0, 0.25, 0.25, compiled)
         assert batched.stats.rhs_calls == bare.stats.rhs_calls == 422
 
+    def test_fig5a_on_the_stepper_to_its_horizon(self):
+        # near rank-deficient reduced states the concurrence turns a changed
+        # last bit into ~1e-9, so the map must sum as partial_trace does
+        cfg = preset("fig5a-dephasing")[0]
+        assert cfg.name == "fig5a_dep0"
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        compiled = compile_observables(cfg, build_basis(cfg))
+        batched, _ = _assert_batched_matches_bare(eq, rho0, cfg.t_max, cfg.sample_dt, compiled)
+        assert batched.stats is not None and batched.times.size == 201
+
     @pytest.mark.parametrize("limit", [None, 0], ids=["propagator", "stepper"])
     def test_snapshots_are_the_partial_traces_of_the_samples(self, monkeypatch, limit):
         if limit is not None:
