@@ -349,13 +349,13 @@ class SteadyStateResult:
 # ---------------------------------------------------------------------------
 
 
-def _shift(O: sp.csc_array, n: np.ndarray) -> Optional[int]:
-    """The change of excitation number shared by every nonzero entry of O, or None."""
-    cols = np.repeat(np.arange(O.shape[1]), np.diff(O.indptr))
-    shifts = (n[O.indices] - n[cols])[O.data != 0]
-    if shifts.size == 0:
-        return 0
-    return int(shifts[0]) if np.all(shifts == shifts[0]) else None
+def _pairs(a0, a1, b0, b1):
+    """Every (g, x, y) with a0[g] <= x < a1[g] and b0[g] <= y < b1[g], g ascending."""
+    nb = b1 - b0
+    count = (a1 - a0) * nb
+    g = np.repeat(np.arange(count.size), count)
+    offset = np.arange(g.size) - np.repeat(np.cumsum(count) - count, count)
+    return g, a0[g] + offset // nb[g], b0[g] + offset % nb[g]
 
 
 class _Sector:
@@ -374,19 +374,35 @@ class _Sector:
     norm is the Frobenius norm of rho.  The Im ones stay zero, and are
     dropped, when every jump and rho0 are real.  They run by ``levels``
     n(i) + n(j), highest first.
+
+    L is assembled in one pass from the nonzero entries of the jumps: each
+    term, 2 r O rho O^dag per jump and then -A rho and -rho A with
+    A = sum r O^dag O, is expanded on the kept elements and taken into the
+    coordinates as it is made (``_term``); one COO to CSR construction sums
+    all of them.
     """
 
     def __init__(self, eq: MasterEquation, rho0: np.ndarray):
         d = eq.basis.dim
         n = excitation_numbers(eq.basis)
-        active = [(t.rate, sp.csc_array(t.jump.matrix)) for t in eq.terms if t.rate != 0.0]
-        self.shifts = [_shift(O, n) for _, O in active]
-        if None not in self.shifts:
-            i, j = np.nonzero(rho0)
-            orders = {int(q) for q in n[i] - n[j]}
-            orders |= {-q for q in orders}
-        else:
-            orders = None
+        # each active jump's nonzero entries, read once, by column and times sqrt(rate), and
+        # A = sum r O^dag O: entries (i, a, u), (i, b, v) of one row give conj(u) v at (a, b)
+        jumps, pairs, self.shifts = [], [(np.zeros(0, int),) * 2 + (np.zeros(0),)], []
+        for term in (t for t in eq.terms if t.rate != 0.0):
+            r, c = term.jump.matrix.nonzero()
+            c, r = np.divmod(np.unique(c * d + r), d)
+            v = math.sqrt(term.rate) * term.jump.matrix[r, c]
+            jumps.append((np.searchsorted(c, np.arange(d + 1)), r, v))
+            shift = set((n[r] - n[c]).tolist()) or {0}
+            self.shifts.append(shift.pop() if len(shift) == 1 else None)
+            by_row = np.argsort(r, kind="stable")
+            bound = np.searchsorted(r[by_row], np.arange(d + 1))
+            _, x, y = _pairs(bound[:-1], bound[1:], bound[:-1], bound[1:])
+            x, y = by_row[x], by_row[y]
+            pairs.append((c[x], c[y], v[x].conj() * v[y]))
+        i, j = np.nonzero(rho0)
+        orders = {int(q) for q in n[i] - n[j]}
+        orders = None if None in self.shifts else orders | {-q for q in orders}
         levels = [np.flatnonzero(n == k) for k in np.unique(n)]
         keys = np.sort(np.concatenate([
             (a[:, None] * d + b[None, :]).ravel()
@@ -394,18 +410,15 @@ class _Sector:
             for b in levels
             if orders is None or int(n[a[0]] - n[b[0]]) in orders
         ]))
-        self.d = d
-        self.basis = eq.basis
-        self.keys = keys
+        self.d, self.basis, self.keys = d, eq.basis, keys
         rows, cols = keys // d, keys % d
 
         # coordinate k is Re(conj(w) rho[p] + w rho[q]), with q the mirror (j, i) of
         # p = (i, j), i <= j; w is 1/2 on the diagonal, 1/sqrt(2) for Re, i/sqrt(2) for Im
-        m = keys.size
         p = np.flatnonzero(rows <= cols)
         q = np.searchsorted(keys, cols[p] * d + rows[p])
         w = np.where(p == q, 0.5, math.sqrt(0.5)).astype(complex)
-        if np.any(rho0.imag) or any(np.any(O.data.imag) for _, O in active):
+        if np.any(rho0.imag) or any(np.any(v.imag) for *_, v in jumps):
             off = p != q
             p, q, w = np.r_[p, p[off]], np.r_[q, q[off]], np.r_[w, 1j * w[off]]
         order = np.lexsort((p, -(n[rows[p]] + n[cols[p]])))
@@ -414,46 +427,38 @@ class _Sector:
         self.diagonal = np.flatnonzero(p == q)
         self.weights = np.where(p == q, 1.0, math.sqrt(0.5))  # |rho_ij| = weight |x| if real
         k = np.arange(p.size)
-        S = sp.csr_array((np.r_[w, w.conj()], (np.r_[p, q], np.r_[k, k])), shape=(m, k.size))
+        S = sp.csr_array((np.r_[w, w.conj()], (np.r_[p, q], np.r_[k, k])), (keys.size, k.size))
         self._to_elements, self._to_coordinates = S, S.conj().T.tocsr()
 
-        # one term at a time, so the COO entries of only one are held at once
-        L = sp.csr_array((m, m), dtype=complex)
-        lindblad_sum = None  # sum_k r_k O_k^dag O_k
-        for rate, O in active:
-            L = L + self._superoperator(O, O, 2.0 * rate, rows, cols)
-            OdO = rate * (O.conj().T @ O)
-            lindblad_sum = OdO if lindblad_sum is None else lindblad_sum + OdO
-        if lindblad_sum is not None:
-            A = sp.csc_array(0.5 * (lindblad_sum + lindblad_sum.conj().T))
-            eye = sp.eye_array(d, dtype=complex, format="csc")
-            L = L - self._superoperator(A, eye, 1.0, rows, cols)  # A rho
-            L = L - self._superoperator(eye, A, 1.0, rows, cols)  # rho A
-        # real up to rounding: L S x is Hermitian for real x
-        self.liouvillian = (self._to_coordinates @ L @ self._to_elements).real
-        self.liouvillian.sort_indices()  # the product's order doubles the matvec time
+        # each element's coordinates and weights: its row of S, padded with zero weights
+        slot = S.indptr[:-1, None] + np.arange(np.diff(S.indptr).max())
+        slot[slot >= S.indptr[1:, None]] = S.nnz  # the zero appended below
+        to = np.r_[S.indices, 0][slot], np.r_[S.data, 0][slot]
+        a, b, x = map(np.concatenate, zip(*pairs))
+        A = sp.csc_array((x, (a, b)), shape=(d, d))
+        A, eye = (A.indptr, A.indices, A.data), (np.arange(d + 1), np.arange(d), np.ones(d))
+        terms = [(O, O, 2.0) for O in jumps] + [(A, eye, -1.0), (eye, A, -1.0)]
+        parts = [self._term(*t, rows[p], cols[p], 2 * w, to) for t in terms]
+        a, b, x = map(np.concatenate, zip(*parts))
+        self.liouvillian = sp.csr_array((x, (a, b)), shape=(k.size, k.size))
+        self.liouvillian.eliminate_zeros()
 
-    def _superoperator(self, X, Y, weight, rows, cols) -> sp.csr_array:
-        """The map rho -> weight * X rho Y^dag on the sector, as a CSR matrix.
+    def _term(self, X, Y, weight, a, b, scale, to):
+        """M: rho -> weight * X rho Y^dag on the coordinates, as COO (rows, columns, values).
 
-        Kept element (a, b) feeds (i, j) with X[i, a] conj(Y[j, b]) for every
-        stored entry of column a of X and column b of Y.
+        X, Y are (column pointers, rows, values).  L keeps Hermiticity, so column k is
+        Re(S^H M e_p 2 w_k), 2 w_k = ``scale``, p = (a_k, b_k): p feeds each (i, j) with
+        X[i, a] conj(Y[j, b]), and (i, j) the coordinates in its row of S (``to``).
         """
-        ca = np.diff(X.indptr)[rows]
-        cb = np.diff(Y.indptr)[cols]
-        count = ca * cb
-        src = np.repeat(np.arange(rows.size), count)
-        offset = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
-        width = cb[src]
-        ea = X.indptr[rows[src]] + offset // width
-        eb = Y.indptr[cols[src]] + offset % width
-        target = X.indices[ea] * self.d + Y.indices[eb]
-        m = self.keys.size
+        (xp, xi, xv), (yp, yi, yv), (coordinate, weights) = X, Y, to
+        k, i, j = _pairs(xp[a], xp[a + 1], yp[b], yp[b + 1])
+        target = xi[i] * self.d + yi[j]
         dst = np.searchsorted(self.keys, target)
-        if np.any(self.keys[np.minimum(dst, m - 1)] != target):
+        if np.any(self.keys[np.minimum(dst, self.keys.size - 1)] != target):
             raise NumericalFailure("a jump maps the kept coherence orders outside themselves")
-        values = weight * X.data[ea] * Y.data[eb].conj()
-        return sp.csr_array((values, (dst, src)), shape=(m, m))
+        value = (weight * scale[k] * xv[i] * yv[j].conj())[:, None]
+        cols = np.repeat(k.astype(np.int32), coordinate.shape[1])
+        return coordinate[dst].ravel(), cols, (weights[dst].conj() * value).real.ravel()
 
     def readout(self, ob: Observable):
         """The map from the coordinates to ob's linear part, built once per run.
@@ -886,7 +891,7 @@ def steady_state(
     if residual < tol:
         return SteadyStateResult(rho0, residual, 0.0)
     if not _LevelSweep.applies(sector):
-        return _integrate_to_steady_state(eq, rho0, tol, max_scaled_time)
+        return _integrate_to_steady_state(eq, rho0, tol, max_scaled_time, sector)
     h = min(1.0, float(max_scaled_time))
     sweep = _LevelSweep(sector, h)
     steps = 0
@@ -907,10 +912,10 @@ def steady_state(
 
 
 def _integrate_to_steady_state(
-    eq: MasterEquation, rho0: DensityMatrix, tol: float, max_scaled_time: float
+    eq: MasterEquation, rho0: DensityMatrix, tol: float, max_scaled_time: float, sector: _Sector
 ) -> SteadyStateResult:
     """The explicit fallback of ``steady_state``: integrate until the residual is below tol."""
-    stepper = _Stepper(eq, rho0.matrix)
+    stepper = _Stepper(eq, rho0.matrix, sector)
     # Near the stationary manifold an explicit stepper hovers at the
     # stability boundary and local truncation noise pins the residual at
     # roughly the local tolerance.  When the residual stalls above the

@@ -1,9 +1,11 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qlre import dynamics
 from qlre.dynamics import (
@@ -51,6 +53,7 @@ from qlre.scenarios import (
     build_master_equation,
     compile_observables,
     preset,
+    sweep,
 )
 
 
@@ -298,6 +301,115 @@ class TestCoordinates:
         assert np.max(np.abs(traj.observables["im"] + 0.5 * np.exp(-t))) < 1e-8
         assert np.max(np.abs(traj.observables["pe"] - 0.5 * np.exp(-2.0 * t))) < 1e-8
         assert np.array_equal(traj.final_rho.matrix, traj.final_rho.matrix.conj().T)
+
+
+def reference_liouvillian(eq, sector):
+    """S^H [sum r (2 O x conj(O) - A x I - I x A^T)] S on the kept elements, A = sum r O^dag O.
+
+    Row-major vec(X rho Y^dag) = (X x conj(Y)) vec(rho); the Kronecker
+    products are sparse only so that fig4-chain4 (d^2 = 38416) fits.
+    """
+    d = eq.basis.dim
+    eye = sp.eye_array(d, format="csr")
+    total = sp.csr_array((d * d, d * d), dtype=complex)
+    A = sp.csr_array((d, d), dtype=complex)
+    for term in eq.terms:
+        O = sp.csr_array(term.jump.matrix)
+        total = total + 2.0 * term.rate * sp.kron(O, O.conj(), format="csr")
+        OdO = term.rate * (O.conj().T @ O)
+        A = A + 0.5 * (OdO + OdO.conj().T)
+    total = total - sp.kron(A, eye, format="csr") - sp.kron(eye, A.T, format="csr")
+    S = sector._to_elements
+    return (S.conj().T @ total[sector.keys][:, sector.keys] @ S).real
+
+
+def _smallest_configs():
+    def smallest(name, keep=lambda cfg: True):
+        configs = [cfg for cfg in preset(name) if keep(cfg)]
+        return min(configs, key=lambda cfg: build_basis(cfg).dim)
+
+    return {
+        "fig3b": smallest("fig3b"),
+        "fig4-chain4": smallest("fig4-chain4"),
+        "fig5a": smallest("fig5a-dephasing", lambda cfg: cfg.gamma_dep_over_gamma > 0),
+        "fig5b": smallest("fig5b-individual"),
+        "fig5c-thermal": smallest("fig5c-thermal", lambda cfg: cfg.temperature.T_kelvin > 0),
+        "fig6": smallest("fig6-star"),
+        "appB": smallest("appB-oracle"),
+    }
+
+
+class TestAssembly:
+    """The sector Liouvillian against an assembly that shares none of its code."""
+
+    @pytest.mark.parametrize("name", sorted(_smallest_configs()))
+    def test_matches_the_kronecker_reference_on_every_preset_family(self, name):
+        cfg = _smallest_configs()[name]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        sector = _Sector(eq, rho0.matrix)
+        L = sector.liouvillian
+        assert L.has_canonical_format
+        assert abs(L - reference_liouvillian(eq, sector)).max() < 1e-12
+
+    def test_complex_jump_with_im_coordinates(self):
+        b, eq = _sigma_y_pair()
+        rho0 = random_density(np.random.default_rng(31), b)
+        sector = _Sector(eq, rho0.matrix)
+        assert sector.levels.size == b.dim**2  # Im coordinates kept
+        assert sector.liouvillian.has_canonical_format
+        assert abs(sector.liouvillian - reference_liouvillian(eq, sector)).max() < 1e-12
+
+    def test_empty_equation(self):
+        b = BasisDescriptor(Backend.COLLECTIVE, (2,))
+        sector = _Sector(MasterEquation((), b), product_state(b, [1]).matrix)
+        assert sector.liouvillian.shape == (sector.levels.size,) * 2
+        assert sector.liouvillian.nnz == 0
+        assert sector.liouvillian.has_canonical_format
+
+    def test_fig4_chain4_sizes(self):
+        cfg = preset("fig4-chain4")[0]
+        sector = _Sector(build_master_equation(cfg), build_initial_state(cfg).matrix)
+        assert sector.levels.size == 1893
+        assert sector.liouvillian.nnz == 23948
+
+    def test_stored_zero_in_a_jump_is_no_entry(self):
+        # an explicit 0 at (0, 0) has no shift; read as an entry it would map
+        # order 0 out of the kept orders
+        b = BasisDescriptor(Backend.FULL, (1, 1))
+        plain = reservoir_jump(b, [0, 1]).matrix.tocoo()
+        rows, cols = np.r_[plain.row, 0], np.r_[plain.col, 0]
+        stored = sp.csr_array((np.r_[plain.data, 0.0], (rows, cols)), shape=plain.shape)
+        assert stored.nnz == plain.nnz + 1
+        rho0 = product_state(b, ["u", "d"])
+
+        def run(O):
+            eq = MasterEquation((LindbladTerm(Operator(O, b), 1.0),), b)
+            return evolve(eq, rho0, 2.0, 0.1, keep=[0])
+
+        zero, none = run(stored), run(plain.tocsr())
+        for a, c in zip(zero.snapshots + [zero.final_rho], none.snapshots + [none.final_rho]):
+            assert np.max(np.abs(a.matrix - c.matrix)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "name, limit_mib",
+        [("fig4-chain4", 4.0), ("fig5b-(1,4,1)", 2.0)],
+    )
+    def test_build_peak_memory(self, name, limit_mib):
+        # each term is mapped into the coordinates as it is made: holding every
+        # term's complex entries at once instead peaks at 8.3 MiB on fig4-chain4
+        if name == "fig4-chain4":
+            cfg = preset("fig4-chain4")[0]
+        else:
+            cfg = sweep(preset("fig5b-individual")[0], "N_B", [4])[0]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg).matrix
+        _Sector(eq, rho0)
+        tracemalloc.start()
+        try:
+            _Sector(eq, rho0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
 
 
 class TestSolverStats:
@@ -709,6 +821,32 @@ class TestImplicitSteadyState:
         b, eq = chain_eq(2)
         with pytest.raises(ValueError, match="max_scaled_time"):
             steady_state(eq, product_state(b, [0, 2, 0]), max_scaled_time=bad)
+
+
+class TestOneSectorPerCall:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        init = _Sector.__init__
+        monkeypatch.setattr(_Sector, "__init__", lambda self, *a: calls.append(1) or init(self, *a))
+        return calls
+
+    @pytest.mark.parametrize("route", ["propagator", "stepper"])
+    def test_evolve(self, builds, route):
+        b, eq = chain_eq(3)
+        if route == "propagator":
+            rho0 = product_state(b, [0, 3, 0])
+        else:  # every coherence order: 256 coordinates, above SECTOR_DENSE_LIMIT
+            rho0 = random_density(np.random.default_rng(41), b)
+        traj = evolve(eq, rho0, 0.5, 0.1)
+        assert (traj.stats is None) == (route == "propagator")
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("case", ["udd", "thermal"])
+    def test_steady_state(self, builds, case):
+        res = steady_state(*_steady_case(case))
+        assert (res.stats is not None) == (case == "thermal")  # the explicit fallback
+        assert len(builds) == 1
 
 
 def _fig3b(n_b):
