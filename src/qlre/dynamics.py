@@ -14,8 +14,9 @@ excitation number n by a fixed amount (lowering -1, raising +1, dephasing
 Hermitian coordinates of the elements of the orders present in rho0, with
 the Liouvillian as one real sparse matrix built when the run starts;
 Hermiticity holds by construction.  A jump without a fixed shift keeps
-every element.  ``lindblad_rhs`` stays the plain matrix form, the
-reference for tests.
+every element.  When every jump lowers n or keeps it, the elements above
+the highest n on rho0's support stay zero and are dropped as well.
+``lindblad_rhs`` stays the plain matrix form, the reference for tests.
 
 L is constant, so a sector of at most SECTOR_DENSE_LIMIT coordinates is
 advanced between samples by its exact propagator exp(h L), formed once
@@ -27,11 +28,10 @@ The stationary manifold is degenerate (dark states), so the steady state
 depends on rho0: it is rho_inf = P_inf rho0, the projection that keeps the
 weight of every conserved quantity (Albert & Jiang, Phys. Rev. A 89,
 022118 (2014)).  ``steady_state`` reaches it as the limit of implicit
-Euler steps, which keep those weights exactly.  Without raising jumps L
-is block lower-triangular in the level n(i) + n(j) of a coordinate, so
-each step is one sweep from the top level down with a small dense
-inverse per level.  A raising or unshifted jump, or a level too large to
-invert densely, sends the search back to the explicit integrator.
+Euler steps, which keep those weights exactly.  Without raising or
+unshifted jumps L is block lower-triangular in the level n(i) + n(j) of a
+coordinate, so each step is one sweep from the top level down with a
+small dense inverse per level; otherwise the whole sector is one block.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import scipy.sparse as sp
 from .errors import (
     ConvergenceFailure,
     IntegrationFailure,
+    MemoryGuardExceeded,
     NumericalFailure,
     UndefinedResultError,
     UnsupportedConfigurationError,
@@ -72,12 +73,13 @@ ATOL = 1e-11
 TRACE_DRIFT_TOL = 1e-8
 STEADY_STATE_TOL = 1e-10
 MAX_SCALED_TIME = 200.0
-# steady_state inverts each excitation level's block of the sector densely;
-# above this many coordinates in one block it integrates explicitly instead.
-LEVEL_BLOCK_LIMIT = 1024
-# Up to this many coordinates evolve propagates exactly, and the integrator applies
-# the sector's L as a dense array, CSR above; one product breaks even between ~150
-# and ~200 on fig3b.
+# steady_state inverts each block of the sector densely (one per excitation level,
+# or the whole sector); a block above this many coordinates raises
+# MemoryGuardExceeded before anything is inverted.
+LEVEL_BLOCK_LIMIT = 4096
+# Up to this many coordinates evolve propagates exactly by a dense exp(h L), and
+# steps the sector's CSR L above; one product breaks even between ~150 and ~200 on
+# fig3b.
 SECTOR_DENSE_LIMIT = 128
 # Full-backend runs above this many physical spins need an explicit override.
 INDIVIDUAL_SPIN_CAP = 13
@@ -333,15 +335,13 @@ class SteadyStateResult:
     """The steady state, its residual, and how it was reached.
 
     ``steps`` counts the implicit-Euler sweeps (0 if rho0 was already
-    stationary or the explicit fallback ran); ``stats`` is the fallback's
-    SolverStats, None when it did not run.
+    stationary); ``elapsed_scaled_time`` is steps times the step h.
     """
 
     rho: DensityMatrix
     residual: float
     elapsed_scaled_time: float
     steps: int = 0
-    stats: Optional[SolverStats] = None
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +366,16 @@ class _Sector:
     order onto itself under O rho O^dag and O^dag O rho, so only the orders
     present in rho0 (closed under negation, for the adjoint) are kept.  A
     jump without a fixed shift mixes orders, and then every element is
-    kept.  ``keys`` holds their flat indices i * d + j in increasing order,
-    ``shifts`` each active jump's change of n (None without a fixed one).
-    L keeps Hermiticity, so ``liouvillian`` is a real map on the coordinates
-    rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij of the kept i < j (the
-    coherence vector of Alicki & Lendi, LNP 286 (1987)), whose Euclidean
-    norm is the Frobenius norm of rho.  The Im ones stay zero, and are
-    dropped, when every jump and rho0 are real.  They run by ``levels``
-    n(i) + n(j), highest first.
+    kept.  ``lowering`` says that every active jump shifts n by a fixed
+    amount <= 0.  Then an element is fed only from elements at least as
+    high, so those above the highest n on rho0's support stay zero and are
+    dropped too.  ``keys`` holds the kept flat indices i * d + j in
+    increasing order.  L keeps Hermiticity, so ``liouvillian`` is a real
+    map on the coordinates rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij
+    of the kept i < j (the coherence vector of Alicki & Lendi, LNP 286
+    (1987)), whose Euclidean norm is the Frobenius norm of rho.  The Im ones
+    stay zero, and are dropped, when every jump and rho0 are real.  They run
+    by ``levels`` n(i) + n(j), highest first.
 
     L is assembled in one pass from the nonzero entries of the jumps: each
     term, 2 r O rho O^dag per jump and then -A rho and -rho A with
@@ -387,14 +389,14 @@ class _Sector:
         n = excitation_numbers(eq.basis)
         # each active jump's nonzero entries, read once, by column and times sqrt(rate), and
         # A = sum r O^dag O: entries (i, a, u), (i, b, v) of one row give conj(u) v at (a, b)
-        jumps, pairs, self.shifts = [], [(np.zeros(0, int),) * 2 + (np.zeros(0),)], []
+        jumps, pairs, shifts = [], [(np.zeros(0, int),) * 2 + (np.zeros(0),)], []
         for term in (t for t in eq.terms if t.rate != 0.0):
             r, c = term.jump.matrix.nonzero()
             c, r = np.divmod(np.unique(c * d + r), d)
             v = math.sqrt(term.rate) * term.jump.matrix[r, c]
             jumps.append((np.searchsorted(c, np.arange(d + 1)), r, v))
             shift = set((n[r] - n[c]).tolist()) or {0}
-            self.shifts.append(shift.pop() if len(shift) == 1 else None)
+            shifts.append(shift.pop() if len(shift) == 1 else None)
             by_row = np.argsort(r, kind="stable")
             bound = np.searchsorted(r[by_row], np.arange(d + 1))
             _, x, y = _pairs(bound[:-1], bound[1:], bound[:-1], bound[1:])
@@ -402,8 +404,10 @@ class _Sector:
             pairs.append((c[x], c[y], v[x].conj() * v[y]))
         i, j = np.nonzero(rho0)
         orders = {int(q) for q in n[i] - n[j]}
-        orders = None if None in self.shifts else orders | {-q for q in orders}
-        levels = [np.flatnonzero(n == k) for k in np.unique(n)]
+        orders = None if None in shifts else orders | {-q for q in orders}
+        self.lowering = all(s is not None and s <= 0 for s in shifts)
+        top = n[i].max() if self.lowering else n.max()
+        levels = [np.flatnonzero(n == k) for k in np.unique(n) if k <= top]
         keys = np.sort(np.concatenate([
             (a[:, None] * d + b[None, :]).ravel()
             for a in levels
@@ -428,7 +432,7 @@ class _Sector:
         self.weights = np.where(p == q, 1.0, math.sqrt(0.5))  # |rho_ij| = weight |x| if real
         k = np.arange(p.size)
         S = sp.csr_array((np.r_[w, w.conj()], (np.r_[p, q], np.r_[k, k])), (keys.size, k.size))
-        self._to_elements, self._to_coordinates = S, S.conj().T.tocsr()
+        self._to_elements = S
 
         # each element's coordinates and weights: its row of S, padded with zero weights
         slot = S.indptr[:-1, None] + np.arange(np.diff(S.indptr).max())
@@ -492,7 +496,7 @@ class _Sector:
 
     def pack(self, matrix: np.ndarray) -> np.ndarray:
         """The coordinates of the Hermitian part of matrix."""
-        return (self._to_coordinates @ matrix.reshape(-1)[self.keys]).real
+        return (self._to_elements.T @ matrix.reshape(-1)[self.keys].conj()).real
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         """The d x d matrix of real coordinates x; mirrored elements are exact conjugates."""
@@ -502,31 +506,34 @@ class _Sector:
 
 
 class _LevelSweep:
-    """One implicit Euler step y <- (I - h L)^-1 y on the sector, level by level.
+    """One implicit Euler step y <- (I - h L)^-1 y on the sector, block by block.
 
-    When no jump raises the excitation number, a coordinate feeds only
-    those of the same or a lower level n(i) + n(j), so L is block
-    lower-triangular in the sector's order.  A step solves the levels in
-    that order: each level's diagonal block of I - h L is inverted once,
-    densely, and the levels above feed in through a sparse slice of L.
+    When every jump lowers n or keeps it (``_Sector.lowering``), a
+    coordinate feeds only those of the same or a lower level n(i) + n(j),
+    so L is block lower-triangular in the sector's order with one block per
+    level; otherwise the whole sector is one block.  A step solves the
+    blocks in order: each diagonal block of I - h L is inverted once,
+    densely, and the blocks above feed in through a sparse slice of L.  A
+    block above LEVEL_BLOCK_LIMIT coordinates raises MemoryGuardExceeded
+    before anything is inverted.
     """
 
     def __init__(self, sector: _Sector, h: float):
-        cuts = np.flatnonzero(np.diff(sector.levels)) + 1
+        bounds = np.r_[0, np.flatnonzero(np.diff(sector.levels)) + 1, sector.levels.size]
+        if not sector.lowering:
+            bounds = bounds[[0, -1]]
+        largest = int(np.diff(bounds).max())
+        if largest > LEVEL_BLOCK_LIMIT:
+            raise MemoryGuardExceeded(
+                f"a steady-state block of {largest} coordinates needs a dense inverse of "
+                f"{8 * largest**2} bytes; LEVEL_BLOCK_LIMIT is {LEVEL_BLOCK_LIMIT}"
+            )
         L = sector.liouvillian
         self.blocks = []
-        for start, stop in zip(np.r_[0, cuts], np.r_[cuts, sector.levels.size]):
+        for start, stop in zip(bounds[:-1], bounds[1:]):
             inverse = np.linalg.inv(np.eye(stop - start) - h * L[start:stop, start:stop].toarray())
             feed = h * L[start:stop, :start]
             self.blocks.append((start, stop, inverse, feed if feed.nnz else None))
-
-    @staticmethod
-    def applies(sector: _Sector) -> bool:
-        """No jump raises n or lacks a fixed shift, and every level block is small."""
-        if any(s is None or s > 0 for s in sector.shifts):
-            return False
-        _, sizes = np.unique(sector.levels, return_counts=True)
-        return int(sizes.max()) <= LEVEL_BLOCK_LIMIT
 
     def step(self, y: np.ndarray) -> np.ndarray:
         x = y.copy()
@@ -574,20 +581,15 @@ class _Stepper:
     An attempt keeps its seven stages as the rows of one preallocated array,
     so each stage input is y plus one product of a row of h * _DP_TABLE
     with the stages so far, and the error estimate one product with the
-    last row.  Up to SECTOR_DENSE_LIMIT coordinates L is applied as a dense
-    array, whose product costs less than a CSR one there; above it as CSR.
+    last row.  Each right-hand side is one product with the sector's CSR L.
     """
 
     def __init__(self, eq: MasterEquation, rho0: np.ndarray, sector: Optional[_Sector] = None):
         self.sector = _Sector(eq, rho0) if sector is None else sector
-        L = self.sector.liouvillian
-        self._map = L.toarray() if L.shape[0] <= SECTOR_DENSE_LIMIT else L
         self._size = float(eq.basis.dim) ** 2
         self.y = self.sector.pack(rho0)
         self._stages = np.empty((7, self.y.size))
         self.t = 0.0
-        self.rtol = RTOL
-        self.atol = ATOL
         self.accepted = 0
         self.rejected = 0
         self.rhs_calls = 0
@@ -599,13 +601,13 @@ class _Stepper:
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         self.rhs_calls += 1
-        return self._map @ y
+        return self.sector.liouvillian @ y
 
     def _rms(self, x: np.ndarray) -> float:
         return float(np.sqrt(np.vdot(x, x).real / self._size))
 
     def _initial_step(self) -> float:
-        scale = self.atol + self.rtol * self.sector.weights * np.abs(self.y)
+        scale = ATOL + RTOL * self.sector.weights * np.abs(self.y)
         d0 = self._rms(self.y / scale)
         d1 = self._rms(self.k1 / scale)
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
@@ -614,16 +616,6 @@ class _Stepper:
         dmax = max(d1, d2)
         h1 = max(1e-6, h0 * 1e-3) if dmax <= 1e-15 else (0.01 / dmax) ** 0.2
         return min(100 * h0, h1)
-
-    @property
-    def residual(self) -> float:
-        """Frobenius norm of the right-hand side at the current state."""
-        return float(np.linalg.norm(self.k1))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The current state as a d x d matrix."""
-        return self.sector.unpack(self.y)
 
     @property
     def stats(self) -> SolverStats:
@@ -641,7 +633,7 @@ class _Stepper:
             y_new = a[s - 1, :s] @ k[:s] + self.y
             k[s] = self.rhs(y_new)
         err = a[6] @ k
-        err /= self.atol + self.rtol * self.sector.weights * np.maximum(abs(self.y), abs(y_new))
+        err /= ATOL + RTOL * self.sector.weights * np.maximum(abs(self.y), abs(y_new))
         return y_new, k[6].copy(), self._rms(err)
 
     def step_once(self, t_limit: float) -> bool:
@@ -868,16 +860,13 @@ def steady_state(
     coordinates, with fixed h = min(1, max_scaled_time), reach that limit: every
     J satisfies J^dag (I - h L) = J^dag, so each step keeps the trace and
     every dark-state weight exactly, and the decaying modes shrink by
-    1 / |1 - h lambda| per step.  Each step is one sweep over the excitation
-    levels (``_LevelSweep``).  Raises ConvergenceFailure if the Frobenius
-    norm of the right-hand side has not fallen below tol by
+    1 / |1 - h lambda| per step.  Each step is one sweep over the blocks of
+    the sector (``_LevelSweep``): one per excitation level when every jump
+    lowers n or keeps it, else the whole sector.  Raises ConvergenceFailure
+    if the Frobenius norm of the right-hand side has not fallen below tol by
     ``max_scaled_time``; ``elapsed_scaled_time`` counts the steps taken
-    times h.
-
-    A jump that raises the excitation number (nbar > 0) or has no fixed
-    shift, or a level block above ``LEVEL_BLOCK_LIMIT`` coordinates, leaves
-    no level order to sweep in; then the adaptive explicit integrator of
-    ``evolve`` runs until the residual is below tol.
+    times h.  Raises MemoryGuardExceeded, before inverting anything, if a
+    block has more than ``LEVEL_BLOCK_LIMIT`` coordinates.
     """
     if rho0.basis != eq.basis:
         raise ValueError(f"basis mismatch: {rho0.basis} vs {eq.basis}")
@@ -890,8 +879,6 @@ def steady_state(
     residual = float(np.linalg.norm(sector.liouvillian @ y))
     if residual < tol:
         return SteadyStateResult(rho0, residual, 0.0)
-    if not _LevelSweep.applies(sector):
-        return _integrate_to_steady_state(eq, rho0, tol, max_scaled_time, sector)
     h = min(1.0, float(max_scaled_time))
     sweep = _LevelSweep(sector, h)
     steps = 0
@@ -909,38 +896,6 @@ def steady_state(
         residual = float(np.linalg.norm(sector.liouvillian @ y))
     rho = DensityMatrix(sector.unpack(y), eq.basis, validate=False)
     return SteadyStateResult(rho, residual, steps * h, steps)
-
-
-def _integrate_to_steady_state(
-    eq: MasterEquation, rho0: DensityMatrix, tol: float, max_scaled_time: float, sector: _Sector
-) -> SteadyStateResult:
-    """The explicit fallback of ``steady_state``: integrate until the residual is below tol."""
-    stepper = _Stepper(eq, rho0.matrix, sector)
-    # Near the stationary manifold an explicit stepper hovers at the
-    # stability boundary and local truncation noise pins the residual at
-    # roughly the local tolerance.  When the residual stalls above the
-    # target, tighten the local tolerances so the noise floor drops.
-    best = math.inf
-    since_improvement = 0
-    while stepper.step_once(max_scaled_time):
-        resid = stepper.residual
-        if resid < tol:
-            rho = DensityMatrix(stepper.matrix, eq.basis, validate=False)
-            return SteadyStateResult(rho, resid, stepper.t, stats=stepper.stats)
-        if resid < 0.5 * best:
-            best = resid
-            since_improvement = 0
-        elif resid < 1e5 * tol:
-            since_improvement += 1
-            if since_improvement >= 30 and stepper.rtol > 1e-14:
-                stepper.rtol = max(1e-14, stepper.rtol * 1e-2)
-                stepper.atol = max(1e-16, stepper.atol * 1e-2)
-                stepper.h *= 0.25
-                since_improvement = 0
-    raise ConvergenceFailure(
-        f"residual {stepper.residual:.3e} still above {tol:.1e} "
-        f"at scaled time {max_scaled_time:g}"
-    )
 
 
 def _check_operator(op, basis: BasisDescriptor):

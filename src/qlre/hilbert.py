@@ -326,16 +326,12 @@ def reservoir_jump(basis: BasisDescriptor, domains: Iterable[int]) -> Operator:
     This is the jump operator of one engineered reservoir: all spins in the
     listed domains are indistinguishable to the bath, so the reservoir
     couples through the sum of their collective lowering operators.
-    Always materialized sparse in the full backend.
+    CSR in the full backend and above DENSE_LIMIT, as ``embed`` makes each part.
     """
     idx = _check_domain_indices(basis, domains)
-    force_sparse = basis.backend is Backend.FULL or basis.dim > DENSE_LIMIT
     total = None
     for m in idx:
-        op = collective_lowering(basis.domain_pops[m], basis.backend)
-        if force_sparse and not op.is_sparse:
-            op = Operator(sp.csr_array(op.matrix), op.basis)
-        part = embed(op, basis, m).matrix
+        part = embed(collective_lowering(basis.domain_pops[m], basis.backend), basis, m).matrix
         total = part if total is None else total + part
     if sp.issparse(total):
         total = sp.csr_array(total)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from qlre.hilbert import (
+    DENSE_LIMIT,
     Backend,
     BasisDescriptor,
     DensityMatrix,
@@ -145,6 +146,31 @@ class TestEmbedAndReservoir:
     def test_full_backend_reservoir_always_sparse(self):
         b = BasisDescriptor(Backend.FULL, (1, 1))
         assert reservoir_jump(b, [0, 1]).is_sparse
+
+    @pytest.mark.parametrize(
+        "backend, pops",
+        [
+            (Backend.COLLECTIVE, (1, 1)),
+            (Backend.COLLECTIVE, (1, 6, 6, 1)),
+            (Backend.COLLECTIVE, (1, 12, 12, 1)),
+            (Backend.FULL, (1, 4, 1)),
+        ],
+        ids=["collective-d4", "collective-d196", "collective-d676", "full-(1,4,1)"],
+    )
+    def test_reservoir_jump_is_the_plain_sum_of_embedded_parts(self, backend, pops):
+        # embed already makes each part CSR in the full backend and above DENSE_LIMIT
+        b = BasisDescriptor(backend, pops)
+        for m in range(len(pops) - 1):
+            J = reservoir_jump(b, [m, m + 1]).matrix
+            parts = [embed(collective_lowering(pops[k], backend), b, k).matrix for k in (m, m + 1)]
+            expected = parts[0] + parts[1]
+            assert type(J) is type(expected)
+            assert sp.issparse(J) == (backend is Backend.FULL or b.dim > DENSE_LIMIT)
+            if sp.issparse(J):
+                assert J.nnz == expected.nnz
+                assert (J != expected).nnz == 0
+            else:
+                assert np.array_equal(J, expected)
 
     def test_invalid_domain_set(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (1, 2))
