@@ -983,7 +983,7 @@ class TestSteadyStateRecord:
     def test_early_return_takes_no_steps(self):
         b, eq = chain_eq(4)
         res = steady_state(eq, ground_state(b))
-        assert res.steps == 0 and res.elapsed_scaled_time == 0.0
+        assert res.steps == 0
 
 
 # the configs whose level sweep at h = 1 has not converged by MAX_SCALED_TIME
