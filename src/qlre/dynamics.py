@@ -16,6 +16,10 @@ the Liouvillian as one real sparse matrix built when the run starts;
 Hermiticity holds by construction.  A jump without a fixed shift keeps
 every element.  When every jump lowers n or keeps it, the elements above
 the highest n on rho0's support stay zero and are dropped as well.
+Per-spin channels at equal rates and a permutation-symmetric rho0 keep
+the state constant on each orbit of elements under the site
+permutations, so each such orbit is one coordinate (the state space of
+PIQS, Shammah et al., Phys. Rev. A 98, 063815 (2018)).
 ``lindblad_rhs`` stays the plain matrix form, the reference for tests.
 
 L is constant, so a sector of at most SECTOR_DENSE_LIMIT coordinates is
@@ -60,12 +64,14 @@ from .hilbert import (
     Operator,
     PureState,
     _check_domain_indices,
+    exchange_labels,
     excitation_numbers,
     fidelity_with_pure,
     partial_trace,
     reservoir_jump,
     single_spin_lowering,
     single_spin_z,
+    site_permutations,
 )
 
 RTOL = 1e-9
@@ -358,6 +364,41 @@ def _pairs(a0, a1, b0, b1):
     return g, a0[g] + offset // nb[g], b0[g] + offset % nb[g]
 
 
+def _exchangeable(basis: BasisDescriptor, jumps, rho0: np.ndarray) -> list[int]:
+    """The full-backend domains of >= 2 spins whose site permutations keep L and rho0.
+
+    ``jumps`` holds each active jump's sqrt(rate)-scaled entries as (column
+    pointers, rows, values).  A domain qualifies when a swap of two of its
+    sites and the cycle of all of them (which generate every permutation)
+    each map the jumps onto themselves as a multiset, and rho0's nonzero
+    entries onto equal ones, to 1e-12.
+    """
+    if basis.backend is not Backend.FULL:
+        return []
+    d, (i, j) = basis.dim, np.nonzero(rho0)
+    # flat indices c * d + r, ascending
+    entries = [(np.repeat(np.arange(d), np.diff(ptr)) * d + r, v) for ptr, r, v in jumps]
+
+    def keeps(perm):
+        if np.any(np.abs(rho0[perm[i], perm[j]] - rho0[i, j]) > 1e-12):
+            return False
+        unmatched = {}
+        for key, v in entries:
+            unmatched.setdefault(key.tobytes(), []).append(v)
+        for key, v in entries:
+            image = perm[key // d] * d + perm[key % d]
+            order = np.argsort(image)
+            same = unmatched.get(image[order].tobytes(), [])
+            hit = [n for n, u in enumerate(same) if np.all(np.abs(u - v[order]) <= 1e-12)]
+            if not hit:
+                return False
+            same.pop(hit[0])
+        return True
+
+    candidates = [m for m, N in enumerate(basis.domain_pops) if N >= 2]
+    return [m for m in candidates if all(map(keeps, site_permutations(basis, m)))]
+
+
 class _Sector:
     """The density-matrix elements the integrator keeps, and L on their real coordinates.
 
@@ -374,14 +415,27 @@ class _Sector:
     map on the coordinates rho_ii, sqrt(2) Re rho_ij and sqrt(2) Im rho_ij
     of the kept i < j (the coherence vector of Alicki & Lendi, LNP 286
     (1987)), whose Euclidean norm is the Frobenius norm of rho.  The Im ones
-    stay zero, and are dropped, when every jump and rho0 are real.  They run
-    by ``levels`` n(i) + n(j), highest first.
+    stay zero, and are dropped, when every jump and rho0 are real.
+
+    A real sector merges orbits.  A full-backend domain of N >= 2 spins is
+    exchangeable when a swap of two of its sites and the cycle of all N map
+    the jumps onto themselves and keep rho0 (``_exchangeable``).  L then
+    commutes with those permutations, so the state stays constant on each
+    orbit of elements under them and the transpose: an orbit is labelled,
+    per exchangeable domain, by the counts of its (1, 1), (1, 0) and (0, 1)
+    site-bit pairs, and per other domain by its local indices.  An orbit of
+    n_k members is one coordinate, y_k = sqrt(n_k) times the members' common
+    coordinate, so Tr rho sums sqrt(n_k) y_k over the diagonal orbits
+    (``trace``) and ``weights`` carry 1/sqrt(n_k): the stepper's scaled
+    error on y_k is exactly that on its n_k members, and its steps do not
+    change.  Otherwise every orbit is one element.  The coordinates run by
+    ``levels`` n(i) + n(j), highest first.
 
     L is assembled in one pass from the nonzero entries of the jumps: each
     term, 2 r O rho O^dag per jump and then -A rho and -rho A with
     A = sum r O^dag O, is expanded on the kept elements and taken into the
-    coordinates as it is made (``_term``); one COO to CSR construction sums
-    all of them.
+    coordinates as it is made (``_term``), every member of an orbit into its
+    coordinate's column; one COO to CSR construction sums all of them.
     """
 
     def __init__(self, eq: MasterEquation, rho0: np.ndarray):
@@ -417,21 +471,40 @@ class _Sector:
         self.d, self.basis, self.keys = d, eq.basis, keys
         rows, cols = keys // d, keys % d
 
-        # coordinate k is Re(conj(w) rho[p] + w rho[q]), with q the mirror (j, i) of
-        # p = (i, j), i <= j; w is 1/2 on the diagonal, 1/sqrt(2) for Re, i/sqrt(2) for Im
+        # coordinate k sums Re(conj(w) rho[p] + w rho[q]) / sqrt(n_k) over the n_k members
+        # p = (i, j), i <= j, of its orbit, with q the mirror (j, i) of p; w is 1/2 on the
+        # diagonal, 1/sqrt(2) for Re, i/sqrt(2) for Im
         p = np.flatnonzero(rows <= cols)
         q = np.searchsorted(keys, cols[p] * d + rows[p])
         w = np.where(p == q, 0.5, math.sqrt(0.5)).astype(complex)
         if np.any(rho0.imag) or any(np.any(v.imag) for *_, v in jumps):
             off = p != q
             p, q, w = np.r_[p, p[off]], np.r_[q, q[off]], np.r_[w, 1j * w[off]]
-        order = np.lexsort((p, -(n[rows[p]] + n[cols[p]])))
-        p, q, w = p[order], q[order], w[order]
-        self.levels = n[rows[p]] + n[cols[p]]
-        self.diagonal = np.flatnonzero(p == q)
-        self.weights = np.where(p == q, 1.0, math.sqrt(0.5))  # |rho_ij| = weight |x| if real
-        k = np.arange(p.size)
-        S = sp.csr_array((np.r_[w, w.conj()], (np.r_[p, q], np.r_[k, k])), (keys.size, k.size))
+            swaps = []
+        else:
+            swaps = _exchangeable(eq.basis, jumps, rho0)
+        # p shares its orbit with the elements that a site permutation of the domains
+        # ``swaps``, or the transpose, maps it onto; otherwise it is alone
+        label = np.arange(p.size) if not swaps else np.minimum(
+            exchange_labels(eq.basis, swaps, rows[p], cols[p]),
+            exchange_labels(eq.basis, swaps, cols[p], rows[p]),
+        )
+        _, first, orbit, size = np.unique(
+            label, return_index=True, return_inverse=True, return_counts=True
+        )
+        level = n[rows[p]] + n[cols[p]]
+        order = np.lexsort((first, p[first], -level[first]))
+        first, root = first[order], np.sqrt(size[order])
+        k = np.argsort(order)[orbit]  # each member's coordinate
+        self.levels = level[first]
+        on_diagonal = p[first] == q[first]
+        self.diagonal, self._roots = np.flatnonzero(on_diagonal), root[on_diagonal]
+        # |rho_ij| = weight |x| for every real member
+        self.weights = np.where(on_diagonal, 1.0, math.sqrt(0.5)) / root
+        members = np.lexsort((p, k))  # by coordinate, then element
+        p, q, k = p[members], q[members], k[members]
+        w = w[members] / root[k]
+        S = sp.csr_array((np.r_[w, w.conj()], (np.r_[p, q], np.r_[k, k])), (keys.size, root.size))
         self._to_elements = S
 
         # each element's coordinates and weights: its row of S, padded with zero weights
@@ -442,26 +515,27 @@ class _Sector:
         A = sp.csc_array((x, (a, b)), shape=(d, d))
         A, eye = (A.indptr, A.indices, A.data), (np.arange(d + 1), np.arange(d), np.ones(d))
         terms = [(O, O, 2.0) for O in jumps] + [(A, eye, -1.0), (eye, A, -1.0)]
-        parts = [self._term(*t, rows[p], cols[p], 2 * w, to) for t in terms]
+        parts = [self._term(*t, rows[p], cols[p], 2 * w, k, to) for t in terms]
         a, b, x = map(np.concatenate, zip(*parts))
-        self.liouvillian = sp.csr_array((x, (a, b)), shape=(k.size, k.size))
+        self.liouvillian = sp.csr_array((x, (a, b)), shape=(root.size, root.size))
         self.liouvillian.eliminate_zeros()
 
-    def _term(self, X, Y, weight, a, b, scale, to):
+    def _term(self, X, Y, weight, a, b, scale, column, to):
         """M: rho -> weight * X rho Y^dag on the coordinates, as COO (rows, columns, values).
 
         X, Y are (column pointers, rows, values).  L keeps Hermiticity, so column k is
-        Re(S^H M e_p 2 w_k), 2 w_k = ``scale``, p = (a_k, b_k): p feeds each (i, j) with
-        X[i, a] conj(Y[j, b]), and (i, j) the coordinates in its row of S (``to``).
+        the sum over its members p = (a_g, b_g) of Re(S^H M e_p 2 w_g), 2 w_g = ``scale``
+        and k = ``column``: p feeds each (i, j) with X[i, a] conj(Y[j, b]), and (i, j) the
+        coordinates in its row of S (``to``).
         """
         (xp, xi, xv), (yp, yi, yv), (coordinate, weights) = X, Y, to
-        k, i, j = _pairs(xp[a], xp[a + 1], yp[b], yp[b + 1])
+        g, i, j = _pairs(xp[a], xp[a + 1], yp[b], yp[b + 1])
         target = xi[i] * self.d + yi[j]
         dst = np.searchsorted(self.keys, target)
         if np.any(self.keys[np.minimum(dst, self.keys.size - 1)] != target):
             raise NumericalFailure("a jump maps the kept coherence orders outside themselves")
-        value = (weight * scale[k] * xv[i] * yv[j].conj())[:, None]
-        cols = np.repeat(k.astype(np.int32), coordinate.shape[1])
+        value = (weight * scale[g] * xv[i] * yv[j].conj())[:, None]
+        cols = np.repeat(column[g].astype(np.int32), coordinate.shape[1])
         return coordinate[dst].ravel(), cols, (weights[dst].conj() * value).real.ravel()
 
     def readout(self, ob: Observable):
@@ -493,6 +567,10 @@ class _Sector:
         # concurrence's square roots turn a changed last bit into ~1e-9
         R.sort_indices()
         return R
+
+    def trace(self, y: np.ndarray) -> float:
+        """Tr rho of the coordinates y: sqrt(n_k) y_k summed over the diagonal orbits."""
+        return float(self._roots @ y[self.diagonal])
 
     def pack(self, matrix: np.ndarray) -> np.ndarray:
         """The coordinates of the Hermitian part of matrix."""
@@ -576,7 +654,8 @@ class _Stepper:
     if the full matrix were stepped: elements outside the sector are zero,
     so it divides by d^2, and coordinate x_k scales its error by
     atol + rtol * weights[k] * |x_k|, which without Im coordinates is the
-    elementwise scale of the matrix.  That keeps the accepted steps.
+    elementwise scale of the matrix, member by member for an orbit
+    coordinate.  That keeps the accepted steps.
 
     An attempt keeps its seven stages as the rows of one preallocated array,
     so each stage input is y plus one product of a row of h * _DP_TABLE
@@ -650,7 +729,7 @@ class _Stepper:
                 )
             y_new, k7, err = self._attempt(h)
             if err <= 1.0:
-                trace_drift = abs(y_new[self.sector.diagonal].sum() - 1.0)
+                trace_drift = abs(self.sector.trace(y_new) - 1.0)
                 if trace_drift > TRACE_DRIFT_TOL:
                     # conservation slipped though the error test passed;
                     # retry with a smaller step
@@ -742,7 +821,7 @@ class _Propagator:
             P = _expm((target - self.t) * self._L)
         self.y = P @ self.y
         self.t = target
-        trace_drift = abs(self.y[self.sector.diagonal].sum() - 1.0)
+        trace_drift = abs(self.sector.trace(self.y) - 1.0)
         if trace_drift > TRACE_DRIFT_TOL:
             raise NumericalFailure(
                 f"propagated state drifted at scaled time {target:.6g}: trace {trace_drift:.3e}"
@@ -778,8 +857,9 @@ def evolve(
     ``keep``, the reduced state over those domains is stored at every
     sample.  Trace drift is watched over the whole run.
 
-    The state is the real Hermitian coordinates of rho0's coherence orders
-    (see the module docstring).  Up to SECTOR_DENSE_LIMIT coordinates it is
+    The state is the real Hermitian coordinates of rho0's coherence orders,
+    one per site-permutation orbit where the run has that symmetry (see
+    ``_Sector``).  Up to SECTOR_DENSE_LIMIT coordinates it is
     carried from sample to sample by the exact propagator exp(h L), and
     ``stats`` is None.  Above, the Dormand-Prince integrator steps it, and
     ``stats`` records the steps, rejections and right-hand sides it took;
@@ -890,7 +970,7 @@ def steady_state(
             )
         y = sweep.step(y)
         steps += 1
-        trace_drift = abs(y[sector.diagonal].sum() - 1.0)
+        trace_drift = abs(sector.trace(y) - 1.0)
         if trace_drift > TRACE_DRIFT_TOL:
             raise NumericalFailure(f"implicit Euler step {steps} drifted: trace {trace_drift:.3e}")
         residual = float(np.linalg.norm(sector.liouvillian @ y))

@@ -372,6 +372,46 @@ def _site_bit_position(basis: BasisDescriptor, domain: int, site: int) -> int:
     return sum(basis.domain_pops[:domain]) + site
 
 
+def site_permutations(basis: BasisDescriptor, domain: int) -> tuple[np.ndarray, ...]:
+    """Basis-index maps of swapping sites 0 and 1 of a full-backend domain, and of cycling its sites.
+
+    State i goes to state perm[i] under each; together the two generate
+    every permutation of the domain's sites.
+    """
+    _require_full_backend(basis, "site permutations")
+    N = basis.domain_pops[domain]
+    local = np.arange(2**N)
+    differ = ((local >> (N - 1)) ^ (local >> (N - 2))) & 1  # sites 0 and 1 are bits N-1, N-2
+    swap = local ^ differ * (3 << (N - 2))
+    cycle = ((local << 1) | (local >> (N - 1))) & (2**N - 1)
+    after = math.prod(basis.domain_dims[domain + 1 :])
+    index = np.arange(basis.dim)
+    old = index // after % 2**N
+    return tuple(index + (perm[old] - old) * after for perm in (swap, cycle))
+
+
+def exchange_labels(
+    basis: BasisDescriptor, domains: Sequence[int], rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """One integer per element (rows, cols), equal on the orbits of the domains' site permutations.
+
+    In each listed full-backend domain an element is labelled by how many
+    of its site-bit pairs are (1, 1), (1, 0) and (0, 1); in every other
+    domain by its local indices.
+    """
+    label = np.zeros(np.shape(rows), dtype=np.int64)
+    r, c = np.unravel_index(rows, basis.domain_dims), np.unravel_index(cols, basis.domain_dims)
+    for m, D in enumerate(basis.domain_dims):
+        if m in domains:
+            N, pops = basis.domain_pops[m], _popcounts(basis.domain_pops[m])
+            both, ones = pops[r[m] & c[m]], pops[r[m]] * (N + 1) + pops[c[m]]
+            code, radix = both * (N + 1) ** 2 + ones, (N + 1) ** 3
+        else:
+            code, radix = r[m] * D + c[m], D * D
+        label = label * radix + code
+    return label
+
+
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------

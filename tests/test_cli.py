@@ -573,3 +573,25 @@ class TestImportWeight:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "[]"
+
+    def test_per_spin_evolve_leaves_heavy_scipy_modules_out(self):
+        # fig5b at (1,4,1): per-spin decay, 65 orbit coordinates, advanced by its exact propagator
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys, qlre.cli\n"
+            "from qlre.dynamics import _Sector, evolve\n"
+            "from qlre.scenarios import build_basis, build_initial_state, build_master_equation\n"
+            "from qlre.scenarios import compile_observables, preset, sweep\n"
+            "cfg = sweep(preset('fig5b-individual')[0], 'N_B', [4])[0]\n"
+            "eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)\n"
+            "assert _Sector(eq, rho0.matrix).levels.size == 65\n"
+            "observables = compile_observables(cfg, build_basis(cfg))\n"
+            "traj = evolve(eq, rho0, 1.0, 0.1, observables=observables)\n"
+            "assert traj.stats is None\n"
+            f"print([m for m in {self.HEAVY!r} if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"

@@ -44,6 +44,8 @@ from qlre.hilbert import (
     partial_trace,
     product_state,
     reservoir_jump,
+    single_spin_lowering,
+    single_spin_z,
     to_collective_basis,
     to_full_basis,
     trace_distance,
@@ -423,6 +425,118 @@ class TestAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= limit_mib * 2**20
+
+
+def _refused(eq):
+    """The same physics through an equation whose site permutations the exchange check refuses.
+
+    A per-spin term on the first site of domain 1 becomes two half-rate
+    terms, which no site permutation maps onto the other sites' terms; an
+    equation without one has its first jump multiplied by the phase i,
+    which keeps the Im coordinates.
+    """
+    b = eq.basis
+    site = [single_spin_lowering(b, 1, 0).matrix, single_spin_z(b, 1, 0).matrix]
+    for k, t in enumerate(eq.terms):
+        if any(abs(t.jump.matrix - s).max() == 0 for s in site):
+            half = LindbladTerm(t.jump, t.rate / 2)
+            return MasterEquation(eq.terms[:k] + (half, half) + eq.terms[k + 1 :], b)
+    first = LindbladTerm(Operator(1j * eq.terms[0].jump.matrix, b), eq.terms[0].rate)
+    return MasterEquation((first,) + eq.terms[1:], b)
+
+
+def _per_spin_configs():
+    fig5a = preset("fig5a-dephasing")
+    return {
+        "fig5a": min(fig5a, key=lambda cfg: (cfg.gamma_dep_over_gamma == 0, build_basis(cfg).dim)),
+        "fig5b": preset("fig5b-individual")[0],
+        "appA-mixed": min(preset("appA-mixed"), key=lambda cfg: build_basis(cfg).dim),
+    }
+
+
+def _one_coordinate_per_pair(sector):
+    rows, cols = np.divmod(sector.keys, sector.d)
+    return np.count_nonzero(rows <= cols)
+
+
+class TestExchangeSymmetry:
+    """Orbit coordinates of exchangeable domains against runs that keep every coordinate."""
+
+    @pytest.mark.parametrize(
+        "name, size",
+        [("fig5b-individual", 65), ("fig5a-dephasing", 94), ("appA-mixed", 65), ("fig4-chain4", 771)],
+    )
+    def test_sizes(self, name, size):
+        cfg = preset(name)[-1]
+        if name == "fig5b-individual":  # at (1,4,1); the fig5a preset is at (1,5,1)
+            cfg = sweep(cfg, "N_B", [4])[0]
+        sector = _Sector(build_master_equation(cfg), build_initial_state(cfg).matrix)
+        assert sector.levels.size == size
+
+    @pytest.mark.parametrize("name", sorted(_per_spin_configs()))
+    def test_evolve_matches_the_refused_equation(self, name):
+        cfg = _per_spin_configs()[name]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        refused = _refused(eq)
+        assert _Sector(eq, rho0.matrix).levels.size < _Sector(refused, rho0.matrix).levels.size
+        compiled = compile_observables(cfg, build_basis(cfg))
+        a = evolve(eq, rho0, 4.0, cfg.sample_dt, observables=compiled)
+        b = evolve(refused, rho0, 4.0, cfg.sample_dt, observables=compiled)
+        assert a.stats is None and b.stats is not None  # propagated against stepped
+        assert trace_distance(a.final_rho, b.final_rho) < 1e-8
+        gap = np.max(np.abs(a.observables["E_F(A,C)"] - b.observables["E_F(A,C)"]))
+        assert gap <= 1e-8
+
+    @pytest.mark.parametrize("name", sorted(_per_spin_configs()))
+    def test_steady_state_matches_the_refused_equation(self, name):
+        # fig5a dep 0.02 needs 570 sweeps, past the default horizon
+        cfg = _per_spin_configs()[name]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        a = steady_state(eq, rho0, max_scaled_time=1000.0)
+        b = steady_state(_refused(eq), rho0, max_scaled_time=1000.0)
+        assert a.steps == b.steps
+        assert trace_distance(a.rho, b.rho) < 1e-10
+
+    @staticmethod
+    def _decay_131(rates=(1.0, 1.0, 1.0), levels=("d", 3, "d")):
+        b = BasisDescriptor(Backend.FULL, (1, 3, 1))
+        terms = [LindbladTerm(reservoir_jump(b, r), 1.0) for r in ([0, 1], [1, 2])]
+        terms += [LindbladTerm(single_spin_lowering(b, 1, s), r) for s, r in enumerate(rates)]
+        return MasterEquation(tuple(terms), b), product_state(b, list(levels)).matrix
+
+    def test_equal_per_site_decay_merges(self):
+        sector = _Sector(*self._decay_131())
+        assert sector.levels.size < _one_coordinate_per_pair(sector)
+
+    @pytest.mark.parametrize(
+        "case", ["one site", "unequal rates", "bitstring rho0", "complex jump"]
+    )
+    def test_refusals_keep_every_coordinate(self, case):
+        if case == "one site":
+            eq, rho0 = self._decay_131(rates=(1.0, 0.0, 0.0))
+        elif case == "unequal rates":
+            eq, rho0 = self._decay_131(rates=(1.0, 1.0, 1.5))
+        elif case == "bitstring rho0":
+            eq, rho0 = self._decay_131(levels=("d", "uud", "d"))
+        else:  # sigma_y on every site at one rate: symmetric, but complex
+            eq, rho0 = self._decay_131()
+            b = eq.basis
+            lowering = [single_spin_lowering(b, 1, s).matrix for s in range(3)]
+            y = [LindbladTerm(Operator(1j * (o - o.T), b), 0.1) for o in lowering]
+            eq = MasterEquation(eq.terms + tuple(y), b)
+        sector = _Sector(eq, rho0)
+        expected = sector.keys.size if case == "complex jump" else _one_coordinate_per_pair(sector)
+        assert sector.levels.size == expected
+
+    def test_stepper_takes_the_same_steps(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
+        cfg = sweep(preset("fig5a-dephasing")[1], "N_B", [4])[0]
+        assert cfg.gamma_dep_over_gamma == 0.02
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        merged = evolve(eq, rho0, 0.3, cfg.sample_dt)
+        refused = evolve(_refused(eq), rho0, 0.3, cfg.sample_dt)
+        assert merged.stats.rhs_calls == refused.stats.rhs_calls == 476
+        assert trace_distance(merged.final_rho, refused.final_rho) < 1e-12
 
 
 class TestSolverStats:
@@ -1237,9 +1351,10 @@ class TestBatchedObservables:
         batched, bare = _assert_batched_matches_bare(eq, rho0, 0.25, 0.25, compiled)
         assert batched.stats.rhs_calls == bare.stats.rhs_calls == 422
 
-    def test_fig5a_on_the_stepper_to_its_horizon(self):
+    def test_fig5a_on_the_stepper_to_its_horizon(self, monkeypatch):
         # near rank-deficient reduced states the concurrence turns a changed
         # last bit into ~1e-9, so the map must sum as partial_trace does
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
         cfg = preset("fig5a-dephasing")[0]
         assert cfg.name == "fig5a_dep0"
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qlre.hilbert import (
     collective_lowering,
     dicke_level_vector,
     embed,
+    exchange_labels,
     excitation_numbers,
     fidelity_with_pure,
     ground_state,
@@ -24,6 +26,7 @@ from qlre.hilbert import (
     reservoir_jump,
     single_spin_lowering,
     single_spin_z,
+    site_permutations,
     symmetric_isometry,
     to_collective_basis,
     to_full_basis,
@@ -203,6 +206,47 @@ class TestSingleSpinOperators:
         b = BasisDescriptor(Backend.FULL, (2,))
         with pytest.raises(ValueError):
             single_spin_lowering(b, 0, 2)
+
+
+class TestSitePermutations:
+    def test_generators_move_the_sites(self):
+        # (2, 3, 1): domain 1 sits between others; swap exchanges its sites 0 and 1,
+        # and the cycle moves every site to the next lower index
+        b = BasisDescriptor(Backend.FULL, (2, 3, 1))
+        swap, cycle = site_permutations(b, 1)
+        for perm, image in ((swap, [1, 0, 2]), (cycle, [2, 0, 1])):
+            P = np.zeros((b.dim, b.dim))
+            P[perm, np.arange(b.dim)] = 1.0
+            for s, t in enumerate(image):
+                moved = P @ dense(single_spin_lowering(b, 1, s).matrix) @ P.T
+                assert np.array_equal(moved, dense(single_spin_lowering(b, 1, t).matrix))
+            for dom, site in [(0, 0), (0, 1), (2, 0)]:
+                sm = dense(single_spin_lowering(b, dom, site).matrix)
+                assert np.array_equal(P @ sm @ P.T, sm)
+
+    def test_collective_backend_refused(self):
+        with pytest.raises(ValueError):
+            site_permutations(BasisDescriptor(Backend.COLLECTIVE, (2,)), 0)
+
+    def test_labels_are_equal_exactly_on_the_orbits(self):
+        # all six permutations of domain 1's three sites (site 0 the most
+        # significant bit), applied to both indices of every element
+        b = BasisDescriptor(Backend.FULL, (1, 3))
+
+        def moved(index, sites):
+            edge, local = divmod(index, 8)
+            bits = [(local >> (2 - s)) & 1 for s in range(3)]
+            return edge * 8 + sum(bits[s] << (2 - t) for s, t in enumerate(sites))
+
+        group = [[moved(i, sites) for i in range(b.dim)] for sites in permutations(range(3))]
+        rows, cols = np.divmod(np.arange(b.dim**2), b.dim)
+        label = exchange_labels(b, [1], rows, cols)
+        for r, c in zip(rows, cols):
+            orbit = {(g[r], g[c]) for g in group}
+            same = np.flatnonzero(label == label[r * b.dim + c])
+            assert {(int(i), int(j)) for i, j in zip(rows[same], cols[same])} == orbit
+        # with no listed domain every element is its own label
+        assert np.unique(exchange_labels(b, [], rows, cols)).size == b.dim**2
 
 
 class TestStates:
