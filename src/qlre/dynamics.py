@@ -399,6 +399,27 @@ def _exchangeable(basis: BasisDescriptor, jumps, rho0: np.ndarray) -> list[int]:
     return [m for m in candidates if all(map(keeps, site_permutations(basis, m)))]
 
 
+def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A jump's nonzero entries as (columns, rows, values), by column and then row.
+
+    Indices are int64 whatever the storage's index dtype, so flat indices
+    c * d + r cannot wrap.  A CSR jump is read off its canonical arrays, with
+    stored zeros dropped; a dense one through the nonzeros of its transpose.
+    """
+    if not sp.issparse(matrix):
+        c, r = np.nonzero(matrix.T)
+        return c, r, matrix[r, c]
+    m = matrix.tocsr()
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    r = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    c, v = m.indices.astype(np.int64), m.data
+    nonzero = np.flatnonzero(v)
+    by_column = nonzero[np.argsort(c[nonzero], kind="stable")]  # rows stay ascending
+    return c[by_column], r[by_column], v[by_column]
+
+
 class _Sector:
     """The density-matrix elements the integrator keeps, and L on their real coordinates.
 
@@ -434,8 +455,12 @@ class _Sector:
     L is assembled in one pass from the nonzero entries of the jumps: each
     term, 2 r O rho O^dag per jump and then -A rho and -rho A with
     A = sum r O^dag O, is expanded on the kept elements and taken into the
-    coordinates as it is made (``_term``), every member of an orbit into its
-    coordinate's column; one COO to CSR construction sums all of them.
+    coordinates as it is made (``_term``); one COO to CSR construction sums
+    all of them.  Column k is expanded from one representative member of its
+    orbit, scaled by n_k.  That is exact: a site permutation or the
+    transpose maps any member onto any other, commutes with L (the jumps
+    are real and mapped onto themselves), and leaves every coordinate's
+    Hermitian matrix unchanged, so all n_k members feed column k alike.
     """
 
     def __init__(self, eq: MasterEquation, rho0: np.ndarray):
@@ -445,9 +470,8 @@ class _Sector:
         # A = sum r O^dag O: entries (i, a, u), (i, b, v) of one row give conj(u) v at (a, b)
         jumps, pairs, shifts = [], [(np.zeros(0, int),) * 2 + (np.zeros(0),)], []
         for term in (t for t in eq.terms if t.rate != 0.0):
-            r, c = term.jump.matrix.nonzero()
-            c, r = np.divmod(np.unique(c * d + r), d)
-            v = math.sqrt(term.rate) * term.jump.matrix[r, c]
+            c, r, v = _entries(term.jump.matrix)
+            v = math.sqrt(term.rate) * v
             jumps.append((np.searchsorted(c, np.arange(d + 1)), r, v))
             shift = set((n[r] - n[c]).tolist()) or {0}
             shifts.append(shift.pop() if len(shift) == 1 else None)
@@ -496,6 +520,8 @@ class _Sector:
         order = np.lexsort((first, p[first], -level[first]))
         first, root = first[order], np.sqrt(size[order])
         k = np.argsort(order)[orbit]  # each member's coordinate
+        # every member feeds its coordinate's column alike, so one stands in for all n_k
+        rep_rows, rep_cols, rep_scale = rows[p[first]], cols[p[first]], 2 * w[first] * root
         self.levels = level[first]
         on_diagonal = p[first] == q[first]
         self.diagonal, self._roots = np.flatnonzero(on_diagonal), root[on_diagonal]
@@ -513,20 +539,21 @@ class _Sector:
         to = np.r_[S.indices, 0][slot], np.r_[S.data, 0][slot]
         a, b, x = map(np.concatenate, zip(*pairs))
         A = sp.csc_array((x, (a, b)), shape=(d, d))
-        A, eye = (A.indptr, A.indices, A.data), (np.arange(d + 1), np.arange(d), np.ones(d))
+        A = A.indptr, A.indices.astype(np.int64), A.data  # int64 rows: i * d + j cannot wrap
+        eye = np.arange(d + 1), np.arange(d), np.ones(d)
         terms = [(O, O, 2.0) for O in jumps] + [(A, eye, -1.0), (eye, A, -1.0)]
-        parts = [self._term(*t, rows[p], cols[p], 2 * w, k, to) for t in terms]
+        parts = [self._term(*t, rep_rows, rep_cols, rep_scale, to) for t in terms]
         a, b, x = map(np.concatenate, zip(*parts))
         self.liouvillian = sp.csr_array((x, (a, b)), shape=(root.size, root.size))
         self.liouvillian.eliminate_zeros()
 
-    def _term(self, X, Y, weight, a, b, scale, column, to):
+    def _term(self, X, Y, weight, a, b, scale, to):
         """M: rho -> weight * X rho Y^dag on the coordinates, as COO (rows, columns, values).
 
-        X, Y are (column pointers, rows, values).  L keeps Hermiticity, so column k is
-        the sum over its members p = (a_g, b_g) of Re(S^H M e_p 2 w_g), 2 w_g = ``scale``
-        and k = ``column``: p feeds each (i, j) with X[i, a] conj(Y[j, b]), and (i, j) the
-        coordinates in its row of S (``to``).
+        X, Y are (column pointers, rows, values).  L keeps Hermiticity, so column g is
+        n_g Re(S^H M e_p 2 w / sqrt(n_g)) for the representative p = (a_g, b_g) of its
+        orbit, with ``scale`` = 2 w sqrt(n_g): p feeds each (i, j) with X[i, a]
+        conj(Y[j, b]), and (i, j) the coordinates in its row of S (``to``).
         """
         (xp, xi, xv), (yp, yi, yv), (coordinate, weights) = X, Y, to
         g, i, j = _pairs(xp[a], xp[a + 1], yp[b], yp[b + 1])
@@ -535,7 +562,7 @@ class _Sector:
         if np.any(self.keys[np.minimum(dst, self.keys.size - 1)] != target):
             raise NumericalFailure("a jump maps the kept coherence orders outside themselves")
         value = (weight * scale[g] * xv[i] * yv[j].conj())[:, None]
-        cols = np.repeat(column[g].astype(np.int32), coordinate.shape[1])
+        cols = np.repeat(g.astype(np.int32), coordinate.shape[1])
         return coordinate[dst].ravel(), cols, (weights[dst].conj() * value).real.ravel()
 
     def readout(self, ob: Observable):

@@ -337,6 +337,20 @@ def reference_liouvillian(eq, sector):
     return (S.conj().T @ total[sector.keys][:, sector.keys] @ S).real
 
 
+def _orbit_configs():
+    """Full-backend configs whose every domain is exchangeable, so orbits have many members."""
+    base = preset("fig5b-individual")[0]
+
+    def pops(*sizes, **changes):
+        domains = tuple(dataclasses.replace(d, population=n) for d, n in zip(base.domains, sizes))
+        return dataclasses.replace(base, domains=domains, observables=(), **changes)
+
+    return {
+        "(2,3,2)-decay-dephasing": pops(2, 3, 2, gamma_dep_over_gamma=0.1),
+        "(2,2,2)-nbar": pops(2, 2, 2, nbar=0.2),
+    }
+
+
 def _smallest_configs():
     def smallest(name, keep=lambda cfg: True):
         configs = [cfg for cfg in preset(name) if keep(cfg)]
@@ -364,6 +378,31 @@ class TestAssembly:
         L = sector.liouvillian
         assert L.has_canonical_format
         assert abs(L - reference_liouvillian(eq, sector)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_orbit_configs()))
+    def test_matches_the_kronecker_reference_where_orbits_have_many_members(self, name):
+        # one representative per orbit is expanded; every domain here is exchangeable
+        cfg = _orbit_configs()[name]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg).matrix
+        sector = _Sector(eq, rho0)
+        assert sector.levels.size < _one_coordinate_per_pair(sector)
+        assert sector.lowering == (cfg.nbar == 0)
+        L = sector.liouvillian
+        assert L.has_canonical_format
+        assert abs(L - reference_liouvillian(eq, sector)).max() < 1e-12
+
+    def test_jump_entries_are_int64_past_the_int32_flat_keys(self):
+        # a CSR sigma_z diagonal at d = 65536 stores int32 indices; c * d + r
+        # in int32 would wrap from d = 46341 on
+        b = BasisDescriptor(Backend.FULL, (16,))
+        d, O = b.dim, single_spin_z(b, 0, 0).matrix
+        assert O.indices.dtype == np.int32
+        c, r, v = dynamics._entries(O)
+        assert c.dtype == r.dtype == np.int64
+        keys = c * d + r
+        assert keys.min() >= 0
+        assert np.all(np.diff(keys) > 0)
+        assert np.array_equal(v, O.diagonal())
 
     def test_complex_jump_with_im_coordinates(self):
         b, eq = _sigma_y_pair()
@@ -407,15 +446,19 @@ class TestAssembly:
 
     @pytest.mark.parametrize(
         "name, limit_mib",
-        [("fig4-chain4", 4.0), ("fig5b-(1,4,1)", 2.0)],
+        [("fig4-chain4", 4.0), ("fig5b-(1,4,1)", 2.0), ("fig5a-dep0.2-(1,7,1)", 16.0)],
     )
     def test_build_peak_memory(self, name, limit_mib):
         # each term is mapped into the coordinates as it is made: holding every
-        # term's complex entries at once instead peaks at 8.3 MiB on fig4-chain4
+        # term's complex entries at once instead peaks at 8.3 MiB on fig4-chain4;
+        # expanding every member of every orbit peaks at 129.5 MiB at (1,7,1)
         if name == "fig4-chain4":
             cfg = preset("fig4-chain4")[0]
-        else:
+        elif name == "fig5b-(1,4,1)":
             cfg = sweep(preset("fig5b-individual")[0], "N_B", [4])[0]
+        else:
+            dep = [c for c in preset("fig5a-dephasing") if c.gamma_dep_over_gamma == 0.2]
+            cfg = sweep(dep[0], "N_B", [7])[0]
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg).matrix
         _Sector(eq, rho0)
         tracemalloc.start()
