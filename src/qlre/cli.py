@@ -6,10 +6,10 @@ over a parameter list (optionally in parallel processes), `reproduce` maps
 figure ids to preset bundles and writes plot-ready CSVs with a manifest,
 and `validate` runs the analytic oracle suite against the simulator.
 
-Exit codes: 0 success, 1 invalid config or unknown name, 2 integration or
-convergence failure, 3 sweep finished with failed rows, 4 validation failed.
-All files are written atomically (temp file in the target directory, then
-rename).  Numeric output uses 12 significant digits.
+Exit codes: 0 success, 1 invalid config, unknown name or unusable --config or
+--out path, 2 integration or convergence failure, 3 sweep finished with failed
+rows, 4 validation failed.  All files are written atomically (temp file in the
+target directory, then rename).  Numeric output uses 12 significant digits.
 """
 
 from __future__ import annotations
@@ -236,6 +236,8 @@ def _load_configs(spec: str) -> list:
     if path.exists():
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _ConfigError(f"{spec}: cannot read ({exc})")
         except json.JSONDecodeError as exc:
             raise _ConfigError(f"{spec}: not valid JSON ({exc})")
         try:
@@ -250,6 +252,16 @@ def _load_configs(spec: str) -> list:
     )
 
 
+def _out_dir(spec: str) -> Path:
+    """The --out directory, made if missing; a path that cannot be one is a _ConfigError."""
+    out_dir = Path(spec)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _ConfigError(f"--out: {exc}")
+    return out_dir
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -258,10 +270,10 @@ def _load_configs(spec: str) -> list:
 def cmd_simulate(args) -> int:
     try:
         configs = _load_configs(args.config)
+        out_dir = _out_dir(args.out)
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out)
     for cfg in configs:
         try:
             summary = run_config(cfg, out_dir, force=args.force)
@@ -326,11 +338,10 @@ def cmd_sweep(args) -> int:
         base = configs[0]
         values = _parse_values(args.values)
         swept = sweep(base, args.param, values)
+        out_dir = _out_dir(args.out)
     except (_ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     payloads = [
         (json.dumps(config_to_dict(cfg)), str(out_dir), args.force, value)
@@ -435,7 +446,6 @@ _FIGURES = {
 
 
 def cmd_reproduce(args) -> int:
-    out_dir = Path(args.out)
     figure = args.figure
     if figure not in _FIGURES:
         print(
@@ -446,6 +456,7 @@ def cmd_reproduce(args) -> int:
     families, panel, curve = _FIGURES[figure]
     files, runs = [], []
     try:
+        out_dir = _out_dir(args.out)
         for family in families:
             for cfg in preset(family):
                 runs.append((cfg, run_config(cfg, out_dir, force=args.force)))

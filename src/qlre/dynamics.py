@@ -78,7 +78,9 @@ RTOL = 1e-9
 ATOL = 1e-11
 TRACE_DRIFT_TOL = 1e-8
 STEADY_STATE_TOL = 1e-10
-MAX_SCALED_TIME = 200.0
+# steady_state's fixed implicit-Euler step h, and its budget of steps (sweeps)
+STEADY_STEP = 256.0
+MAX_SWEEPS = 200
 # steady_state inverts each block of the sector densely (one per excitation level,
 # or the whole sector); a block above this many coordinates raises
 # MemoryGuardExceeded before anything is inverted.
@@ -341,13 +343,17 @@ class SteadyStateResult:
     """The steady state, its residual, and how it was reached.
 
     ``steps`` counts the implicit-Euler sweeps (0 if rho0 was already
-    stationary); ``elapsed_scaled_time`` is steps times the step h.
+    stationary).
     """
 
     rho: DensityMatrix
     residual: float
-    elapsed_scaled_time: float
     steps: int = 0
+
+    @property
+    def elapsed_scaled_time(self) -> float:
+        """The scaled time the steps covered: steps times STEADY_STEP."""
+        return self.steps * STEADY_STEP
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +962,6 @@ def steady_state(
     eq: MasterEquation,
     rho0: DensityMatrix,
     tol: float = STEADY_STATE_TOL,
-    max_scaled_time: float = MAX_SCALED_TIME,
 ) -> SteadyStateResult:
     """The state rho0 relaxes to, found when the right-hand side is below tol.
 
@@ -964,45 +969,39 @@ def steady_state(
     dark manifold, and the limit keeps the weight rho0 gives each conserved
     quantity J (rho_inf = P_inf rho0, Albert & Jiang, Phys. Rev. A 89,
     022118 (2014)).  Implicit Euler steps y <- (I - h L)^-1 y on the sector
-    coordinates, with fixed h = min(1, max_scaled_time), reach that limit: every
-    J satisfies J^dag (I - h L) = J^dag, so each step keeps the trace and
-    every dark-state weight exactly, and the decaying modes shrink by
+    coordinates at the fixed h = STEADY_STEP reach that limit: for any h > 0,
+    (I - h L)^-1 = int_0^inf e^-s e^(s h L) ds is CPTP and every J satisfies
+    J^dag (I - h L) = J^dag, so each step keeps the trace and every
+    dark-state weight exactly, and a decaying mode shrinks by
     1 / |1 - h lambda| per step.  Each step is one sweep over the blocks of
     the sector (``_LevelSweep``): one per excitation level when every jump
     lowers n or keeps it, else the whole sector.  Raises ConvergenceFailure
-    if the Frobenius norm of the right-hand side has not fallen below tol by
-    ``max_scaled_time``; ``elapsed_scaled_time`` counts the steps taken
-    times h.  Raises MemoryGuardExceeded, before inverting anything, if a
-    block has more than ``LEVEL_BLOCK_LIMIT`` coordinates.
+    if the Frobenius norm of the right-hand side is still at or above tol
+    after MAX_SWEEPS steps, and MemoryGuardExceeded, before inverting
+    anything, if a block has more than LEVEL_BLOCK_LIMIT coordinates.
     """
     if rho0.basis != eq.basis:
         raise ValueError(f"basis mismatch: {rho0.basis} vs {eq.basis}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if not (math.isfinite(max_scaled_time) and max_scaled_time > 0):
-        raise ValueError(f"max_scaled_time must be finite and positive, got {max_scaled_time!r}")
     sector = _Sector(eq, rho0.matrix)
     y = sector.pack(rho0.matrix)
     residual = float(np.linalg.norm(sector.liouvillian @ y))
     if residual < tol:
-        return SteadyStateResult(rho0, residual, 0.0)
-    h = min(1.0, float(max_scaled_time))
-    sweep = _LevelSweep(sector, h)
-    steps = 0
-    while residual >= tol:
-        if (steps + 1) * h > max_scaled_time:
-            raise ConvergenceFailure(
-                f"residual {residual:.3e} still above {tol:.1e} "
-                f"at scaled time {max_scaled_time:g}"
-            )
+        return SteadyStateResult(rho0, residual)
+    sweep = _LevelSweep(sector, STEADY_STEP)
+    for steps in range(1, MAX_SWEEPS + 1):
         y = sweep.step(y)
-        steps += 1
         trace_drift = abs(sector.trace(y) - 1.0)
         if trace_drift > TRACE_DRIFT_TOL:
             raise NumericalFailure(f"implicit Euler step {steps} drifted: trace {trace_drift:.3e}")
         residual = float(np.linalg.norm(sector.liouvillian @ y))
-    rho = DensityMatrix(sector.unpack(y), eq.basis, validate=False)
-    return SteadyStateResult(rho, residual, steps * h, steps)
+        if residual < tol:
+            rho = DensityMatrix(sector.unpack(y), eq.basis, validate=False)
+            return SteadyStateResult(rho, residual, steps)
+    raise ConvergenceFailure(
+        f"residual {residual:.3e} still above {tol:.1e} after {MAX_SWEEPS} sweeps"
+    )
 
 
 def _check_operator(op, basis: BasisDescriptor):

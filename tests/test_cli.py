@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import logging
@@ -514,6 +515,38 @@ class TestValidate:
         assert "all 4 checks passed" in out
 
 
+_SWEEP_ARGS = ["--param", "N_B", "--values", "1"]
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("kind", ["directory", "non-UTF-8 file"])
+    def test_unreadable_config_exits_1(self, command, kind, tmp_path, capsys):
+        spec = tmp_path / "cfg.json"
+        if kind == "directory":
+            spec.mkdir()
+        else:
+            spec.write_bytes(b"\xff\xfe{}")
+        extra = _SWEEP_ARGS if command == "sweep" else []
+        rc = main([command, "--config", str(spec), *extra, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec}: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "reproduce"])
+    def test_out_naming_a_file_exits_1(self, command, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        if command == "reproduce":
+            argv = ["reproduce", "intro"]
+        else:
+            argv = [command, "--config", write_config(tmp_path / "base.json", chain())]
+            argv += _SWEEP_ARGS if command == "sweep" else []
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --out: ")
+        assert out.read_text() == ""
+
+
 def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as info:
         main(["--help"])
@@ -526,59 +559,49 @@ class TestImportWeight:
     # import one lazily
     HEAVY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.integrate")
 
-    def test_cli_import_leaves_heavy_scipy_modules_out(self):
+    def heavy_loaded_after(self, code):
+        """The HEAVY modules loaded once code has run in a fresh interpreter."""
         src = str(Path(cli.__file__).resolve().parents[1])  # the copy under test
-        code = f"import sys, qlre.cli; print([m for m in {self.HEAVY!r} if m in sys.modules])"
+        code += f"\nimport sys\nprint([m for m in {self.HEAVY!r} if m in sys.modules])"
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_cli_import_leaves_heavy_scipy_modules_out(self):
+        assert self.heavy_loaded_after("import qlre.cli") == "[]"
 
     def test_run_config_leaves_heavy_scipy_modules_out(self, tmp_path):
         # the batched observables of fig3b N_B = 12 through the whole run_config path
-        src = str(Path(cli.__file__).resolve().parents[1])
         code = (
-            "import sys\n"
             "from pathlib import Path\n"
             "from qlre.cli import run_config\n"
             "from qlre.scenarios import preset\n"
             "cfg = preset('fig3b')[10]\n"
             "assert cfg.name == 'fig3b_nb12'\n"
             f"summary = run_config(cfg, Path({str(tmp_path)!r}))\n"
-            "assert summary.observables['E_F(A,C)']['final'] > 0\n"
-            f"print([m for m in {self.HEAVY!r} if m in sys.modules])"
+            "assert summary.observables['E_F(A,C)']['final'] > 0"
         )
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.strip() == "[]"
+        assert self.heavy_loaded_after(code) == "[]"
 
     def test_propagated_evolve_leaves_heavy_scipy_modules_out(self):
         # fig3b N_B = 12 is the largest small-sweep sector, advanced by its exact propagator
-        src = str(Path(cli.__file__).resolve().parents[1])
         code = (
-            "import sys, qlre.cli\n"
+            "import qlre.cli\n"
             "from qlre.dynamics import evolve\n"
             "from qlre.scenarios import build_initial_state, build_master_equation, preset\n"
             "cfg = preset('fig3b')[10]\n"
             "assert cfg.name == 'fig3b_nb12'\n"
             "traj = evolve(build_master_equation(cfg), build_initial_state(cfg), 1.0, 0.1)\n"
-            "assert traj.stats is None\n"
-            f"print([m for m in {self.HEAVY!r} if m in sys.modules])"
+            "assert traj.stats is None"
         )
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.strip() == "[]"
+        assert self.heavy_loaded_after(code) == "[]"
 
     def test_per_spin_evolve_leaves_heavy_scipy_modules_out(self):
         # fig5b at (1,4,1): per-spin decay, 65 orbit coordinates, advanced by its exact propagator
-        src = str(Path(cli.__file__).resolve().parents[1])
         code = (
-            "import sys, qlre.cli\n"
+            "import qlre.cli\n"
             "from qlre.dynamics import _Sector, evolve\n"
             "from qlre.scenarios import build_basis, build_initial_state, build_master_equation\n"
             "from qlre.scenarios import compile_observables, preset, sweep\n"
@@ -587,11 +610,38 @@ class TestImportWeight:
             "assert _Sector(eq, rho0.matrix).levels.size == 65\n"
             "observables = compile_observables(cfg, build_basis(cfg))\n"
             "traj = evolve(eq, rho0, 1.0, 0.1, observables=observables)\n"
-            "assert traj.stats is None\n"
-            f"print([m for m in {self.HEAVY!r} if m in sys.modules])"
+            "assert traj.stats is None"
         )
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert self.heavy_loaded_after(code) == "[]"
+
+    def test_steady_state_leaves_heavy_scipy_modules_out(self):
+        # the steady-oracle path: appB N_B = 8 by level sweeps and the fig6 star at N_D = 7
+        code = (
+            "import qlre.cli\n"
+            "from qlre.dynamics import steady_state\n"
+            "from qlre.scenarios import build_initial_state, build_master_equation, preset, sweep\n"
+            "appb = preset('appB-oracle')[-1]\n"
+            "assert appb.domains[1].population == 8\n"
+            "star = sweep(preset('fig6-star')[0], 'N_D', [7])[0]\n"
+            "for cfg in (appb, star):\n"
+            "    eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)\n"
+            "    assert steady_state(eq, rho0).steps > 0"
         )
-        assert done.stdout.strip() == "[]"
+        assert self.heavy_loaded_after(code) == "[]"
+
+
+class TestLibraryOutput:
+    def test_only_the_cli_prints(self):
+        # library code reports through logging; the command line is the one writer
+        offenders = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            if path.name == "cli.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
