@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import evolve, half_max_time, lindblad_rhs
+from .dynamics import build_collective_zero_T, evolve, half_max_time, lindblad_rhs, steady_state
 from .entanglement import (
     concurrence,
     entanglement_of_formation,
@@ -482,13 +482,11 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _steady_from(cfg_pops, initial, reservoirs, backend, tol=1e-10):
-    from .dynamics import build_collective_zero_T, steady_state
-
+def _steady_from(cfg_pops, initial, reservoirs, backend):
     basis = BasisDescriptor(backend, cfg_pops)
     eq = build_collective_zero_T(basis, reservoirs)
     rho0 = product_state(basis, initial)
-    return steady_state(eq, rho0, tol=tol)
+    return steady_state(eq, rho0)
 
 
 def _check_measures():
@@ -511,8 +509,6 @@ def _check_measures():
 
 
 def _check_dark_stationarity(cap):
-    from .dynamics import build_collective_zero_T
-
     worst = 0.0
     for n_b in range(1, cap + 1):
         rho_full = dark_state(n_b).projector()
@@ -542,8 +538,6 @@ def _check_weights(cap):
 
 
 def _check_backends(cap):
-    from .dynamics import build_collective_zero_T
-
     worst = 0.0
     for n_b in range(1, cap + 1):
         bc = BasisDescriptor(Backend.COLLECTIVE, (1, n_b, 1))

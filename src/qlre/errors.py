@@ -19,7 +19,7 @@ class IntegrationFailure(QlreError):
 
 
 class ConvergenceFailure(QlreError):
-    """Steady-state search did not reach the residual tolerance in time."""
+    """Steady-state search did not reach the residual tolerance within MAX_SWEEPS sweeps."""
 
 
 class NumericalFailure(QlreError):

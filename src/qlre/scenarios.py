@@ -10,8 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -174,11 +175,14 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_finite(fieldname: str, value, minimum=None, strict=False):
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
+def _check_finite(fieldname: str, value, minimum=None, strict=False) -> float:
+    """A real number that is not a boolean, as a finite float (-0.0 becomes 0.0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         _fail(fieldname, f"expected a number, got {value!r}")
+    try:
+        v = float(value) + 0.0
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         _fail(fieldname, f"must be finite, got {value!r}")
     if minimum is not None:
@@ -189,21 +193,26 @@ def _check_finite(fieldname: str, value, minimum=None, strict=False):
     return v
 
 
-def _validate_initial(fieldname: str, init: InitialSpec, population: int, mixed_basis: str):
+def _validate_initial(
+    fieldname: str, init: InitialSpec, population: int, mixed_basis: str
+) -> InitialSpec:
     if not isinstance(init, InitialSpec):
         _fail(fieldname, f"expected an InitialSpec, got {init!r}")
     if init.kind not in _INITIAL_KINDS:
         _fail(fieldname, f"unknown kind {init.kind!r}, expected one of {_INITIAL_KINDS}")
+    if init.kind != "dicke" and init.dicke_k is not None:
+        _fail(fieldname, f"{init.kind!r} initial does not take a dicke count")
+    if init.kind != "mixed" and (init.a is not None or init.b is not None):
+        _fail(fieldname, f"{init.kind!r} initial does not take mixture weights")
     if init.kind == "dicke":
         if not _is_int(init.dicke_k):
-            _fail(fieldname, "dicke initial needs an integer excitation count")
+            _fail(fieldname + ".dicke", f"expected an integer count, got {init.dicke_k!r}")
         if not 0 <= init.dicke_k <= population:
-            _fail(fieldname, f"dicke k={init.dicke_k} outside [0, {population}]")
-    elif init.dicke_k is not None:
-        _fail(fieldname, f"{init.kind!r} initial does not take a dicke count")
+            _fail(fieldname + ".dicke", f"dicke k={init.dicke_k} outside [0, {population}]")
+        return replace(init, dicke_k=int(init.dicke_k))
     if init.kind == "mixed":
-        a = _check_finite(fieldname + ".a", init.a, minimum=0.0)
-        b = _check_finite(fieldname + ".b", init.b, minimum=0.0)
+        a = _check_finite(fieldname + ".mixed.a", init.a, minimum=0.0)
+        b = _check_finite(fieldname + ".mixed.b", init.b, minimum=0.0)
         # as a float: 2**population of a huge population would not fit in memory
         if mixed_basis == "full":
             side = 2.0**population if population < 1024 else math.inf
@@ -215,8 +224,8 @@ def _validate_initial(fieldname: str, init: InitialSpec, population: int, mixed_
                 fieldname,
                 f"mixed weights must satisfy a + b*{side:g} = 1, got {total!r}",
             )
-    elif init.a is not None or init.b is not None:
-        _fail(fieldname, f"{init.kind!r} initial does not take mixture weights")
+        return replace(init, a=a, b=b)
+    return init
 
 
 # Names become output file names, so they may not carry path separators
@@ -225,6 +234,14 @@ _NAME_PATTERN = re.compile(r"[A-Za-z0-9_+-][A-Za-z0-9_.+-]*")
 
 
 def _validate_config(cfg: ScenarioConfig):
+    """Check every field of cfg, naming the first bad one, and store it normalized.
+
+    Numbers are stored as floats and counts as ints, in cfg and in its nested
+    specs, so configs that compare equal also hash alike."""
+
+    def store(fieldname, value):
+        object.__setattr__(cfg, fieldname, value)
+
     if not isinstance(cfg.name, str) or not _NAME_PATTERN.fullmatch(cfg.name):
         _fail(
             "name",
@@ -240,14 +257,20 @@ def _validate_config(cfg: ScenarioConfig):
             "mixed_basis",
             f"unknown value {cfg.mixed_basis!r}, expected one of {_MIXED_BASIS_CHOICES}",
         )
+    domains = []
     for i, dom in enumerate(cfg.domains):
         if not isinstance(dom, DomainSpec):
             _fail(f"domains[{i}]", f"expected a DomainSpec, got {dom!r}")
         if not _is_int(dom.population) or dom.population < 1:
             _fail(f"domains[{i}].population", f"must be an integer >= 1, got {dom.population!r}")
-        _validate_initial(f"domains[{i}].initial", dom.initial, dom.population, cfg.mixed_basis)
+        init = _validate_initial(
+            f"domains[{i}].initial", dom.initial, dom.population, cfg.mixed_basis
+        )
+        domains.append(replace(dom, population=int(dom.population), initial=init))
+    store("domains", tuple(domains))
     if not cfg.reservoirs:
         _fail("reservoirs", "need at least one reservoir")
+    reservoirs = []
     for i, res in enumerate(cfg.reservoirs):
         if not isinstance(res, ReservoirSpec):
             _fail(f"reservoirs[{i}]", f"expected a ReservoirSpec, got {res!r}")
@@ -262,27 +285,31 @@ def _validate_config(cfg: ScenarioConfig):
                 )
         if len(set(idx)) != len(idx):
             _fail(f"reservoirs[{i}].domains", f"duplicate domain index in {idx}")
-        _check_finite(f"reservoirs[{i}].rate", res.rate, minimum=0.0, strict=True)
-    _check_finite("nbar", cfg.nbar, minimum=0.0)
+        rate = _check_finite(f"reservoirs[{i}].rate", res.rate, minimum=0.0, strict=True)
+        reservoirs.append(replace(res, domains=tuple(int(j) for j in idx), rate=rate))
+    store("reservoirs", tuple(reservoirs))
+    store("nbar", _check_finite("nbar", cfg.nbar, minimum=0.0))
     if cfg.temperature is not None:
         if not isinstance(cfg.temperature, TemperatureSpec):
             _fail("temperature", f"expected a TemperatureSpec, got {cfg.temperature!r}")
         if cfg.nbar != 0.0:
             _fail("nbar", "give either a direct nbar or a temperature block, not both")
-        _check_finite("temperature.T_kelvin", cfg.temperature.T_kelvin, minimum=0.0)
-        _check_finite(
-            "temperature.omega0_over_2pi_hz",
-            cfg.temperature.omega0_over_2pi_hz,
-            minimum=0.0,
-            strict=True,
+        temp = cfg.temperature
+        T = _check_finite("temperature.T_kelvin", temp.T_kelvin, minimum=0.0)
+        f = _check_finite(
+            "temperature.omega0_over_2pi_hz", temp.omega0_over_2pi_hz, minimum=0.0, strict=True
         )
-    _check_finite("gamma_dep_over_gamma", cfg.gamma_dep_over_gamma, minimum=0.0)
+        store("temperature", replace(temp, T_kelvin=T, omega0_over_2pi_hz=f))
+    store(
+        "gamma_dep_over_gamma",
+        _check_finite("gamma_dep_over_gamma", cfg.gamma_dep_over_gamma, minimum=0.0),
+    )
     if not isinstance(cfg.include_individual, bool):
         _fail("include_individual", f"must be a boolean, got {cfg.include_individual!r}")
-    _check_finite("t_max", cfg.t_max, minimum=0.0, strict=True)
-    dt = _check_finite("sample_dt", cfg.sample_dt, minimum=0.0, strict=True)
-    if dt > cfg.t_max:
-        _fail("sample_dt", f"sampling interval {dt} exceeds t_max {cfg.t_max}")
+    store("t_max", _check_finite("t_max", cfg.t_max, minimum=0.0, strict=True))
+    store("sample_dt", _check_finite("sample_dt", cfg.sample_dt, minimum=0.0, strict=True))
+    if cfg.sample_dt > cfg.t_max:
+        _fail("sample_dt", f"sampling interval {cfg.sample_dt} exceeds t_max {cfg.t_max}")
     if cfg.backend == "collective" and _needs_full(cfg):
         _fail(
             "backend",
@@ -359,7 +386,7 @@ def build_initial_state(cfg: ScenarioConfig) -> DensityMatrix:
         elif init.kind == "excited":
             levels.append(dom.population)
         elif init.kind == "dicke":
-            levels.append(int(init.dicke_k))
+            levels.append(init.dicke_k)
         else:  # mixed
             if basis.backend is Backend.COLLECTIVE and cfg.mixed_basis == "full":
                 # _validate_config rejects this for explicit backends; auto never picks it
@@ -766,32 +793,28 @@ def _sweep_one(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
                 f"parameter {parameter} needs a domain at index {idx}; "
                 f"config has {len(base.domains)}"
             )
-        pop = int(value)
-        if pop < 1:
-            raise ValueError(f"parameter {parameter}: population must be >= 1, got {value!r}")
-        dom = base.domains[idx]
-        init = dom.initial
-        if init.kind == "mixed":
-            # preserve the preparation fidelity a + b across the size change
-            f0 = init.a + init.b
-            init = _mixed_f0(pop, f0)
+        init = base.domains[idx].initial
+        if init.kind == "mixed" and _is_int(value) and value >= 1:
+            # preserve the preparation fidelity a + b across the size change;
+            # the validator refuses any other population before the weights
+            init = _mixed_f0(value, init.a + init.b)
         domains = list(base.domains)
-        domains[idx] = DomainSpec(pop, init)
+        domains[idx] = DomainSpec(value, init)
         return replace(base, name=name, domains=tuple(domains))
     if parameter == "T":
         if base.temperature is None:
             raise ValueError("parameter T needs a config with a temperature block")
-        temp = TemperatureSpec(float(value), base.temperature.omega0_over_2pi_hz)
+        temp = TemperatureSpec(value, base.temperature.omega0_over_2pi_hz)
         return replace(base, name=name, temperature=temp)
     if parameter == "gamma_dep_over_gamma":
-        return replace(base, name=name, gamma_dep_over_gamma=float(value))
+        return replace(base, name=name, gamma_dep_over_gamma=value)
     if parameter == "F_0":
         mixed_idx = [i for i, d in enumerate(base.domains) if d.initial.kind == "mixed"]
         if len(mixed_idx) != 1:
             raise ValueError(
                 f"parameter F_0 needs exactly one mixed domain, found {len(mixed_idx)}"
             )
-        f0 = float(value)
+        f0 = _check_finite(f"parameter {parameter}", value)
         if not 0.0 < f0 <= 1.0:
             raise ValueError(f"parameter F_0: fidelity must lie in (0, 1], got {value!r}")
         i = mixed_idx[0]
@@ -821,15 +844,8 @@ def _initial_to_json(init: InitialSpec):
     if init.kind in ("ground", "excited"):
         return init.kind
     if init.kind == "dicke":
-        return {"dicke": int(init.dicke_k)}
+        return {"dicke": init.dicke_k}
     return {"mixed": {"a": init.a, "b": init.b}}
-
-
-def _json_number(fieldname: str, value) -> float:
-    """A JSON number as a float; null, booleans, strings, lists and objects fail."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(fieldname, f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _initial_from_json(fieldname: str, data) -> InitialSpec:
@@ -839,18 +855,12 @@ def _initial_from_json(fieldname: str, data) -> InitialSpec:
         return InitialSpec(data)
     if isinstance(data, dict):
         if set(data) == {"dicke"}:
-            if not _is_int(data["dicke"]):
-                _fail(fieldname + ".dicke", f"expected an integer, got {data['dicke']!r}")
             return InitialSpec("dicke", dicke_k=data["dicke"])
         if set(data) == {"mixed"}:
             inner = data["mixed"]
             if not isinstance(inner, dict) or set(inner) != {"a", "b"}:
                 _fail(fieldname + ".mixed", "expected an object with keys 'a' and 'b'")
-            return InitialSpec(
-                "mixed",
-                a=_json_number(fieldname + ".mixed.a", inner["a"]),
-                b=_json_number(fieldname + ".mixed.b", inner["b"]),
-            )
+            return InitialSpec("mixed", a=inner["a"], b=inner["b"])
         _fail(fieldname, f"unknown initial object with keys {sorted(data)}")
     _fail(fieldname, f"expected a string or object, got {data!r}")
 
@@ -883,26 +893,12 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
-_TOP_KEYS = {
-    "name",
-    "domains",
-    "reservoirs",
-    "nbar",
-    "temperature",
-    "include_individual",
-    "gamma_dep_over_gamma",
-    "backend",
-    "mixed_basis",
-    "t_max",
-    "sample_dt",
-    "observables",
-}
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
+    """Load a config from its JSON form; only the JSON shape is checked here,
+    ``ScenarioConfig`` checks and normalizes the values."""
     if not isinstance(data, dict):
         _fail("config", f"expected a JSON object, got {type(data).__name__}")
-    unknown = set(data) - _TOP_KEYS
+    unknown = set(data) - {f.name for f in fields(ScenarioConfig)}
     if unknown:
         _fail("config", f"unknown keys {sorted(unknown)}")
     for key in ("name", "domains", "reservoirs"):
@@ -919,8 +915,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             _fail(f"domains[{i}]", f"unknown keys {sorted(unknown)}")
         if "population" not in d:
             _fail(f"domains[{i}].population", "missing required key")
-        if not _is_int(d["population"]):
-            _fail(f"domains[{i}].population", f"expected an integer, got {d['population']!r}")
         init = _initial_from_json(f"domains[{i}].initial", d.get("initial", "ground"))
         domains.append(DomainSpec(d["population"], init))
     reservoirs = []
@@ -934,9 +928,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             _fail(f"reservoirs[{i}]", f"unknown keys {sorted(unknown)}")
         if "domains" not in r or not isinstance(r["domains"], list):
             _fail(f"reservoirs[{i}].domains", "expected a list of domain indices")
-        rate = _json_number(f"reservoirs[{i}].rate", r.get("rate", 1.0))
-        reservoirs.append(ReservoirSpec(tuple(r["domains"]), rate))
-    temperature = None
+        reservoirs.append(ReservoirSpec(tuple(r["domains"]), r.get("rate", 1.0)))
+    kwargs = dict(data, domains=domains, reservoirs=reservoirs)
     if "temperature" in data:
         t = data["temperature"]
         if not isinstance(t, dict) or set(t) != {"T_kelvin", "omega0_over_2pi_hz"}:
@@ -944,29 +937,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 "temperature",
                 "expected an object with keys 'T_kelvin' and 'omega0_over_2pi_hz'",
             )
-        temperature = TemperatureSpec(
-            _json_number("temperature.T_kelvin", t["T_kelvin"]),
-            _json_number("temperature.omega0_over_2pi_hz", t["omega0_over_2pi_hz"]),
-        )
-    kwargs = {}
-    for key in ("include_individual", "backend", "mixed_basis"):
-        if key in data:
-            kwargs[key] = data[key]
-    for key in ("gamma_dep_over_gamma", "t_max", "sample_dt"):
-        if key in data:
-            kwargs[key] = _json_number(key, data[key])
-    if "observables" in data:
-        if not isinstance(data["observables"], list):
-            _fail("observables", "expected a list of strings")
-        kwargs["observables"] = tuple(data["observables"])
-    return ScenarioConfig(
-        name=data["name"],
-        domains=tuple(domains),
-        reservoirs=tuple(reservoirs),
-        nbar=_json_number("nbar", data.get("nbar", 0.0)),
-        temperature=temperature,
-        **kwargs,
-    )
+        kwargs["temperature"] = TemperatureSpec(**t)
+    if "observables" in data and not isinstance(data["observables"], list):
+        _fail("observables", "expected a list of strings")
+    return ScenarioConfig(**kwargs)
 
 
 def config_hash(cfg: ScenarioConfig) -> str:

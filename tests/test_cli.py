@@ -262,6 +262,15 @@ class TestSweep:
         assert rc == 1
         assert "'two'" in capsys.readouterr().err
 
+    def test_non_integer_population_named(self, tmp_path, capsys):
+        src = write_config(tmp_path / "base.json", chain())
+        rc = main(["sweep", "--config", src, "--param", "N_B", "--values", "2.5",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error: domains[1].population: must be an integer >= 1, got 2.5" in (
+            capsys.readouterr().err
+        )
+
     def test_preset_family_rejected_as_base(self, tmp_path, capsys):
         rc = main(["sweep", "--config", "fig3a", "--param", "N_B", "--values", "1",
                    "--out", str(tmp_path)])

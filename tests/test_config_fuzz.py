@@ -1,5 +1,6 @@
 """Property test of the config loader: one field of a valid config replaced
-by an arbitrary JSON value loads or fails with a ValueError naming the field."""
+by an arbitrary JSON value loads or fails with a ValueError naming the field,
+and what loads survives a JSON round trip with the same hash."""
 
 import copy
 import json
@@ -8,7 +9,7 @@ import re
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qlre.scenarios import ScenarioConfig, config_from_dict
+from qlre.scenarios import ScenarioConfig, config_from_dict, config_hash, config_to_dict
 
 BASES = (
     {
@@ -107,3 +108,6 @@ def test_one_replaced_field_loads_or_is_named(field, value):
         assert top_key(named) == top_key(name) or top_key(name) in message, (name, message)
     else:
         assert isinstance(cfg, ScenarioConfig)
+        # what loads is stored normalized: it writes out and reloads as itself
+        again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        assert again == cfg and config_hash(again) == config_hash(cfg), name

@@ -193,7 +193,7 @@ class TestSector:
         rng = np.random.default_rng(3)
         b, eq = chain_eq(3)
         rho0 = product_state(b, [0, 3, 0])
-        stepper = _Stepper(eq, rho0.matrix)
+        stepper = _Stepper(_Sector(eq, rho0.matrix), rho0.matrix)
         x = rng.normal(size=stepper.y.size) + 1j * rng.normal(size=stepper.y.size)
         full = stepper.sector.unpack(x)
         assert stepper._rms(x) == pytest.approx(np.sqrt(np.mean(np.abs(full) ** 2)), rel=1e-12)
@@ -1065,7 +1065,7 @@ class TestStackedAttempt:
     @pytest.mark.parametrize("case", [0, 1], ids=["real-fig3b", "complex-sigma-y"])
     def test_attempt_matches_plain_dp5_step(self, case):
         eq, rho0 = _attempt_cases()[case]
-        stepper = _Stepper(eq, rho0)
+        stepper = _Stepper(_Sector(eq, rho0), rho0)
         for h in (stepper.h, 0.01, 0.05, 0.2):
             y_new, k7, err = stepper._attempt(h)
             y_ref, k7_ref, err_ref, terms = _plain_dp5_step(stepper, h)
@@ -1076,7 +1076,7 @@ class TestStackedAttempt:
 
     def test_attempt_leaves_the_state_and_derivative_alone(self):
         eq, rho0 = _attempt_cases()[0]
-        stepper = _Stepper(eq, rho0)
+        stepper = _Stepper(_Sector(eq, rho0), rho0)
         y, k1 = stepper.y.copy(), stepper.k1.copy()
         _, k7, _ = stepper._attempt(0.05)
         kept = k7.copy()

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,43 @@ class TestValidation:
     def test_boolean_is_not_an_integer(self, field, domains, reservoir):
         with pytest.raises(ValueError, match=field):
             ScenarioConfig(name="x", domains=domains, reservoirs=(ReservoirSpec(reservoir),))
+
+    @pytest.mark.parametrize(
+        "field, kw, message",
+        [
+            ("nbar", {"nbar": True}, "expected a number"),
+            ("t_max", {"t_max": "40"}, "expected a number"),
+            ("gamma_dep_over_gamma", {"gamma_dep_over_gamma": False}, "expected a number"),
+            ("t_max", {"t_max": 10**400}, "must be finite"),  # beyond the float range
+        ],
+    )
+    def test_non_number_named(self, field, kw, message):
+        with pytest.raises(ValueError, match=f"^{field}: {message}"):
+            chain_config(**kw)
+
+    def test_boolean_rate_is_not_a_number(self):
+        with pytest.raises(ValueError, match=r"reservoirs\[0\]\.rate: expected a number"):
+            ScenarioConfig(
+                name="x",
+                domains=(DomainSpec(1), DomainSpec(1)),
+                reservoirs=(ReservoirSpec((0, 1), rate=True),),
+            )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: replace(c, t_max=10, sample_dt=0.5),
+            lambda c: replace(c, nbar=-0.0, gamma_dep_over_gamma=np.float32(0.0)),
+            lambda c: replace(c, reservoirs=(ReservoirSpec([0, 1], rate=1),) + c.reservoirs[1:]),
+            lambda c: replace(c, domains=(DomainSpec(np.int64(1)),) + c.domains[1:]),
+        ],
+    )
+    def test_equal_configs_hash_alike(self, edit):
+        cfg = chain_config()
+        other = edit(cfg)
+        assert other == cfg
+        assert config_hash(other) == config_hash(cfg)
+        assert config_hash(config_from_dict(config_to_dict(other))) == config_hash(cfg)
 
     def test_reservoir_duplicate_domain(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -477,6 +515,25 @@ class TestSweep:
         assert init.a + init.b == pytest.approx(f0, abs=1e-12)
         assert init.a + init.b * 2**6 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("value", [4.5, True, 0])
+    @pytest.mark.parametrize("family", ["fig3a", "appA-mixed"])
+    def test_non_integer_population_named(self, family, value):
+        # neither truncated to 4 nor read as 1, nor used to solve mixture weights
+        with pytest.raises(ValueError, match=r"domains\[1\]\.population"):
+            sweep(preset(family)[0], "N_B", [value])
+
+    @pytest.mark.parametrize(
+        "family, parameter, field",
+        [
+            ("fig5c-thermal", "T", "temperature.T_kelvin"),
+            ("fig5a-dephasing", "gamma_dep_over_gamma", "gamma_dep_over_gamma"),
+            ("appA-mixed", "F_0", "parameter F_0"),
+        ],
+    )
+    def test_boolean_value_named(self, family, parameter, field):
+        with pytest.raises(ValueError, match=f"^{field}: expected a number, got True"):
+            sweep(preset(family)[0], parameter, [True])
+
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError, match="at least one value"):
             sweep(chain_config(), "N_B", [])
@@ -604,6 +661,24 @@ class TestJsonRoundTrip:
         d["domains"][1]["initial"] = {"mixed": {"a": bad, "b": 0.1}}
         with pytest.raises(ValueError, match=r"domains\[1\]\.initial\.mixed\.a"):
             config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(t_max=12),
+            lambda d: d["reservoirs"][0].update(rate=1),
+            lambda d: d["temperature"].update(omega0_over_2pi_hz=10**10),
+            lambda d: d.update(gamma_dep_over_gamma=0),
+        ],
+    )
+    def test_integer_valued_numbers_hash_as_floats(self, edit):
+        cfg = self.sample()
+        d = config_to_dict(cfg)
+        edit(d)
+        loaded = config_from_dict(d)
+        assert loaded == cfg and config_hash(loaded) == config_hash(cfg)
+        again = config_from_dict(config_to_dict(loaded))
+        assert config_hash(again) == config_hash(cfg)
 
     def test_malformed_temperature_block(self):
         d = config_to_dict(self.sample())
