@@ -1,4 +1,4 @@
-"""Master-equation assembly, adaptive integration, and steady-state search.
+"""Master-equation assembly, propagation, and steady-state search.
 
 All dynamics is purely dissipative: a sum of terms rate * D[O] with
 D[O] rho = 2 O rho O^dag - O^dag O rho - rho O^dag O.  Time is measured in
@@ -22,11 +22,12 @@ permutations, so each such orbit is one coordinate (the state space of
 PIQS, Shammah et al., Phys. Rev. A 98, 063815 (2018)).
 ``lindblad_rhs`` stays the plain matrix form, the reference for tests.
 
-L is constant, so a sector of at most SECTOR_DENSE_LIMIT coordinates is
-advanced between samples by its exact propagator exp(h L), formed once
-per interval length by scaling and squaring.  Larger sectors are
-integrated by an embedded Dormand-Prince 5(4) pair with step-size control
-and first-same-as-last reuse.
+L is constant, so the state at every sample is exp(t L) rho0.  A sector
+of at most SECTOR_DENSE_LIMIT coordinates is advanced between samples by
+its dense propagator exp(h L), formed once per interval length by scaling
+and squaring.  A larger sector is advanced by restarted Krylov substeps:
+exp(s L) y from a small Arnoldi basis of L at y, with the substep set by
+an a-posteriori error estimate (``_Krylov``).
 
 The stationary manifold is degenerate (dark states), so the steady state
 depends on rho0: it is rho_inf = P_inf rho0, the projection that keeps the
@@ -74,8 +75,6 @@ from .hilbert import (
     site_permutations,
 )
 
-RTOL = 1e-9
-ATOL = 1e-11
 TRACE_DRIFT_TOL = 1e-8
 STEADY_STATE_TOL = 1e-10
 # steady_state's fixed implicit-Euler step h, and its budget of steps (sweeps)
@@ -85,10 +84,15 @@ MAX_SWEEPS = 200
 # or the whole sector); a block above this many coordinates raises
 # MemoryGuardExceeded before anything is inverted.
 LEVEL_BLOCK_LIMIT = 4096
-# Up to this many coordinates evolve propagates exactly by a dense exp(h L), and
-# steps the sector's CSR L above; one product breaks even between ~150 and ~200 on
-# fig3b.
+# Up to this many coordinates evolve propagates by a dense exp(h L), above by Krylov
+# substeps on the sector's CSR L.  Warm, fig6 N_D = 5 (147 coordinates) takes 7 ms
+# dense against 12 ms Krylov, N_D = 7 (219) 15 against 13 ms; a fresh-process
+# `qlre reproduce fig6` reads the same with this limit at 128, 160 or 256.
 SECTOR_DENSE_LIMIT = 128
+# evolve's Krylov route: the basis size, and the estimated error per unit of scaled
+# time it accepts (Euclidean norm of the coordinates, the Frobenius norm of rho)
+KRYLOV_DIM = 30
+KRYLOV_TOL = 1e-12
 # Full-backend runs above this many physical spins need an explicit override.
 INDIVIDUAL_SPIN_CAP = 13
 
@@ -158,7 +162,7 @@ def lindblad_rhs(eq: MasterEquation, rho: DensityMatrix) -> np.ndarray:
     """d rho / d(scaled time) for the given equation, as a d x d matrix.
 
     A plain sum over terms of rate * (2 O rho O^dag - O^dag O rho - rho O^dag O),
-    kept as the reference the packed integrator is tested against.  The
+    kept as the reference the sector's L is tested against.  The
     result is Hermitian and traceless to 1e-12; a violation signals a
     numeric problem in the assembled terms.
     """
@@ -291,20 +295,20 @@ def build_realistic(
 
 @dataclass(frozen=True)
 class SolverStats:
-    """What the adaptive integrator did over one run.
+    """What the Krylov propagator did over one run.
 
-    Every attempt costs six right-hand sides and the start two (the first
-    derivative and the initial-step probe), so
-    rhs_calls = 2 + 6 * (accepted + rejected).  ``rejected`` counts failed
-    error tests and the retries after a trace drift above TRACE_DRIFT_TOL.
-    ``min_step`` and ``max_step`` bound the accepted steps that were not
-    cut short to land on a sample time (both 0.0 if every one was), so a
-    run held at the stability limit shows a narrow range.
+    Each substep builds one basis: KRYLOV_DIM products with the sector's L
+    and one more for the error estimate, so
+    products = (KRYLOV_DIM + 1) * substeps unless a basis broke down early
+    (fewer products, and that substep serves the rest of the run).
+    ``rejected`` counts the substeps the error estimate shrank; a rejection
+    costs no product.  ``min_step`` and ``max_step`` bound the accepted
+    substeps that did not break down (both 0.0 if every one did).
     """
 
-    accepted: int
+    substeps: int
     rejected: int
-    rhs_calls: int
+    products: int
     worst_trace_drift: float
     min_step: float
     max_step: float
@@ -314,8 +318,8 @@ class SolverStats:
 class Trajectory:
     """Sampled time series from one integration run.
 
-    ``stats`` is the integrator's SolverStats, or None when the sector was
-    small enough to be propagated exactly (no steps to count).
+    ``stats`` is the Krylov propagator's SolverStats, or None when the
+    sector was small enough for the dense propagator (no substeps to count).
     """
 
     times: np.ndarray
@@ -427,7 +431,7 @@ def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Sector:
-    """The density-matrix elements the integrator keeps, and L on their real coordinates.
+    """The density-matrix elements evolve keeps, and L on their real coordinates.
 
     Element (i, j) has coherence order n(i) - n(j), with n the total
     excitation number.  A jump that shifts n by a fixed amount maps every
@@ -453,9 +457,8 @@ class _Sector:
     site-bit pairs, and per other domain by its local indices.  An orbit of
     n_k members is one coordinate, y_k = sqrt(n_k) times the members' common
     coordinate, so Tr rho sums sqrt(n_k) y_k over the diagonal orbits
-    (``trace``) and ``weights`` carry 1/sqrt(n_k): the stepper's scaled
-    error on y_k is exactly that on its n_k members, and its steps do not
-    change.  Otherwise every orbit is one element.  The coordinates run by
+    (``trace``) and the Euclidean norm of the coordinates stays the
+    Frobenius norm of rho.  Otherwise every orbit is one element.  The coordinates run by
     ``levels`` n(i) + n(j), highest first.
 
     L is assembled in one pass from the nonzero entries of the jumps: each
@@ -531,8 +534,6 @@ class _Sector:
         self.levels = level[first]
         on_diagonal = p[first] == q[first]
         self.diagonal, self._roots = np.flatnonzero(on_diagonal), root[on_diagonal]
-        # |rho_ij| = weight |x| for every real member
-        self.weights = np.where(on_diagonal, 1.0, math.sqrt(0.5)) / root
         members = np.lexsort((p, k))  # by coordinate, then element
         p, q, k = p[members], q[members], k[members]
         w = w[members] / root[k]
@@ -656,142 +657,6 @@ class _LevelSweep:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) stepper
-# ---------------------------------------------------------------------------
-
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5 + (0.0,), _DP_B4))
-# row s - 1 weights stages k_1..k_s into the input of stage s + 1; row 5 (b5)
-# makes the new state, whose derivative is k_7, and row 6 the error estimate
-_DP_TABLE = np.array([row + (0.0,) * (7 - len(row)) for row in _DP_A[1:] + (_DP_B5, _DP_ERR)])
-
-_MIN_STEP = 1e-13
-_MAX_GROWTH = 5.0
-_MIN_SHRINK = 0.2
-_SAFETY = 0.9
-
-
-class _Stepper:
-    """Adaptive integrator state on the sector coordinates: vector, time, cached derivative.
-
-    The error norm is the root mean square over all d^2 matrix elements, as
-    if the full matrix were stepped: elements outside the sector are zero,
-    so it divides by d^2, and coordinate x_k scales its error by
-    atol + rtol * weights[k] * |x_k|, which without Im coordinates is the
-    elementwise scale of the matrix, member by member for an orbit
-    coordinate.  That keeps the accepted steps.
-
-    An attempt keeps its seven stages as the rows of one preallocated array,
-    so each stage input is y plus one product of a row of h * _DP_TABLE
-    with the stages so far, and the error estimate one product with the
-    last row.  Each right-hand side is one product with the sector's CSR L.
-    """
-
-    def __init__(self, sector: _Sector, rho0: np.ndarray):
-        self.sector = sector
-        self._size = sector.d**2
-        self.y = sector.pack(rho0)
-        self._stages = np.empty((7, self.y.size))
-        self.t = 0.0
-        self.accepted = 0
-        self.rejected = 0
-        self.rhs_calls = 0
-        self.worst_trace_drift = 0.0
-        self.min_step = math.inf
-        self.max_step = 0.0
-        self.k1 = self.rhs(self.y)
-        self.h = self._initial_step()
-
-    def rhs(self, y: np.ndarray) -> np.ndarray:
-        self.rhs_calls += 1
-        return self.sector.liouvillian @ y
-
-    def _rms(self, x: np.ndarray) -> float:
-        return float(np.sqrt(np.vdot(x, x).real / self._size))
-
-    def _initial_step(self) -> float:
-        scale = ATOL + RTOL * self.sector.weights * np.abs(self.y)
-        d0 = self._rms(self.y / scale)
-        d1 = self._rms(self.k1 / scale)
-        h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        f1 = self.rhs(self.y + h0 * self.k1)
-        d2 = self._rms((f1 - self.k1) / scale) / h0
-        dmax = max(d1, d2)
-        h1 = max(1e-6, h0 * 1e-3) if dmax <= 1e-15 else (0.01 / dmax) ** 0.2
-        return min(100 * h0, h1)
-
-    @property
-    def stats(self) -> SolverStats:
-        drift = float(self.worst_trace_drift)
-        low = self.min_step if self.max_step > 0 else 0.0
-        return SolverStats(
-            self.accepted, self.rejected, self.rhs_calls, drift, low, self.max_step
-        )
-
-    def _attempt(self, h: float):
-        a = h * _DP_TABLE
-        k = self._stages
-        k[0] = self.k1
-        for s in range(1, 7):  # the sixth input is the new state, k[6] its derivative
-            y_new = a[s - 1, :s] @ k[:s] + self.y
-            k[s] = self.rhs(y_new)
-        err = a[6] @ k
-        err /= ATOL + RTOL * self.sector.weights * np.maximum(abs(self.y), abs(y_new))
-        return y_new, k[6].copy(), self._rms(err)
-
-    def step_once(self, t_limit: float) -> bool:
-        """Take one accepted step, not crossing t_limit.  True if t advanced."""
-        if self.t >= t_limit - 1e-12 * max(1.0, abs(t_limit)):
-            return False
-        while True:
-            h = min(self.h, t_limit - self.t)
-            clipped = h < self.h
-            if h < _MIN_STEP:
-                raise IntegrationFailure(
-                    f"step size underflow at scaled time {self.t:.6g} "
-                    f"(worst trace drift {self.worst_trace_drift:.3e})"
-                )
-            y_new, k7, err = self._attempt(h)
-            if err <= 1.0:
-                trace_drift = abs(self.sector.trace(y_new) - 1.0)
-                if trace_drift > TRACE_DRIFT_TOL:
-                    # conservation slipped though the error test passed;
-                    # retry with a smaller step
-                    self.rejected += 1
-                    self.h = 0.5 * h
-                    continue
-                self.worst_trace_drift = max(self.worst_trace_drift, trace_drift)
-                self.accepted += 1
-                self.t += h
-                self.y = y_new
-                self.k1 = k7
-                if not clipped:
-                    self.min_step = min(self.min_step, h)
-                    self.max_step = max(self.max_step, h)
-                    factor = _MAX_GROWTH if err == 0 else min(
-                        _MAX_GROWTH, max(_MIN_SHRINK, _SAFETY * err**-0.2)
-                    )
-                    self.h = h * factor
-                return True
-            self.rejected += 1
-            self.h = h * max(_MIN_SHRINK, _SAFETY * err**-0.2)
-
-    def advance_to(self, target: float):
-        while self.step_once(target):
-            pass
-        self.t = target
-
-
-# ---------------------------------------------------------------------------
 # exact propagation of small sectors
 # ---------------------------------------------------------------------------
 
@@ -821,6 +686,14 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return P
 
 
+def _trace_drift(sector: _Sector, y: np.ndarray, t: float, route: str) -> float:
+    """|Tr rho - 1| of the coordinates y at scaled time t; above TRACE_DRIFT_TOL it raises."""
+    drift = abs(sector.trace(y) - 1.0)
+    if drift > TRACE_DRIFT_TOL:
+        raise NumericalFailure(f"{route} state drifted at scaled time {t:.6g}: trace {drift:.3e}")
+    return drift
+
+
 class _Propagator:
     """Exact advance y <- exp(h L) y between samples, for a sector held densely.
 
@@ -828,7 +701,7 @@ class _Propagator:
     the grid's shorter last interval, if it has one, needs a second.  Being
     exact, it is stable at any spacing, where an explicit integrator on a
     stiff sector takes steps far below it.  Each advance checks the trace
-    drift like the integrator does; there are no steps, so ``stats`` is None.
+    drift; there are no substeps, so ``stats`` is None.
     """
 
     stats = None
@@ -854,11 +727,125 @@ class _Propagator:
             P = _expm((target - self.t) * self._L)
         self.y = P @ self.y
         self.t = target
-        trace_drift = abs(self.sector.trace(self.y) - 1.0)
-        if trace_drift > TRACE_DRIFT_TOL:
-            raise NumericalFailure(
-                f"propagated state drifted at scaled time {target:.6g}: trace {trace_drift:.3e}"
-            )
+        _trace_drift(self.sector, self.y, target, "propagated")
+
+
+class _Krylov:
+    """exp(s L) y for a sector above SECTOR_DENSE_LIMIT, by restarted Arnoldi.
+
+    A substep starts from the state y at time t0 and builds an orthonormal
+    basis V of the Krylov space of L at y, KRYLOV_DIM vectors by two-pass
+    classical Gram-Schmidt, with H = V^T L V upper Hessenberg.  Then
+    exp(s L) y ~ |y| V exp(s H) e_1 for s up to the substep, with exp(s H)
+    from ``_expm`` on the small matrix.  Expokit's a-posteriori estimate
+    (Saad, SIAM J. Numer. Anal. 29, 209 (1992); Sidje, ACM TOMS 24, 130
+    (1998)) on H augmented by two rows sets the substep: its error must stay
+    within 1.2 KRYLOV_TOL per unit of scaled time, a failed estimate shrinks
+    it and the next substep is predicted from the last.  Every sample inside
+    an accepted substep is read off its basis, so samples never cut a
+    substep short; consecutive samples in one substep are one product with
+    exp(sample_dt H) apart.  When the residual of the basis vanishes (|y|
+    times its norm at most KRYLOV_TOL, or V spans the whole sector) the
+    basis spans an invariant subspace, a happy breakdown: it is exact for
+    all time and serves every later sample.
+
+    The first substep is set from ||H||_1 rather than ||L||, so it depends
+    only on the Krylov space: orbit coordinates, an isometric image of the
+    elements they merge, take the same substeps.  Each sample's trace drift
+    is checked as the propagator checks it.
+    """
+
+    def __init__(self, sector: _Sector, rho0: np.ndarray, sample_dt: float):
+        self.sector = sector
+        self.y = sector.pack(rho0)
+        self.t = 0.0
+        self._dt = float(sample_dt)
+        self._next = 0.0  # the predicted substep; 0 before the first
+        self.substeps = self.rejected = self.products = 0
+        self.worst_trace_drift = 0.0
+        self.min_step, self.max_step = math.inf, 0.0
+        self._restart(self.y, 0.0)
+
+    @property
+    def stats(self) -> SolverStats:
+        low = self.min_step if self.max_step > 0 else 0.0
+        return SolverStats(
+            self.substeps, self.rejected, self.products, self.worst_trace_drift, low, self.max_step
+        )
+
+    def _restart(self, y: np.ndarray, t0: float):
+        """Build the basis at the state y of time t0 and accept a substep from it."""
+        L, k = self.sector.liouvillian, min(KRYLOV_DIM, y.size)
+        beta = math.sqrt(y @ y)
+        V = np.empty((k + 1, y.size))
+        H = np.zeros((k + 2, k + 2))
+        V[0] = y / beta
+        self.substeps += 1
+        self._start, self._beta, self._f, self._sample_step = t0, beta, None, None
+        for j in range(k):
+            W = V[: j + 1]
+            p = L @ V[j]
+            c = W @ p
+            p -= c @ W
+            c2 = W @ p
+            p -= c2 @ W
+            H[: j + 1, j] = c + c2
+            s = math.sqrt(p @ p)
+            if s * beta <= KRYLOV_TOL or j + 1 == y.size:  # happy breakdown
+                self.products += j + 1
+                self._V, self._H, self._span = W, H[: j + 1, : j + 1], math.inf
+                return
+            H[j + 1, j] = s
+            np.multiply(p, 1.0 / s, out=V[j + 1])
+        residual = float(np.linalg.norm(L @ V[k]))
+        self.products += k + 1
+        tau = self._next
+        if tau == 0.0:  # Expokit's first guess, with ||H||_1 for ||L||
+            norm = float(np.abs(H).sum(axis=0).max())
+            log_fact = (k + 1) * math.log((k + 1) / math.e) + 0.5 * math.log(2 * math.pi * (k + 1))
+            tau = (KRYLOV_TOL / (4 * beta * norm)) ** (1 / k) * math.exp(log_fact / k) / norm
+        H[k + 1, k] = 1.0
+        while True:
+            F = _expm(tau * H)
+            phi1, phi2 = abs(beta * F[k, 0]), abs(beta * F[k + 1, 0]) * residual
+            if phi1 > 10 * phi2:
+                err, xm = phi2, 1 / k
+            elif phi1 > phi2:
+                err, xm = phi1 * phi2 / (phi1 - phi2), 1 / k
+            else:
+                err, xm = phi1, 1 / (k - 1)
+            err = max(float(err), np.finfo(float).tiny)
+            if err <= 1.2 * tau * KRYLOV_TOL:
+                break
+            self.rejected += 1
+            tau *= 0.9 * (tau * KRYLOV_TOL / err) ** xm
+            if tau < np.finfo(float).eps * max(1.0, t0):
+                raise IntegrationFailure(
+                    f"Krylov substep underflow at scaled time {t0:.6g} "
+                    f"(estimated error {err:.3e})"
+                )
+        self.min_step, self.max_step = min(self.min_step, tau), max(self.max_step, tau)
+        self._next = 0.9 * tau * (tau * KRYLOV_TOL / err) ** xm
+        self._V, self._H, self._span, self._end = V, H, tau, F[:, 0]
+
+    def advance_to(self, target: float):
+        if target <= self.t:
+            return
+        while target - self._start > self._span:
+            y = self._beta * (self._end[: self._V.shape[0]] @ self._V)
+            self._restart(y, self._start + self._span)
+        # ``_sample_grid`` puts sample i at i * sample_dt; a shorter last interval is
+        # read afresh
+        if self._f is not None and target == round(target / self._dt) * self._dt:
+            if self._sample_step is None:
+                self._sample_step = _expm(self._dt * self._H)
+            self._f = self._sample_step @ self._f
+        else:
+            self._f = _expm((target - self._start) * self._H)[:, 0]
+        self.y = self._beta * (self._f[: self._V.shape[0]] @ self._V)
+        self.t = target
+        drift = _trace_drift(self.sector, self.y, target, "Krylov")
+        self.worst_trace_drift = max(self.worst_trace_drift, drift)
 
 
 # ---------------------------------------------------------------------------
@@ -894,10 +881,10 @@ def evolve(
     one per site-permutation orbit where the run has that symmetry (see
     ``_Sector``).  Up to SECTOR_DENSE_LIMIT coordinates it is
     carried from sample to sample by the exact propagator exp(h L), and
-    ``stats`` is None.  Above, the Dormand-Prince integrator steps it, and
-    ``stats`` records the steps, rejections and right-hand sides it took;
-    its error norm divides by d^2, so the accepted steps are those of
-    stepping the whole matrix.
+    ``stats`` is None.  Above, Krylov substeps carry it (``_Krylov``), to an
+    estimated error of KRYLOV_TOL per unit of scaled time in the Frobenius
+    norm, and ``stats`` records the substeps, rejections and products with
+    L they took.
 
     Observables, operators and ``keep`` are read off the coordinates by one
     map per distinct linear part (``_Sector.readout``), one product each per
@@ -924,7 +911,7 @@ def evolve(
     if sector.liouvillian.shape[0] <= SECTOR_DENSE_LIMIT:
         solver = _Propagator(sector, rho0.matrix, sample_dt)
     else:
-        solver = _Stepper(sector, rho0.matrix)
+        solver = _Krylov(sector, rho0.matrix, sample_dt)
     maps = {}
     for ob in list(compiled.values()) + ([] if snapshot is None else [snapshot]):
         if ob.part not in maps:

@@ -480,14 +480,27 @@ def product_state(basis: BasisDescriptor, levels: Sequence[LevelSpec]) -> Densit
     Each entry of ``levels`` is one of: an integer k (symmetric Dicke state
     with k excited spins), a bitstring of 'u'/'d' characters (full backend),
     or a single-domain density matrix (ndarray or DensityMatrix).
+
+    Each factor is validated as a DensityMatrix of its domain, and a bad one
+    is refused with its domain named.  A Kronecker product of density
+    matrices is one, so the product is not validated again (its d x d
+    eigendecomposition would cost far more than the factors'); only its
+    trace, where the factors' deviations multiply, is checked.
     """
     if len(levels) != basis.num_domains:
         raise ValueError(f"expected {basis.num_domains} levels, got {len(levels)}")
     out = None
     for m, level in enumerate(levels):
         dm = _domain_density(basis, m, level)
+        try:
+            DensityMatrix(dm, basis.subset([m]))
+        except ValueError as exc:
+            raise ValueError(f"domain {m}: {exc}") from None
         out = dm if out is None else np.kron(out, dm)
-    return DensityMatrix(out, basis)
+    tr = out.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"product trace {tr} deviates from 1 beyond {TRACE_TOL}")
+    return DensityMatrix(out, basis, validate=False)
 
 
 def pure_product_state(

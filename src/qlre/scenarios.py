@@ -160,14 +160,21 @@ class ScenarioConfig:
     observables: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "domains", tuple(self.domains))
-        object.__setattr__(self, "reservoirs", tuple(self.reservoirs))
-        object.__setattr__(self, "observables", tuple(self.observables))
+        for name in ("domains", "reservoirs", "observables"):
+            object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
         _validate_config(self)
 
 
 def _fail(fieldname: str, message: str):
     raise ValueError(f"{fieldname}: {message}")
+
+
+def _as_tuple(fieldname: str, value) -> tuple:
+    """value as a tuple; a value that is not iterable is refused by field name."""
+    try:
+        return tuple(value)
+    except TypeError:
+        _fail(fieldname, f"expected a sequence, got {value!r}")
 
 
 def _is_int(value) -> bool:
@@ -274,7 +281,7 @@ def _validate_config(cfg: ScenarioConfig):
     for i, res in enumerate(cfg.reservoirs):
         if not isinstance(res, ReservoirSpec):
             _fail(f"reservoirs[{i}]", f"expected a ReservoirSpec, got {res!r}")
-        idx = tuple(res.domains)
+        idx = _as_tuple(f"reservoirs[{i}].domains", res.domains)
         if not idx:
             _fail(f"reservoirs[{i}].domains", "must reference at least one domain")
         for j in idx:
@@ -526,8 +533,12 @@ def _dom(population, kind="ground", **kw):
 
 
 def _mixed_f0(population: int, f0: float) -> InitialSpec:
-    """Solve the fully-excited/identity weights from the target fidelity."""
-    b = (1.0 - f0) / (2**population - 1)
+    """Solve the fully-excited/identity weights from the target fidelity.
+
+    b = (1 - f0) / (2^N - 1), scaled by 2^-N so that a population beyond the
+    float range gives b = 0 (which the validator refuses) and no OverflowError.
+    """
+    b = math.ldexp(1.0 - f0, -population) / (1.0 - math.ldexp(1.0, -population))
     return InitialSpec("mixed", a=f0 - b, b=b)
 
 

@@ -130,6 +130,24 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "field, edit",
         [
+            ("domains", lambda d: d.update(domains=5)),
+            ("reservoirs", lambda d: d.update(reservoirs=5)),
+            ("observables", lambda d: d.update(observables=5)),
+            ("reservoirs[0].domains", lambda d: d["reservoirs"][0].update(domains=5)),
+        ],
+    )
+    def test_non_sequence_field_exits_1(self, field, edit, tmp_path, capsys):
+        data = config_to_dict(chain())
+        edit(data)
+        src = tmp_path / "c.json"
+        src.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["simulate", "--config", str(src), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f": {field}: expected a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
             ("reservoirs[0].rate", lambda d: d["reservoirs"][0].update(rate=None)),
             ("nbar", lambda d: d.update(nbar=[1])),
         ],
@@ -270,6 +288,13 @@ class TestSweep:
         assert "error: domains[1].population: must be an integer >= 1, got 2.5" in (
             capsys.readouterr().err
         )
+
+    def test_huge_mixed_population_named(self, tmp_path, capsys):
+        src = write_config(tmp_path / "base.json", preset("appA-mixed")[0])
+        rc = main(["sweep", "--config", src, "--param", "N_B", "--values", "2000",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error: domains[1].initial: mixed weights" in capsys.readouterr().err
 
     def test_preset_family_rejected_as_base(self, tmp_path, capsys):
         rc = main(["sweep", "--config", "fig3a", "--param", "N_B", "--values", "1",
@@ -620,6 +645,21 @@ class TestImportWeight:
             "observables = compile_observables(cfg, build_basis(cfg))\n"
             "traj = evolve(eq, rho0, 1.0, 0.1, observables=observables)\n"
             "assert traj.stats is None"
+        )
+        assert self.heavy_loaded_after(code) == "[]"
+
+    def test_krylov_evolve_leaves_heavy_scipy_modules_out(self):
+        # fig4 chain4, 771 coordinates, advanced by Krylov substeps: the chain-evolve path
+        code = (
+            "import qlre.cli\n"
+            "from qlre.dynamics import evolve\n"
+            "from qlre.scenarios import build_basis, build_initial_state, build_master_equation\n"
+            "from qlre.scenarios import compile_observables, preset\n"
+            "cfg = preset('fig4-chain4')[0]\n"
+            "observables = compile_observables(cfg, build_basis(cfg))\n"
+            "traj = evolve(build_master_equation(cfg), build_initial_state(cfg), 0.25, 0.25,\n"
+            "              observables=observables)\n"
+            "assert traj.stats.substeps > 0"
         )
         assert self.heavy_loaded_after(code) == "[]"
 

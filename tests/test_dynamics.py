@@ -9,8 +9,8 @@ import scipy.sparse as sp
 
 from qlre import dynamics
 from qlre.dynamics import (
+    _Krylov,
     _Sector,
-    _Stepper,
     LindbladTerm,
     MasterEquation,
     Trajectory,
@@ -25,6 +25,7 @@ from qlre.dynamics import (
 from qlre.entanglement import entanglement_of_formation
 from qlre.errors import (
     ConvergenceFailure,
+    IntegrationFailure,
     MemoryGuardExceeded,
     NumericalFailure,
     UndefinedResultError,
@@ -187,16 +188,14 @@ class TestSector:
         expected = 0.5 * (1.0 + np.exp(-4.0 * traj.times))
         assert np.max(np.abs(traj.observables["pe"] - expected)) < 1e-8
 
-    def test_error_norm_counts_every_matrix_element(self):
-        # dividing by d^2, not by the sector size, keeps the step sequence
-        # of stepping the full matrix
+    def test_coordinate_norm_is_the_frobenius_norm(self):
+        # the Krylov error estimate is a Euclidean norm of the coordinates; on
+        # orbit coordinates too it is the Frobenius norm of the matrix
         rng = np.random.default_rng(3)
-        b, eq = chain_eq(3)
-        rho0 = product_state(b, [0, 3, 0])
-        stepper = _Stepper(_Sector(eq, rho0.matrix), rho0.matrix)
-        x = rng.normal(size=stepper.y.size) + 1j * rng.normal(size=stepper.y.size)
-        full = stepper.sector.unpack(x)
-        assert stepper._rms(x) == pytest.approx(np.sqrt(np.mean(np.abs(full) ** 2)), rel=1e-12)
+        sector = _Sector(*TestExchangeSymmetry._decay_131())
+        assert sector.levels.size < _one_coordinate_per_pair(sector)  # orbits merged
+        x = rng.normal(size=sector.levels.size)
+        assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(sector.unpack(x)), rel=1e-12)
 
 
 def random_hermitian(rng, d, real=False):
@@ -525,7 +524,7 @@ class TestExchangeSymmetry:
         compiled = compile_observables(cfg, build_basis(cfg))
         a = evolve(eq, rho0, 4.0, cfg.sample_dt, observables=compiled)
         b = evolve(refused, rho0, 4.0, cfg.sample_dt, observables=compiled)
-        assert a.stats is None and b.stats is not None  # propagated against stepped
+        assert a.stats is None and b.stats is not None  # dense against Krylov
         assert trace_distance(a.final_rho, b.final_rho) < 1e-8
         gap = np.max(np.abs(a.observables["E_F(A,C)"] - b.observables["E_F(A,C)"]))
         assert gap <= 1e-8
@@ -570,58 +569,69 @@ class TestExchangeSymmetry:
         expected = sector.keys.size if case == "complex jump" else _one_coordinate_per_pair(sector)
         assert sector.levels.size == expected
 
-    def test_stepper_takes_the_same_steps(self, monkeypatch):
+    def test_krylov_takes_the_same_substeps(self, monkeypatch):
+        # orbit coordinates are an isometric image of the elements they merge,
+        # so both runs build the same Krylov spaces
         monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
         cfg = sweep(preset("fig5a-dephasing")[1], "N_B", [4])[0]
         assert cfg.gamma_dep_over_gamma == 0.02
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
-        merged = evolve(eq, rho0, 0.3, cfg.sample_dt)
-        refused = evolve(_refused(eq), rho0, 0.3, cfg.sample_dt)
-        assert merged.stats.rhs_calls == refused.stats.rhs_calls == 476
+        merged = evolve(eq, rho0, 4.0, cfg.sample_dt)
+        refused = evolve(_refused(eq), rho0, 4.0, cfg.sample_dt)
+        a, b = merged.stats, refused.stats
+        assert (a.substeps, a.rejected, a.products) == (b.substeps, b.rejected, b.products)
+        assert a.substeps > 1
+        # a late estimate near roundoff moves a predicted substep by a fraction of 1 %
+        assert a.min_step == pytest.approx(b.min_step, rel=1e-2)
+        assert a.max_step == pytest.approx(b.max_step, rel=1e-2)
         assert trace_distance(merged.final_rho, refused.final_rho) < 1e-12
 
 
 class TestSolverStats:
     @staticmethod
     def _identity_holds(stats):
-        return stats.rhs_calls == 2 + 6 * (stats.accepted + stats.rejected)
+        # every basis that did not break down costs KRYLOV_DIM products and one more
+        return stats.products == (dynamics.KRYLOV_DIM + 1) * stats.substeps
 
-    def test_chain4_to_a_quarter_takes_422_rhs_calls(self):
+    def test_chain4_to_a_quarter_takes_93_products(self):
         cfg = preset("fig4-chain4")[0]
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
         stats = evolve(eq, rho0, 0.25, 0.25).stats
-        assert stats.rhs_calls == 422
+        assert (stats.substeps, stats.rejected, stats.products) == (3, 0, 93)
         assert self._identity_holds(stats)
         assert 0.0 <= stats.worst_trace_drift <= dynamics.TRACE_DRIFT_TOL
 
-    def test_rejected_steps_are_counted(self, monkeypatch):
+    def test_rejected_substeps_are_counted(self):
+        # a predicted substep far too long for the estimate is shrunk until it
+        # passes; the rejections cost no products, and the substep stays accurate
+        eq, rho0 = _fig3b(12)
+        sector = _Sector(eq, rho0.matrix)
+        krylov = _Krylov(sector, rho0.matrix, 0.1)
+        krylov._next = 50.0
+        y = krylov.y
+        krylov._restart(y, 0.0)
+        assert krylov.rejected > 0 and krylov.products == 2 * (dynamics.KRYLOV_DIM + 1)
+        tau = krylov._span
+        assert 0.0 < tau < 50.0
+        krylov.advance_to(tau)
+        exact = dynamics._expm(tau * sector.liouvillian.toarray()) @ y
+        assert np.linalg.norm(krylov.y - exact) <= dynamics.KRYLOV_TOL * tau
+
+    def test_trace_drift_raises(self, monkeypatch):
         monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
-        # the thermal (1,2,1) run rejects steps in its stiff stretch
-        b, eq = _collective_121(nbar=0.25)
-        stats = evolve(eq, product_state(b, [1, 0, 0]), 10.0, 1.0).stats
-        assert stats.rejected > 0
-        assert self._identity_holds(stats)
+        expm = dynamics._expm
+        monkeypatch.setattr(dynamics, "_expm", lambda A: expm(A) * (1.0 + 1e-6))
+        eq, rho0 = _fig3b(4)
+        with pytest.raises(NumericalFailure, match="Krylov state drifted at scaled time 0.1"):
+            evolve(eq, rho0, 1.0, 0.1)
 
-    def test_trace_drift_retries_count_as_rejected(self, monkeypatch):
+    def test_substep_underflow_raises(self, monkeypatch):
+        # no substep meets a zero tolerance, so the rejections shrink it to nothing
         monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
-        original = _Stepper._attempt
-        spoiled = []
-
-        def attempt(self, h):
-            y_new, k7, err = original(self, h)
-            if err <= 1.0 and len(spoiled) < 3:
-                spoiled.append(h)
-                y_new = y_new.copy()
-                y_new[self.sector.diagonal[0]] += 1e-6  # a trace drift of 1e-6
-            return y_new, k7, err
-
-        monkeypatch.setattr(_Stepper, "_attempt", attempt)
-        b, eq = chain_eq(3)
-        traj = evolve(eq, product_state(b, [0, 3, 0]), 1.0, 0.5)
-        assert len(spoiled) == 3
-        assert traj.stats.rejected >= 3
-        assert self._identity_holds(traj.stats)
-        assert traj.stats.worst_trace_drift < dynamics.TRACE_DRIFT_TOL
+        monkeypatch.setattr(dynamics, "KRYLOV_TOL", 0.0)
+        eq, rho0 = _fig3b(4)
+        with pytest.raises(IntegrationFailure, match="substep underflow at scaled time 0"):
+            evolve(eq, rho0, 1.0, 0.1)
 
 
 class TestBuilders:
@@ -1004,7 +1014,7 @@ class TestOneSectorPerCall:
         monkeypatch.setattr(_Sector, "__init__", lambda self, *a: calls.append(1) or init(self, *a))
         return calls
 
-    @pytest.mark.parametrize("route", ["propagator", "stepper"])
+    @pytest.mark.parametrize("route", ["propagator", "krylov"])
     def test_evolve(self, builds, route):
         b, eq = chain_eq(3)
         if route == "propagator":
@@ -1028,61 +1038,53 @@ def _fig3b(n_b):
     return build_master_equation(cfg), build_initial_state(cfg)
 
 
-def _attempt_cases():
-    """A real sector (fig3b N_B = 4) and a complex one (sigma_y pair with a random rho)."""
-    eq, rho0 = _fig3b(4)
-    b, eq_y = _sigma_y_pair()
-    return [(eq, rho0.matrix), (eq_y, random_density(np.random.default_rng(31), b).matrix)]
+def _krylov_cases():
+    """A real sector (fig3b N_B = 12) and a complex one (the sigma_y readout case)."""
+    eq, rho0 = _fig3b(12)
+    _, eq_y, rho_y = _readout_cases()[-1]
+    return [(eq, rho0.matrix), (eq_y, rho_y.matrix)]
 
 
-def _plain_dp5_step(stepper, h):
-    """One Dormand-Prince 5(4) attempt, one stage at a time from the coefficient tuples.
-
-    Also returns the RMS of the unsummed error terms over the same scale:
-    the error estimate is a cancelling difference, so its rounding is
-    relative to the terms, not to the result.
-    """
-    L = stepper.sector.liouvillian
-    y = stepper.y
-    k = [stepper.k1]
-    for row in dynamics._DP_A[1:] + (dynamics._DP_B5,):
-        y_new = y + h * sum(c * ki for c, ki in zip(row, k))
-        k.append(L @ y_new)
-    scale = dynamics.ATOL + dynamics.RTOL * stepper.sector.weights * np.maximum(abs(y), abs(y_new))
-    err = h * sum(c * ki for c, ki in zip(dynamics._DP_ERR, k)) / scale
-    terms = h * sum(abs(c * ki) for c, ki in zip(dynamics._DP_ERR, k)) / scale
-    return y_new, k[-1], stepper._rms(err), stepper._rms(terms)
-
-
-class TestStackedAttempt:
-    def test_table_rows_are_the_coefficient_tuples(self):
-        rows = dynamics._DP_A[1:] + (dynamics._DP_B5, dynamics._DP_ERR)
-        assert dynamics._DP_TABLE.shape == (len(rows), 7)
-        for table_row, row in zip(dynamics._DP_TABLE, rows):
-            assert np.array_equal(table_row[: len(row)], row)
-            assert not np.any(table_row[len(row) :])
+class TestArnoldi:
+    @pytest.mark.parametrize("case", [0, 1], ids=["real-fig3b", "complex-sigma-y"])
+    def test_basis_is_orthonormal_and_spans_the_krylov_space(self, case):
+        eq, rho0 = _krylov_cases()[case]
+        krylov = _Krylov(_Sector(eq, rho0), rho0, 0.1)
+        V, H, k = krylov._V, krylov._H, dynamics.KRYLOV_DIM
+        assert V.shape == (k + 1, krylov.y.size)
+        assert np.max(np.abs(V @ V.T - np.eye(k + 1))) <= 1e-14
+        # the Arnoldi relation L V_k = V_(k+1) Hbar, with Hbar upper Hessenberg
+        LV = (krylov.sector.liouvillian @ V[:k].T).T
+        assert np.max(np.abs(LV - H[: k + 1, :k].T @ V)) <= 1e-12 * np.max(np.abs(LV))
+        assert not np.any(np.tril(H[: k + 1, :k], -2))
+        assert np.max(np.abs(V[0] - krylov.y / np.linalg.norm(krylov.y))) <= 1e-15
 
     @pytest.mark.parametrize("case", [0, 1], ids=["real-fig3b", "complex-sigma-y"])
-    def test_attempt_matches_plain_dp5_step(self, case):
-        eq, rho0 = _attempt_cases()[case]
-        stepper = _Stepper(_Sector(eq, rho0), rho0)
-        for h in (stepper.h, 0.01, 0.05, 0.2):
-            y_new, k7, err = stepper._attempt(h)
-            y_ref, k7_ref, err_ref, terms = _plain_dp5_step(stepper, h)
-            assert np.max(np.abs(y_new - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
-            assert np.max(np.abs(k7 - k7_ref)) <= 1e-13 * np.max(np.abs(k7_ref))
-            assert abs(err - err_ref) <= 1e-13 * terms
-        assert stepper.rhs_calls == 2 + 6 * 4
+    def test_samples_inside_a_substep_share_its_basis(self, case):
+        eq, rho0 = _krylov_cases()[case]
+        sector = _Sector(eq, rho0)
+        krylov = _Krylov(sector, rho0, 0.1)
+        y0, tau, L = krylov.y, krylov._span, sector.liouvillian.toarray()
+        assert 0.0 < tau < math.inf and krylov.products == dynamics.KRYLOV_DIM + 1
+        for s in (tau / 3, tau / 2, tau):
+            krylov.advance_to(s)
+            exact = dynamics._expm(s * L) @ y0
+            assert np.linalg.norm(krylov.y - exact) <= dynamics.KRYLOV_TOL * tau
+        assert krylov.substeps == 1 and krylov.products == dynamics.KRYLOV_DIM + 1
 
-    def test_attempt_leaves_the_state_and_derivative_alone(self):
-        eq, rho0 = _attempt_cases()[0]
-        stepper = _Stepper(_Sector(eq, rho0), rho0)
-        y, k1 = stepper.y.copy(), stepper.k1.copy()
-        _, k7, _ = stepper._attempt(0.05)
-        kept = k7.copy()
-        stepper._attempt(0.01)  # a later attempt must not overwrite an earlier k7
-        assert np.array_equal(stepper.y, y) and np.array_equal(stepper.k1, k1)
-        assert np.array_equal(k7, kept)
+    def test_a_sector_within_the_basis_size_breaks_down_at_once(self, monkeypatch):
+        # the Krylov space of L at rho0 has 10 of the 17 dimensions: the basis
+        # is exact for all time after 10 products
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
+        eq, rho0 = _fig3b(2)
+        assert _Sector(eq, rho0.matrix).levels.size == 17
+        states, traj = _sample_states(eq, rho0, 8.0, 0.1)
+        stats = traj.stats
+        assert (stats.substeps, stats.rejected, stats.products) == (1, 0, 10)
+        assert stats.min_step == stats.max_step == 0.0
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 10**9)
+        reference, _ = _sample_states(eq, rho0, 8.0, 0.1)
+        assert max(trace_distance(a, b) for a, b in zip(states, reference)) <= 1e-12
 
 
 class TestDenseSectorMap:
@@ -1095,30 +1097,63 @@ class TestDenseSectorMap:
             record = {"state": lambda r: states.append(r) or 0.0}
             traj = evolve(eq, rho0, 8.0, 0.1, observables=record)
             if limit == 0:
-                assert traj.stats.rhs_calls == 2 + 6 * (traj.stats.accepted + traj.stats.rejected)
-            else:  # the propagator: no steps to count
+                assert TestSolverStats._identity_holds(traj.stats)
+            else:  # the propagator: no substeps to count
                 assert traj.stats is None
             runs.append(states)
         assert len(runs[0]) == len(runs[1]) == 81
-        assert max(trace_distance(a, b) for a, b in zip(*runs)) < 1e-9
+        assert max(trace_distance(a, b) for a, b in zip(*runs)) < 1e-10
 
 
 class TestStepRange:
-    def test_chain4_range_keeps_422_rhs_calls(self):
+    def test_chain4_substeps_span_samples(self):
+        # the substep is carried across samples: far fewer substeps than samples
         cfg = preset("fig4-chain4")[0]
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
-        stats = evolve(eq, rho0, 0.25, 0.25).stats
-        assert stats.rhs_calls == 422
-        assert 0.0 < stats.min_step <= stats.max_step < 0.25
+        traj = evolve(eq, rho0, cfg.t_max, cfg.sample_dt)
+        stats = traj.stats
+        assert traj.times.size == 161
+        assert 0.0 < stats.min_step < cfg.sample_dt < stats.max_step
+        assert stats.substeps < 30 and stats.rejected == 0
 
-    def test_clipped_steps_are_left_out(self, monkeypatch):
-        # every accepted step lands on a sample time: no unclipped step to report
+
+
+class TestKrylov:
+    @pytest.mark.parametrize("case", ["fig6 N_D=5", "chain4"])
+    def test_agrees_with_the_dense_propagator_at_every_sample(self, monkeypatch, case):
+        if case == "chain4":
+            cfg = preset("fig4-chain4")[0]
+            t_max, sample_dt = 0.25, 0.025
+        else:
+            cfg = sweep(preset("fig6-star")[0], "N_D", [5])[0]
+            t_max, sample_dt = cfg.t_max, cfg.sample_dt
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        assert _Sector(eq, rho0.matrix).levels.size > dynamics.SECTOR_DENSE_LIMIT
+        states, traj = _sample_states(eq, rho0, t_max, sample_dt)
+        assert traj.stats is not None
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 10**9)
+        reference, dense = _sample_states(eq, rho0, t_max, sample_dt)
+        assert dense.stats is None and len(states) == len(reference) == traj.times.size
+        assert max(trace_distance(a, b) for a, b in zip(states, reference)) <= 1e-10
+
+    def test_an_exactly_stationary_state_breaks_down_at_once(self, monkeypatch):
+        # L rho0 = 0: the first product leaves no residual, and rho0 stays put
         monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
-        b, eq = single_qubit_eq()
-        monkeypatch.setattr(_Stepper, "_initial_step", lambda self: 1.0)
-        stats = evolve(eq, product_state(b, [1]), 1e-3, 1e-4).stats
-        assert stats.accepted == 10
+        b, eq = chain_eq(4)
+        rho0 = ground_state(b)
+        traj = evolve(eq, rho0, 40.0, 0.25)
+        stats = traj.stats
+        assert (stats.substeps, stats.products) == (1, 1)
         assert stats.min_step == stats.max_step == 0.0
+        assert np.max(np.abs(traj.final_rho.matrix - rho0.matrix)) <= 1e-15
+
+    def test_a_steady_state_stays_put(self):
+        cfg = sweep(preset("fig6-star")[0], "N_D", [5])[0]
+        eq = build_master_equation(cfg)
+        steady = steady_state(eq, build_initial_state(cfg)).rho
+        traj = evolve(eq, steady, cfg.t_max, cfg.sample_dt)
+        assert traj.stats is not None
+        assert trace_distance(traj.final_rho, steady) <= 1e-9
 
 
 class TestSteadyStateRecord:
@@ -1153,12 +1188,11 @@ def _sample_states(eq, rho0, t_max, sample_dt, keep=None):
     return states, traj
 
 
-def _tight_dormand_prince(monkeypatch, *args, **kwargs):
-    """The same run on the Dormand-Prince integrator at rtol 1e-12, atol 1e-14."""
+def _tight_krylov(monkeypatch, *args, **kwargs):
+    """The same run on the Krylov propagator at KRYLOV_TOL 1e-14."""
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
-        patch.setattr(dynamics, "RTOL", 1e-12)
-        patch.setattr(dynamics, "ATOL", 1e-14)
+        patch.setattr(dynamics, "KRYLOV_TOL", 1e-14)
         states, traj = _sample_states(*args, **kwargs)
     assert traj.stats is not None
     return states, traj
@@ -1197,17 +1231,17 @@ class TestPropagator:
         assert not np.any(result - np.diag(np.diag(result)))
 
     @pytest.mark.parametrize("n_b", [4, 12])
-    def test_evolve_matches_tight_dormand_prince(self, monkeypatch, n_b):
+    def test_evolve_matches_tight_krylov(self, monkeypatch, n_b):
         eq, rho0 = _fig3b(n_b)
         states, traj = _sample_states(eq, rho0, 8.0, 0.1)
         assert traj.stats is None
-        reference, _ = _tight_dormand_prince(monkeypatch, eq, rho0, 8.0, 0.1)
+        reference, _ = _tight_krylov(monkeypatch, eq, rho0, 8.0, 0.1)
         assert len(states) == len(reference) == 81
         assert max(trace_distance(a, b) for a, b in zip(states, reference)) < 1e-11
 
     def test_short_last_interval_and_snapshots(self, monkeypatch):
         eq, rho0 = _fig3b(4)
-        reference, ref_traj = _tight_dormand_prince(monkeypatch, eq, rho0, 1.05, 0.1, keep=[0, 2])
+        reference, ref_traj = _tight_krylov(monkeypatch, eq, rho0, 1.05, 0.1, keep=[0, 2])
         states, traj = _sample_states(eq, rho0, 1.05, 0.1, keep=[0, 2])
         assert traj.times[-1] - traj.times[-2] == pytest.approx(0.05)
         assert np.array_equal(traj.times, ref_traj.times)
@@ -1341,7 +1375,7 @@ def _assert_batched_matches_bare(eq, rho0, t_max, sample_dt, compiled):
 
 class TestBatchedObservables:
     @pytest.mark.parametrize("pops", sorted(_ALL_KINDS), ids=str)
-    @pytest.mark.parametrize("limit", [None, 0], ids=["propagator", "stepper"])
+    @pytest.mark.parametrize("limit", [None, 0], ids=["propagator", "krylov"])
     def test_every_kind_matches_per_sample_evaluation(self, monkeypatch, pops, limit):
         if limit is not None:
             monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", limit)
@@ -1364,7 +1398,7 @@ class TestBatchedObservables:
         batched, _ = _assert_batched_matches_bare(eq, rho0, cfg.t_max, cfg.sample_dt, compiled)
         assert batched.stats is None and batched.times.size == 401
 
-    def test_fig3b_on_the_stepper(self, monkeypatch):
+    def test_fig3b_on_krylov(self, monkeypatch):
         monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
         cfg = preset("fig3b")[2]
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
@@ -1372,14 +1406,15 @@ class TestBatchedObservables:
         batched, _ = _assert_batched_matches_bare(eq, rho0, 8.0, cfg.sample_dt, compiled)
         assert batched.stats is not None
 
-    def test_chain4_keeps_its_422_rhs_calls(self):
+    def test_chain4_batched_and_bare_take_the_same_93_products(self):
         cfg = preset("fig4-chain4")[0]
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
         compiled = compile_observables(cfg, build_basis(cfg))
         batched, bare = _assert_batched_matches_bare(eq, rho0, 0.25, 0.25, compiled)
-        assert batched.stats.rhs_calls == bare.stats.rhs_calls == 422
+        assert batched.stats == bare.stats
+        assert (batched.stats.substeps, batched.stats.products) == (3, 93)
 
-    def test_fig5a_on_the_stepper_to_its_horizon(self, monkeypatch):
+    def test_fig5a_on_krylov_to_its_horizon(self, monkeypatch):
         # near rank-deficient reduced states the concurrence turns a changed
         # last bit into ~1e-9, so the map must sum as partial_trace does
         monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
@@ -1390,7 +1425,7 @@ class TestBatchedObservables:
         batched, _ = _assert_batched_matches_bare(eq, rho0, cfg.t_max, cfg.sample_dt, compiled)
         assert batched.stats is not None and batched.times.size == 201
 
-    @pytest.mark.parametrize("limit", [None, 0], ids=["propagator", "stepper"])
+    @pytest.mark.parametrize("limit", [None, 0], ids=["propagator", "krylov"])
     def test_snapshots_are_the_partial_traces_of_the_samples(self, monkeypatch, limit):
         if limit is not None:
             monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", limit)

@@ -295,6 +295,37 @@ class TestStates:
         rho = product_state(b, [mixed, 0])
         assert np.allclose(np.diag(rho.matrix).real, [0, 0.25, 0, 0.75])
 
+    @pytest.mark.parametrize(
+        "factor, problem",
+        [
+            (np.diag([1.5, -0.5]), "domain 1: negative eigenvalue -5.000e-01"),
+            (np.diag([0.5, 0.25]), "domain 1: trace"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "domain 1: matrix is not Hermitian"),
+        ],
+        ids=["not PSD", "trace 3/4", "not Hermitian"],
+    )
+    def test_product_state_refuses_a_bad_factor_by_domain(self, factor, problem):
+        b = BasisDescriptor(Backend.COLLECTIVE, (2, 1))
+        with pytest.raises(ValueError, match=problem):
+            product_state(b, [0, factor.astype(complex)])
+
+    def test_product_state_checks_the_trace_of_the_product(self):
+        # each factor within the trace tolerance, the product beyond it
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, 1, 1))
+        factor = np.diag([0.5, 0.5 + 0.9e-8]).astype(complex)
+        with pytest.raises(ValueError, match="product trace"):
+            product_state(b, [factor] * 3)
+
+    def test_product_state_is_not_decomposed_whole(self, monkeypatch):
+        # only the 2 x 2 and 3 x 3 factors are decomposed, never the 6 x 6 product
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, 2))
+        rho = product_state(b, [1, 2])
+        assert sorted(sizes) == [2, 3]
+        assert rho.matrix[0, 0] == 1.0
+
     def test_level_out_of_range(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (2,))
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,22 @@ class TestBoseEinstein:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("domains", dict(domains=5)),
+            ("reservoirs", dict(reservoirs=5)),
+            ("observables", dict(observables=5)),
+            ("reservoirs[0].domains", dict(reservoirs=(ReservoirSpec(5),))),
+        ],
+    )
+    def test_non_iterable_named(self, field, kwargs):
+        fields = dict(
+            name="x", domains=(DomainSpec(1), DomainSpec(2)), reservoirs=(ReservoirSpec((0, 1)),)
+        )
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}: expected a sequence, got 5"):
+            ScenarioConfig(**dict(fields, **kwargs))
+
     def test_single_domain_rejected(self):
         with pytest.raises(ValueError, match="domains"):
             ScenarioConfig(
@@ -521,6 +538,19 @@ class TestSweep:
         # neither truncated to 4 nor read as 1, nor used to solve mixture weights
         with pytest.raises(ValueError, match=r"domains\[1\]\.population"):
             sweep(preset(family)[0], "N_B", [value])
+
+    def test_huge_mixed_population_named_not_overflowed(self):
+        # the weights underflow to b = 0, which cannot sum to one
+        with pytest.raises(ValueError, match=r"^domains\[1\]\.initial: mixed weights"):
+            sweep(preset("appA-mixed")[0], "N_B", [2000])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 30, 59])
+    def test_mixed_weights_keep_their_closed_form(self, n):
+        for base in preset("appA-mixed"):
+            f0 = base.domains[1].initial.a + base.domains[1].initial.b
+            init = sweep(base, "N_B", [n])[0].domains[1].initial
+            b = (1.0 - f0) / (2**n - 1)
+            assert (init.a, init.b) == (f0 - b, b)
 
     @pytest.mark.parametrize(
         "family, parameter, field",
