@@ -458,11 +458,14 @@ def _domain_density(basis: BasisDescriptor, m: int, level: LevelSpec) -> np.ndar
     if isinstance(level, DensityMatrix):
         if level.basis.domain_pops != (N,) or level.basis.backend is not basis.backend:
             raise ValueError(f"domain {m}: density matrix basis does not match")
-        return level.matrix
+        level = level.matrix
     if isinstance(level, np.ndarray):
         if level.shape != (dim, dim):
             raise ValueError(f"domain {m}: matrix shape {level.shape}, expected ({dim}, {dim})")
-        return np.asarray(level, dtype=complex)
+        try:
+            return DensityMatrix(level, basis.subset([m])).matrix
+        except ValueError as exc:
+            raise ValueError(f"domain {m}: {exc}") from None
     if isinstance(level, str):
         if basis.backend is not Backend.FULL:
             raise ValueError("bitstring levels require the full backend")
@@ -481,21 +484,18 @@ def product_state(basis: BasisDescriptor, levels: Sequence[LevelSpec]) -> Densit
     with k excited spins), a bitstring of 'u'/'d' characters (full backend),
     or a single-domain density matrix (ndarray or DensityMatrix).
 
-    Each factor is validated as a DensityMatrix of its domain, and a bad one
-    is refused with its domain named.  A Kronecker product of density
-    matrices is one, so the product is not validated again (its d x d
-    eigendecomposition would cost far more than the factors'); only its
-    trace, where the factors' deviations multiply, is checked.
+    A factor given as a matrix is validated as a DensityMatrix of its
+    domain, and a bad one is refused with its domain named; a Dicke level or
+    bitstring is the projector on a unit vector.  A Kronecker product of
+    density matrices is one, so the product is not validated again (its
+    d x d eigendecomposition would cost far more than the factors'); only
+    its trace, where the factors' deviations multiply, is checked.
     """
     if len(levels) != basis.num_domains:
         raise ValueError(f"expected {basis.num_domains} levels, got {len(levels)}")
     out = None
     for m, level in enumerate(levels):
         dm = _domain_density(basis, m, level)
-        try:
-            DensityMatrix(dm, basis.subset([m]))
-        except ValueError as exc:
-            raise ValueError(f"domain {m}: {exc}") from None
         out = dm if out is None else np.kron(out, dm)
     tr = out.trace()
     if abs(tr - 1.0) > TRACE_TOL:

@@ -317,14 +317,16 @@ class TestStates:
             product_state(b, [factor] * 3)
 
     def test_product_state_is_not_decomposed_whole(self, monkeypatch):
-        # only the 2 x 2 and 3 x 3 factors are decomposed, never the 6 x 6 product
+        # only the factor given as a 2 x 2 matrix is decomposed, never the 6 x 6
+        # product or the Dicke projector
         sizes = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
         b = BasisDescriptor(Backend.COLLECTIVE, (1, 2))
-        rho = product_state(b, [1, 2])
-        assert sorted(sizes) == [2, 3]
-        assert rho.matrix[0, 0] == 1.0
+        mixed = np.diag([0.25, 0.75]).astype(complex)
+        rho = product_state(b, [mixed, 2])
+        assert sizes == [2]
+        assert np.array_equal(np.diag(rho.matrix).real, [0.25, 0, 0, 0.75, 0, 0])
 
     def test_level_out_of_range(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (2,))
