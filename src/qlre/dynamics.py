@@ -89,8 +89,8 @@ LEVEL_BLOCK_LIMIT = 4096
 # dense against 12 ms Krylov, N_D = 7 (219) 15 against 13 ms; a fresh-process
 # `qlre reproduce fig6` reads the same with this limit at 128, 160 or 256.
 SECTOR_DENSE_LIMIT = 128
-# evolve's Krylov route: the basis size, and the estimated error per unit of scaled
-# time it accepts (Euclidean norm of the coordinates, the Frobenius norm of rho)
+# evolve's Krylov route: the basis size, and the estimated error each substep may add
+# (Euclidean norm of the coordinates, the Frobenius norm of rho)
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-12
 # Full-backend runs above this many physical spins need an explicit override.
@@ -303,7 +303,8 @@ class SolverStats:
     (fewer products, and that substep serves the rest of the run).
     ``rejected`` counts the substeps the error estimate shrank; a rejection
     costs no product.  ``min_step`` and ``max_step`` bound the accepted
-    substeps that did not break down (both 0.0 if every one did).
+    substeps that neither broke down nor were cut short by the end of the
+    run (both 0.0 if none was left).
     """
 
     substeps: int
@@ -739,15 +740,20 @@ class _Krylov:
     exp(s L) y ~ |y| V exp(s H) e_1 for s up to the substep, with exp(s H)
     from ``_expm`` on the small matrix.  Expokit's a-posteriori estimate
     (Saad, SIAM J. Numer. Anal. 29, 209 (1992); Sidje, ACM TOMS 24, 130
-    (1998)) on H augmented by two rows sets the substep: its error must stay
-    within 1.2 KRYLOV_TOL per unit of scaled time, a failed estimate shrinks
-    it and the next substep is predicted from the last.  Every sample inside
-    an accepted substep is read off its basis, so samples never cut a
-    substep short; consecutive samples in one substep are one product with
-    exp(sample_dt H) apart.  When the residual of the basis vanishes (|y|
-    times its norm at most KRYLOV_TOL, or V spans the whole sector) the
-    basis spans an invariant subspace, a happy breakdown: it is exact for
-    all time and serves every later sample.
+    (1998)) on H augmented by two rows sets the substep: a failed estimate
+    shrinks it, and the next substep is predicted from the last.  The
+    estimate may reach 1.2 KRYLOV_TOL per substep, not per unit of time, so
+    the error of a run grows with its substeps and not with its length (at
+    1e-12 per unit of time the trace drifts past TRACE_DRIFT_TOL by
+    t ~ 5000).  As in Expokit no substep runs past the end of the run,
+    which also bounds a prediction after a stretch of tiny estimates.
+
+    Every sample inside an accepted substep is read off its basis, so
+    samples never cut a substep short; consecutive samples in one substep
+    are one product with exp(sample_dt H) apart.  When V spans the whole
+    sector, or the residual of the basis times |y| and the rest of the run
+    is at most KRYLOV_TOL, the basis spans an invariant subspace to that
+    accuracy (a happy breakdown) and serves every later sample.
 
     The first substep is set from ||H||_1 rather than ||L||, so it depends
     only on the Krylov space: orbit coordinates, an isometric image of the
@@ -755,11 +761,11 @@ class _Krylov:
     is checked as the propagator checks it.
     """
 
-    def __init__(self, sector: _Sector, rho0: np.ndarray, sample_dt: float):
+    def __init__(self, sector: _Sector, rho0: np.ndarray, sample_dt: float, t_end: float):
         self.sector = sector
         self.y = sector.pack(rho0)
         self.t = 0.0
-        self._dt = float(sample_dt)
+        self._dt, self._t_end = float(sample_dt), float(t_end)
         self._next = 0.0  # the predicted substep; 0 before the first
         self.substeps = self.rejected = self.products = 0
         self.worst_trace_drift = 0.0
@@ -776,7 +782,7 @@ class _Krylov:
     def _restart(self, y: np.ndarray, t0: float):
         """Build the basis at the state y of time t0 and accept a substep from it."""
         L, k = self.sector.liouvillian, min(KRYLOV_DIM, y.size)
-        beta = math.sqrt(y @ y)
+        beta, remaining = math.sqrt(y @ y), self._t_end - t0
         V = np.empty((k + 1, y.size))
         H = np.zeros((k + 2, k + 2))
         V[0] = y / beta
@@ -791,7 +797,7 @@ class _Krylov:
             p -= c2 @ W
             H[: j + 1, j] = c + c2
             s = math.sqrt(p @ p)
-            if s * beta <= KRYLOV_TOL or j + 1 == y.size:  # happy breakdown
+            if s * beta * remaining <= KRYLOV_TOL or j + 1 == y.size:  # happy breakdown
                 self.products += j + 1
                 self._V, self._H, self._span = W, H[: j + 1, : j + 1], math.inf
                 return
@@ -804,6 +810,7 @@ class _Krylov:
             norm = float(np.abs(H).sum(axis=0).max())
             log_fact = (k + 1) * math.log((k + 1) / math.e) + 0.5 * math.log(2 * math.pi * (k + 1))
             tau = (KRYLOV_TOL / (4 * beta * norm)) ** (1 / k) * math.exp(log_fact / k) / norm
+        tau = min(tau, remaining)
         H[k + 1, k] = 1.0
         while True:
             F = _expm(tau * H)
@@ -815,17 +822,18 @@ class _Krylov:
             else:
                 err, xm = phi1, 1 / (k - 1)
             err = max(float(err), np.finfo(float).tiny)
-            if err <= 1.2 * tau * KRYLOV_TOL:
+            if err <= 1.2 * KRYLOV_TOL:
                 break
             self.rejected += 1
-            tau *= 0.9 * (tau * KRYLOV_TOL / err) ** xm
+            tau *= 0.9 * (KRYLOV_TOL / err) ** xm
             if tau < np.finfo(float).eps * max(1.0, t0):
                 raise IntegrationFailure(
                     f"Krylov substep underflow at scaled time {t0:.6g} "
                     f"(estimated error {err:.3e})"
                 )
-        self.min_step, self.max_step = min(self.min_step, tau), max(self.max_step, tau)
-        self._next = 0.9 * tau * (tau * KRYLOV_TOL / err) ** xm
+        if tau < remaining:  # a substep cut short by the end of the run is left out
+            self.min_step, self.max_step = min(self.min_step, tau), max(self.max_step, tau)
+        self._next = 0.9 * tau * (KRYLOV_TOL / err) ** xm
         self._V, self._H, self._span, self._end = V, H, tau, F[:, 0]
 
     def advance_to(self, target: float):
@@ -881,10 +889,9 @@ def evolve(
     one per site-permutation orbit where the run has that symmetry (see
     ``_Sector``).  Up to SECTOR_DENSE_LIMIT coordinates it is
     carried from sample to sample by the exact propagator exp(h L), and
-    ``stats`` is None.  Above, Krylov substeps carry it (``_Krylov``), to an
-    estimated error of KRYLOV_TOL per unit of scaled time in the Frobenius
-    norm, and ``stats`` records the substeps, rejections and products with
-    L they took.
+    ``stats`` is None.  Above, Krylov substeps carry it (``_Krylov``), each
+    to an estimated error of KRYLOV_TOL in the Frobenius norm, and ``stats``
+    records the substeps, rejections and products with L they took.
 
     Observables, operators and ``keep`` are read off the coordinates by one
     map per distinct linear part (``_Sector.readout``), one product each per
@@ -911,7 +918,7 @@ def evolve(
     if sector.liouvillian.shape[0] <= SECTOR_DENSE_LIMIT:
         solver = _Propagator(sector, rho0.matrix, sample_dt)
     else:
-        solver = _Krylov(sector, rho0.matrix, sample_dt)
+        solver = _Krylov(sector, rho0.matrix, sample_dt, times[-1])
     maps = {}
     for ob in list(compiled.values()) + ([] if snapshot is None else [snapshot]):
         if ob.part not in maps:

@@ -603,10 +603,11 @@ class TestSolverStats:
 
     def test_rejected_substeps_are_counted(self):
         # a predicted substep far too long for the estimate is shrunk until it
-        # passes; the rejections cost no products, and the substep stays accurate
+        # passes; the rejections cost no products, and the substep stays within
+        # KRYLOV_TOL of the exact exponential
         eq, rho0 = _fig3b(12)
         sector = _Sector(eq, rho0.matrix)
-        krylov = _Krylov(sector, rho0.matrix, 0.1)
+        krylov = _Krylov(sector, rho0.matrix, 0.1, 100.0)
         krylov._next = 50.0
         y = krylov.y
         krylov._restart(y, 0.0)
@@ -615,7 +616,7 @@ class TestSolverStats:
         assert 0.0 < tau < 50.0
         krylov.advance_to(tau)
         exact = dynamics._expm(tau * sector.liouvillian.toarray()) @ y
-        assert np.linalg.norm(krylov.y - exact) <= dynamics.KRYLOV_TOL * tau
+        assert np.linalg.norm(krylov.y - exact) <= dynamics.KRYLOV_TOL
 
     def test_trace_drift_raises(self, monkeypatch):
         monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
@@ -1049,7 +1050,7 @@ class TestArnoldi:
     @pytest.mark.parametrize("case", [0, 1], ids=["real-fig3b", "complex-sigma-y"])
     def test_basis_is_orthonormal_and_spans_the_krylov_space(self, case):
         eq, rho0 = _krylov_cases()[case]
-        krylov = _Krylov(_Sector(eq, rho0), rho0, 0.1)
+        krylov = _Krylov(_Sector(eq, rho0), rho0, 0.1, 8.0)
         V, H, k = krylov._V, krylov._H, dynamics.KRYLOV_DIM
         assert V.shape == (k + 1, krylov.y.size)
         assert np.max(np.abs(V @ V.T - np.eye(k + 1))) <= 1e-14
@@ -1063,13 +1064,13 @@ class TestArnoldi:
     def test_samples_inside_a_substep_share_its_basis(self, case):
         eq, rho0 = _krylov_cases()[case]
         sector = _Sector(eq, rho0)
-        krylov = _Krylov(sector, rho0, 0.1)
+        krylov = _Krylov(sector, rho0, 0.1, 8.0)
         y0, tau, L = krylov.y, krylov._span, sector.liouvillian.toarray()
         assert 0.0 < tau < math.inf and krylov.products == dynamics.KRYLOV_DIM + 1
         for s in (tau / 3, tau / 2, tau):
             krylov.advance_to(s)
             exact = dynamics._expm(s * L) @ y0
-            assert np.linalg.norm(krylov.y - exact) <= dynamics.KRYLOV_TOL * tau
+            assert np.linalg.norm(krylov.y - exact) <= dynamics.KRYLOV_TOL
         assert krylov.substeps == 1 and krylov.products == dynamics.KRYLOV_DIM + 1
 
     def test_a_sector_within_the_basis_size_breaks_down_at_once(self, monkeypatch):
@@ -1146,6 +1147,33 @@ class TestKrylov:
         assert (stats.substeps, stats.products) == (1, 1)
         assert stats.min_step == stats.max_step == 0.0
         assert np.max(np.abs(traj.final_rho.matrix - rho0.matrix)) <= 1e-15
+
+    @pytest.mark.parametrize("start", ["initial", "steady"])
+    def test_a_long_run_keeps_its_accuracy(self, monkeypatch, start):
+        # the error budget is per substep, and a happy breakdown weighs the rest of
+        # the run, so the error grows with the substeps, not with the length; at
+        # 1e-12 per unit of time the trace passes TRACE_DRIFT_TOL near t = 5500 from
+        # rho0 and near 7500 from the steady state
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
+        cfg = preset("fig5a-dephasing")[-1]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        if start == "steady":
+            rho0 = steady_state(eq, rho0).rho
+        states, traj = _sample_states(eq, rho0, 1e4, 100.0)
+        assert traj.stats.substeps < 30 and traj.stats.worst_trace_drift <= 1e-10
+        monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 10**9)
+        reference, _ = _sample_states(eq, rho0, 1e4, 100.0)
+        assert max(trace_distance(a, b) for a, b in zip(states, reference)) <= 1e-10
+
+    def test_no_substep_runs_past_the_end(self):
+        # to t = 0.16 the third substep is cut to ~0.004, and left out of the range
+        cfg = preset("fig4-chain4")[0]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        krylov = _Krylov(_Sector(eq, rho0.matrix), rho0.matrix, 0.16, 0.16)
+        krylov.advance_to(0.16)
+        assert krylov.substeps == 3
+        assert krylov._start + krylov._span == pytest.approx(0.16, rel=1e-15)
+        assert krylov._span < 0.01 < krylov.stats.min_step
 
     def test_a_steady_state_stays_put(self):
         cfg = sweep(preset("fig6-star")[0], "N_D", [5])[0]
