@@ -22,12 +22,13 @@ permutations, so each such orbit is one coordinate (the state space of
 PIQS, Shammah et al., Phys. Rev. A 98, 063815 (2018)).
 ``lindblad_rhs`` stays the plain matrix form, the reference for tests.
 
-L is constant, so the state at every sample is exp(t L) rho0.  A sector
-of at most SECTOR_DENSE_LIMIT coordinates is advanced between samples by
-its dense propagator exp(h L), formed once per interval length by scaling
-and squaring.  A larger sector is advanced by restarted Krylov substeps:
-exp(s L) y from a small Arnoldi basis of L at y, with the substep set by
-an a-posteriori error estimate (``_Krylov``).
+L is constant, so the state at every sample is exp(t L) rho0.  Each
+sample comes with the interval h before it: sample_dt, or a shorter last
+one (``_sample_grid``).  ``_Propagator`` multiplies a vector by the dense
+exp(h A), formed once per h by scaling and squaring.  A sector of at most
+SECTOR_DENSE_LIMIT coordinates runs it on L itself.  A larger sector takes
+restarted Krylov substeps (``_Krylov``), each set by an a-posteriori error
+estimate, and runs it on the small Hessenberg matrix of each substep.
 
 The stationary manifold is degenerate (dark states), so the steady state
 depends on rho0: it is rho_inf = P_inf rho0, the projection that keeps the
@@ -295,7 +296,7 @@ def build_realistic(
 
 @dataclass(frozen=True)
 class SolverStats:
-    """What the Krylov propagator did over one run.
+    """What the Krylov route did over one run, and the worst trace drift of its samples.
 
     Each substep builds one basis: KRYLOV_DIM products with the sector's L
     and one more for the error estimate, so
@@ -319,8 +320,8 @@ class SolverStats:
 class Trajectory:
     """Sampled time series from one integration run.
 
-    ``stats`` is the Krylov propagator's SolverStats, or None when the
-    sector was small enough for the dense propagator (no substeps to count).
+    ``stats`` is the Krylov route's SolverStats, or None when the sector
+    was small enough for the dense propagator (no substeps to count).
     """
 
     times: np.ndarray
@@ -624,9 +625,10 @@ class _LevelSweep:
     When every jump lowers n or keeps it (``_Sector.lowering``), a
     coordinate feeds only those of the same or a lower level n(i) + n(j),
     so L is block lower-triangular in the sector's order with one block per
-    level; otherwise the whole sector is one block.  A step solves the
-    blocks in order: each diagonal block of I - h L is inverted once,
-    densely, and the blocks above feed in through a sparse slice of L.  A
+    level; otherwise the whole sector is one block.  A step is forward
+    substitution from x = 0: block b is x_b = inv_b (y_b + (h L)_b x), with
+    inv_b the inverse of the block's diagonal part of I - h L, formed once,
+    densely, and (h L)_b its rows of h L, where x is still zero from b on.  A
     block above LEVEL_BLOCK_LIMIT coordinates raises MemoryGuardExceeded
     before anything is inverted.
     """
@@ -641,19 +643,17 @@ class _LevelSweep:
                 f"a steady-state block of {largest} coordinates needs a dense inverse of "
                 f"{8 * largest**2} bytes; LEVEL_BLOCK_LIMIT is {LEVEL_BLOCK_LIMIT}"
             )
-        L = sector.liouvillian
+        hL = h * sector.liouvillian
         self.blocks = []
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            inverse = np.linalg.inv(np.eye(stop - start) - h * L[start:stop, start:stop].toarray())
-            feed = h * L[start:stop, :start]
-            self.blocks.append((start, stop, inverse, feed if feed.nnz else None))
+            rows = hL[start:stop]
+            inverse = np.linalg.inv(np.eye(stop - start) - rows[:, start:stop].toarray())
+            self.blocks.append((start, stop, inverse, rows))
 
     def step(self, y: np.ndarray) -> np.ndarray:
-        x = y.copy()
-        for start, stop, inverse, feed in self.blocks:
-            if feed is not None:
-                x[start:stop] += feed @ x[:start]
-            x[start:stop] = inverse @ x[start:stop]
+        x = np.zeros_like(y)
+        for start, stop, inverse, rows in self.blocks:
+            x[start:stop] = inverse @ (y[start:stop] + rows @ x)
         return x
 
 
@@ -696,39 +696,22 @@ def _trace_drift(sector: _Sector, y: np.ndarray, t: float, route: str) -> float:
 
 
 class _Propagator:
-    """Exact advance y <- exp(h L) y between samples, for a sector held densely.
+    """Exact propagation y <- exp(h A) y of a vector by a dense matrix A.
 
-    The propagator of sample_dt is formed at its first use and reused; only
-    the grid's shorter last interval, if it has one, needs a second.  Being
-    exact, it is stable at any spacing, where an explicit integrator on a
-    stiff sector takes steps far below it.  Each advance checks the trace
-    drift; there are no substeps, so ``stats`` is None.
+    exp(h A) is formed when h differs from the last advance's and reused
+    while it stays the same, so a run of equal intervals costs one exponential.
+    Being exact, it is stable at any h, where an explicit integrator on a
+    stiff matrix takes steps far below it.
     """
 
-    stats = None
+    def __init__(self, A: np.ndarray, y: np.ndarray):
+        self.y, self._A = y, A
+        self._h = self._P = None
 
-    def __init__(self, sector: _Sector, rho0: np.ndarray, sample_dt: float):
-        self.sector = sector
-        self.y = sector.pack(rho0)
-        self.t = 0.0
-        self._L = sector.liouvillian.toarray()
-        self._dt = float(sample_dt)
-        self._step: Optional[np.ndarray] = None
-
-    def advance_to(self, target: float):
-        if target <= self.t:
-            return
-        # ``_sample_grid`` puts sample i at i * sample_dt, and appends t_max only
-        # when it falls between two of them, after a shorter last interval
-        if target == round(target / self._dt) * self._dt:
-            if self._step is None:
-                self._step = _expm(self._dt * self._L)
-            P = self._step
-        else:
-            P = _expm((target - self.t) * self._L)
-        self.y = P @ self.y
-        self.t = target
-        _trace_drift(self.sector, self.y, target, "propagated")
+    def advance(self, h: float):
+        if h != self._h:
+            self._h, self._P = h, _expm(h * self._A)
+        self.y = self._P @ self.y
 
 
 class _Krylov:
@@ -737,57 +720,52 @@ class _Krylov:
     A substep starts from the state y at time t0 and builds an orthonormal
     basis V of the Krylov space of L at y, KRYLOV_DIM vectors by two-pass
     classical Gram-Schmidt, with H = V^T L V upper Hessenberg.  Then
-    exp(s L) y ~ |y| V exp(s H) e_1 for s up to the substep, with exp(s H)
-    from ``_expm`` on the small matrix.  Expokit's a-posteriori estimate
-    (Saad, SIAM J. Numer. Anal. 29, 209 (1992); Sidje, ACM TOMS 24, 130
-    (1998)) on H augmented by two rows sets the substep: a failed estimate
-    shrinks it, and the next substep is predicted from the last.  The
-    estimate may reach 1.2 KRYLOV_TOL per substep, not per unit of time, so
-    the error of a run grows with its substeps and not with its length (at
-    1e-12 per unit of time the trace drifts past TRACE_DRIFT_TOL by
-    t ~ 5000).  As in Expokit no substep runs past the end of the run,
+    exp(s L) y ~ |y| V exp(s H) e_1 for s up to the substep.  Expokit's
+    a-posteriori estimate (Saad, SIAM J. Numer. Anal. 29, 209 (1992); Sidje,
+    ACM TOMS 24, 130 (1998)) on H augmented by two rows sets the substep: a
+    failed estimate shrinks it, and the next substep is predicted from the
+    last.  The estimate may reach 1.2 KRYLOV_TOL per substep, not per unit
+    of time, so the error of a run grows with its substeps and not with its
+    length (at 1e-12 per unit of time the trace drifts past TRACE_DRIFT_TOL
+    by t ~ 5000).  As in Expokit no substep runs past the end of the run,
     which also bounds a prediction after a stretch of tiny estimates.
 
     Every sample inside an accepted substep is read off its basis, so
-    samples never cut a substep short; consecutive samples in one substep
-    are one product with exp(sample_dt H) apart.  When V spans the whole
-    sector, or the residual of the basis times |y| and the rest of the run
-    is at most KRYLOV_TOL, the basis spans an invariant subspace to that
-    accuracy (a happy breakdown) and serves every later sample.
+    samples never cut a substep short: a ``_Propagator`` on H carries e_1 to
+    the substep's first sample, by its time from the start, and on to each
+    later one, by the interval before it.  When V spans the whole sector, or
+    the residual of the basis times |y| and the rest of the run is at most
+    KRYLOV_TOL, the basis spans an invariant subspace to that accuracy (a
+    happy breakdown) and serves every later sample.
 
     The first substep is set from ||H||_1 rather than ||L||, so it depends
     only on the Krylov space: orbit coordinates, an isometric image of the
-    elements they merge, take the same substeps.  Each sample's trace drift
-    is checked as the propagator checks it.
+    elements they merge, take the same substeps.
     """
 
-    def __init__(self, sector: _Sector, rho0: np.ndarray, sample_dt: float, t_end: float):
-        self.sector = sector
-        self.y = sector.pack(rho0)
-        self.t = 0.0
-        self._dt, self._t_end = float(sample_dt), float(t_end)
+    def __init__(self, L: sp.csr_array, y: np.ndarray, t_end: float):
+        self.y = y
+        self._L, self._t_end = L, float(t_end)
         self._next = 0.0  # the predicted substep; 0 before the first
         self.substeps = self.rejected = self.products = 0
-        self.worst_trace_drift = 0.0
         self.min_step, self.max_step = math.inf, 0.0
-        self._restart(self.y, 0.0)
+        self._restart(y, 0.0)
 
-    @property
-    def stats(self) -> SolverStats:
+    def stats(self, worst_trace_drift: float) -> SolverStats:
         low = self.min_step if self.max_step > 0 else 0.0
         return SolverStats(
-            self.substeps, self.rejected, self.products, self.worst_trace_drift, low, self.max_step
+            self.substeps, self.rejected, self.products, worst_trace_drift, low, self.max_step
         )
 
     def _restart(self, y: np.ndarray, t0: float):
         """Build the basis at the state y of time t0 and accept a substep from it."""
-        L, k = self.sector.liouvillian, min(KRYLOV_DIM, y.size)
+        L, k = self._L, min(KRYLOV_DIM, y.size)
         beta, remaining = math.sqrt(y @ y), self._t_end - t0
         V = np.empty((k + 1, y.size))
         H = np.zeros((k + 2, k + 2))
         V[0] = y / beta
         self.substeps += 1
-        self._start, self._beta, self._f, self._sample_step = t0, beta, None, None
+        self._start, self._beta, self._f = t0, beta, None
         for j in range(k):
             W = V[: j + 1]
             p = L @ V[j]
@@ -836,24 +814,16 @@ class _Krylov:
         self._next = 0.9 * tau * (KRYLOV_TOL / err) ** xm
         self._V, self._H, self._span, self._end = V, H, tau, F[:, 0]
 
-    def advance_to(self, target: float):
-        if target <= self.t:
-            return
+    def advance_to(self, target: float, h: float):
+        """Move y to the sample at time target, h after the sample before it."""
         while target - self._start > self._span:
             y = self._beta * (self._end[: self._V.shape[0]] @ self._V)
             self._restart(y, self._start + self._span)
-        # ``_sample_grid`` puts sample i at i * sample_dt; a shorter last interval is
-        # read afresh
-        if self._f is not None and target == round(target / self._dt) * self._dt:
-            if self._sample_step is None:
-                self._sample_step = _expm(self._dt * self._H)
-            self._f = self._sample_step @ self._f
-        else:
-            self._f = _expm((target - self._start) * self._H)[:, 0]
-        self.y = self._beta * (self._f[: self._V.shape[0]] @ self._V)
-        self.t = target
-        drift = _trace_drift(self.sector, self.y, target, "Krylov")
-        self.worst_trace_drift = max(self.worst_trace_drift, drift)
+        if self._f is None:  # the substep's first sample is read from its start
+            self._f = _Propagator(self._H, np.eye(self._H.shape[0])[0])
+            h = target - self._start
+        self._f.advance(h)
+        self.y = self._beta * (self._f.y[: self._V.shape[0]] @ self._V)
 
 
 # ---------------------------------------------------------------------------
@@ -861,12 +831,19 @@ class _Krylov:
 # ---------------------------------------------------------------------------
 
 
-def _sample_grid(t_max: float, sample_dt: float) -> np.ndarray:
+def _sample_grid(t_max: float, sample_dt: float) -> tuple[np.ndarray, list[float]]:
+    """The sample times, and the interval before each (0.0 before the first).
+
+    Sample i sits at i * sample_dt, sample_dt after the one before; t_max is
+    appended, after the shorter interval left, when it falls between two of them.
+    """
+    t_max, sample_dt = float(t_max), float(sample_dt)
     n = int(math.floor(t_max / sample_dt + 1e-9))
-    ts = [i * sample_dt for i in range(n + 1)]
+    ts, steps = [i * sample_dt for i in range(n + 1)], [0.0] + [sample_dt] * n
     if t_max - ts[-1] > 1e-9 * max(1.0, t_max):
+        steps.append(t_max - ts[-1])
         ts.append(t_max)
-    return np.asarray(ts)
+    return np.asarray(ts), steps
 
 
 def evolve(
@@ -883,15 +860,17 @@ def evolve(
     ``scenarios.compile_observables``), Hermitian operators (recorded as
     expectation values) or other callables on the sampled state.  With
     ``keep``, the reduced state over those domains is stored at every
-    sample.  Trace drift is watched over the whole run.
+    sample.
 
     The state is the real Hermitian coordinates of rho0's coherence orders,
     one per site-permutation orbit where the run has that symmetry (see
-    ``_Sector``).  Up to SECTOR_DENSE_LIMIT coordinates it is
-    carried from sample to sample by the exact propagator exp(h L), and
-    ``stats`` is None.  Above, Krylov substeps carry it (``_Krylov``), each
-    to an estimated error of KRYLOV_TOL in the Frobenius norm, and ``stats``
-    records the substeps, rejections and products with L they took.
+    ``_Sector``).  Each sample is reached across the interval before it,
+    sample_dt or a shorter last one.  Up to SECTOR_DENSE_LIMIT coordinates
+    the exact ``_Propagator`` exp(h L) carries the state, and ``stats`` is
+    None.  Above, Krylov substeps carry it (``_Krylov``), each to an
+    estimated error of KRYLOV_TOL in the Frobenius norm, and ``stats``
+    records the substeps, rejections and products with L they took.  Every
+    sample after the first is checked for trace drift, on either route.
 
     Observables, operators and ``keep`` are read off the coordinates by one
     map per distinct linear part (``_Sector.readout``), one product each per
@@ -913,12 +892,14 @@ def evolve(
         (compiled if isinstance(ob, Observable) else bare)[name] = ob
     snapshot = None if keep is None else Observable(lambda v, t: v, keep=tuple(keep))
 
-    times = _sample_grid(t_max, sample_dt)
+    times, steps = _sample_grid(t_max, sample_dt)
     sector = _Sector(eq, rho0.matrix)
-    if sector.liouvillian.shape[0] <= SECTOR_DENSE_LIMIT:
-        solver = _Propagator(sector, rho0.matrix, sample_dt)
+    y, L = sector.pack(rho0.matrix), sector.liouvillian
+    dense = L.shape[0] <= SECTOR_DENSE_LIMIT
+    if dense:
+        solver, route = _Propagator(L.toarray(), y), "propagated"
     else:
-        solver = _Krylov(sector, rho0.matrix, sample_dt, times[-1])
+        solver, route = _Krylov(L, y, times[-1]), "Krylov"
     maps = {}
     for ob in list(compiled.values()) + ([] if snapshot is None else [snapshot]):
         if ob.part not in maps:
@@ -926,8 +907,14 @@ def evolve(
     linear = {part: np.empty((times.size,) + R.shape[:-1], complex) for part, R in maps.items()}
     series = {name: np.empty(times.size) for name in bare}
 
-    for k, t in enumerate(times):
-        solver.advance_to(float(t))
+    worst_drift = 0.0
+    for k, (t, h) in enumerate(zip(times, steps)):
+        if k:
+            if dense:
+                solver.advance(h)
+            else:
+                solver.advance_to(float(t), h)
+            worst_drift = max(worst_drift, _trace_drift(sector, solver.y, t, route))
         for part, R in maps.items():
             linear[part][k] = R @ solver.y
         if bare:
@@ -948,7 +935,7 @@ def evolve(
         observables={name: series[name] for name in observables},
         snapshots=snapshots,
         final_rho=DensityMatrix(sector.unpack(solver.y), eq.basis, validate=False),
-        stats=solver.stats,
+        stats=None if dense else solver.stats(worst_drift),
     )
 
 
@@ -990,9 +977,7 @@ def steady_state(
     sweep = _LevelSweep(sector, STEADY_STEP)
     for steps in range(1, MAX_SWEEPS + 1):
         y = sweep.step(y)
-        trace_drift = abs(sector.trace(y) - 1.0)
-        if trace_drift > TRACE_DRIFT_TOL:
-            raise NumericalFailure(f"implicit Euler step {steps} drifted: trace {trace_drift:.3e}")
+        _trace_drift(sector, y, steps * STEADY_STEP, "implicit Euler")
         residual = float(np.linalg.norm(sector.liouvillian @ y))
         if residual < tol:
             rho = DensityMatrix(sector.unpack(y), eq.basis, validate=False)

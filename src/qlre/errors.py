@@ -15,7 +15,7 @@ class UnsupportedConfigurationError(QlreError):
 
 
 class IntegrationFailure(QlreError):
-    """The adaptive step size underflowed: no step passed the error and trace-drift tests."""
+    """A Krylov substep underflowed: no substep passed the error estimate."""
 
 
 class ConvergenceFailure(QlreError):
@@ -31,7 +31,7 @@ class UndefinedResultError(QlreError):
 
 
 class MemoryGuardExceeded(QlreError):
-    """A run would allocate more memory than the configured cap allows."""
+    """A run needs a dense block above a fixed size limit (dynamics.LEVEL_BLOCK_LIMIT)."""
 
 
 def at_sample(times, k: int) -> str:

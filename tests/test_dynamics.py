@@ -403,6 +403,24 @@ class TestAssembly:
         assert np.all(np.diff(keys) > 0)
         assert np.array_equal(v, O.diagonal())
 
+    def test_non_canonical_csr_jump_gives_the_canonical_sector(self):
+        # every entry stored twice, as halves, in descending column order
+        b = BasisDescriptor(Backend.FULL, (1, 2, 1))
+        J = reservoir_jump(b, [0, 1]).matrix
+        counts = np.diff(J.indptr)
+        order = np.lexsort((-J.indices, np.repeat(np.arange(b.dim), counts)))
+        messy = sp.csr_array(
+            (np.repeat(J.data[order] / 2, 2), np.repeat(J.indices[order], 2), 2 * J.indptr),
+            shape=J.shape,
+        )
+        assert not messy.has_canonical_format
+        rho0 = product_state(b, [1, 1, 0]).matrix
+        L, messy_L = (
+            _Sector(MasterEquation((LindbladTerm(Operator(m, b), 1.0),), b), rho0).liouvillian
+            for m in (J, messy)
+        )
+        assert (L != messy_L).nnz == 0
+
     def test_complex_jump_with_im_coordinates(self):
         b, eq = _sigma_y_pair()
         rho0 = random_density(np.random.default_rng(31), b)
@@ -607,14 +625,14 @@ class TestSolverStats:
         # KRYLOV_TOL of the exact exponential
         eq, rho0 = _fig3b(12)
         sector = _Sector(eq, rho0.matrix)
-        krylov = _Krylov(sector, rho0.matrix, 0.1, 100.0)
+        krylov = _Krylov(sector.liouvillian, sector.pack(rho0.matrix), 100.0)
         krylov._next = 50.0
         y = krylov.y
         krylov._restart(y, 0.0)
         assert krylov.rejected > 0 and krylov.products == 2 * (dynamics.KRYLOV_DIM + 1)
         tau = krylov._span
         assert 0.0 < tau < 50.0
-        krylov.advance_to(tau)
+        krylov.advance_to(tau, tau)
         exact = dynamics._expm(tau * sector.liouvillian.toarray()) @ y
         assert np.linalg.norm(krylov.y - exact) <= dynamics.KRYLOV_TOL
 
@@ -826,6 +844,13 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             steady_state(eq, ground_state(b), tol=0.0)
 
+    def test_trace_drift_raises(self, monkeypatch):
+        step = dynamics._LevelSweep.step
+        monkeypatch.setattr(dynamics._LevelSweep, "step", lambda self, y: step(self, y) * 1.000001)
+        b, eq = chain_eq(4)
+        with pytest.raises(NumericalFailure, match="implicit Euler state drifted at scaled time 256"):
+            steady_state(eq, product_state(b, [0, 4, 0]))
+
 
 class TestExpectation:
     def test_single_spin_values(self):
@@ -851,6 +876,15 @@ class TestExpectation:
         jz = collective_jz(2, Backend.COLLECTIVE)
         with pytest.raises(ValueError):
             expectation(product_state(b, [0]), jz)
+
+    def test_csr_operator_matches_its_dense_copy(self):
+        b = BasisDescriptor(Backend.FULL, (1, 3))
+        jz = embed(collective_jz(3, Backend.FULL), b, 1)
+        assert jz.is_sparse
+        rho = random_density(np.random.default_rng(7), b)
+        value = expectation(rho, jz)
+        assert value == pytest.approx(expectation(rho, Operator(jz.toarray(), b)), abs=1e-14)
+        assert value == pytest.approx(np.trace(rho.matrix @ jz.toarray()).real, abs=1e-14)
 
 
 class TestHalfMaxTime:
@@ -1050,12 +1084,13 @@ class TestArnoldi:
     @pytest.mark.parametrize("case", [0, 1], ids=["real-fig3b", "complex-sigma-y"])
     def test_basis_is_orthonormal_and_spans_the_krylov_space(self, case):
         eq, rho0 = _krylov_cases()[case]
-        krylov = _Krylov(_Sector(eq, rho0), rho0, 0.1, 8.0)
+        sector = _Sector(eq, rho0)
+        krylov = _Krylov(sector.liouvillian, sector.pack(rho0), 8.0)
         V, H, k = krylov._V, krylov._H, dynamics.KRYLOV_DIM
         assert V.shape == (k + 1, krylov.y.size)
         assert np.max(np.abs(V @ V.T - np.eye(k + 1))) <= 1e-14
         # the Arnoldi relation L V_k = V_(k+1) Hbar, with Hbar upper Hessenberg
-        LV = (krylov.sector.liouvillian @ V[:k].T).T
+        LV = (sector.liouvillian @ V[:k].T).T
         assert np.max(np.abs(LV - H[: k + 1, :k].T @ V)) <= 1e-12 * np.max(np.abs(LV))
         assert not np.any(np.tril(H[: k + 1, :k], -2))
         assert np.max(np.abs(V[0] - krylov.y / np.linalg.norm(krylov.y))) <= 1e-15
@@ -1064,11 +1099,11 @@ class TestArnoldi:
     def test_samples_inside_a_substep_share_its_basis(self, case):
         eq, rho0 = _krylov_cases()[case]
         sector = _Sector(eq, rho0)
-        krylov = _Krylov(sector, rho0, 0.1, 8.0)
+        krylov = _Krylov(sector.liouvillian, sector.pack(rho0), 8.0)
         y0, tau, L = krylov.y, krylov._span, sector.liouvillian.toarray()
         assert 0.0 < tau < math.inf and krylov.products == dynamics.KRYLOV_DIM + 1
-        for s in (tau / 3, tau / 2, tau):
-            krylov.advance_to(s)
+        for before, s in zip((0.0, tau / 3, tau / 2), (tau / 3, tau / 2, tau)):
+            krylov.advance_to(s, s - before)
             exact = dynamics._expm(s * L) @ y0
             assert np.linalg.norm(krylov.y - exact) <= dynamics.KRYLOV_TOL
         assert krylov.substeps == 1 and krylov.products == dynamics.KRYLOV_DIM + 1
@@ -1169,11 +1204,12 @@ class TestKrylov:
         # to t = 0.16 the third substep is cut to ~0.004, and left out of the range
         cfg = preset("fig4-chain4")[0]
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
-        krylov = _Krylov(_Sector(eq, rho0.matrix), rho0.matrix, 0.16, 0.16)
-        krylov.advance_to(0.16)
+        sector = _Sector(eq, rho0.matrix)
+        krylov = _Krylov(sector.liouvillian, sector.pack(rho0.matrix), 0.16)
+        krylov.advance_to(0.16, 0.16)
         assert krylov.substeps == 3
         assert krylov._start + krylov._span == pytest.approx(0.16, rel=1e-15)
-        assert krylov._span < 0.01 < krylov.stats.min_step
+        assert krylov._span < 0.01 < krylov.stats(0.0).min_step
 
     def test_a_steady_state_stays_put(self):
         cfg = sweep(preset("fig6-star")[0], "N_D", [5])[0]
