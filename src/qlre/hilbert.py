@@ -251,19 +251,7 @@ def collective_lowering(N: int, backend: Backend) -> Operator:
         mat = np.zeros((N + 1, N + 1), dtype=complex)
         mat[np.arange(1, N + 1), np.arange(N)] = elems
         return Operator(mat, basis)
-    # full backend: flip one up-bit (0) to down (1) per site, summed over sites
-    dim = 2**N
-    cols: list[int] = []
-    rows: list[int] = []
-    for site in range(N):
-        bit = 1 << (N - 1 - site)
-        for b in range(dim):
-            if not b & bit:
-                cols.append(b)
-                rows.append(b | bit)
-    data = np.ones(len(rows), dtype=complex)
-    mat = sp.csr_array((data, (rows, cols)), shape=(dim, dim))
-    return Operator(mat, basis)
+    return Operator(sum(single_spin_lowering(basis, 0, site).matrix for site in range(N)), basis)
 
 
 def collective_jz(N: int, backend: Backend) -> Operator:

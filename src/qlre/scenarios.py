@@ -323,11 +323,13 @@ def _validate_config(cfg: ScenarioConfig):
             "per-spin noise and full-identity mixed preparation require the "
             "full backend; use backend 'full' or 'auto'",
         )
-    if cfg.backend == "full" and _has_mixed(cfg) and cfg.mixed_basis == "symmetric":
+    symmetric = _has_mixed(cfg) and cfg.mixed_basis == "symmetric"
+    if symmetric and effective_backend(cfg) is Backend.FULL:
         _fail(
             "mixed_basis",
-            "symmetric mixed preparation lives on the ladder basis; "
-            "use backend 'collective' or 'auto'",
+            "symmetric mixed preparation lives on the ladder basis, and this configuration "
+            "runs on the full backend; use mixed_basis 'full', or the collective backend "
+            "without per-spin noise",
         )
     for i, obs in enumerate(cfg.observables):
         if not isinstance(obs, str):
@@ -386,7 +388,7 @@ def _mixed_domain_matrix(population: int, a: float, b: float, backend: Backend) 
 def build_initial_state(cfg: ScenarioConfig) -> DensityMatrix:
     basis = build_basis(cfg)
     levels = []
-    for i, dom in enumerate(cfg.domains):
+    for dom in cfg.domains:
         init = dom.initial
         if init.kind == "ground":
             levels.append(0)
@@ -394,20 +396,7 @@ def build_initial_state(cfg: ScenarioConfig) -> DensityMatrix:
             levels.append(dom.population)
         elif init.kind == "dicke":
             levels.append(init.dicke_k)
-        else:  # mixed
-            if basis.backend is Backend.COLLECTIVE and cfg.mixed_basis == "full":
-                # _validate_config rejects this for explicit backends; auto never picks it
-                _fail(
-                    f"domains[{i}].initial",
-                    "full-identity mixed preparation requires the full backend",
-                )
-            want = basis.backend if cfg.mixed_basis == "full" else Backend.COLLECTIVE
-            if want is not basis.backend:
-                _fail(
-                    f"domains[{i}].initial",
-                    "symmetric mixed preparation on the full backend is not supported; "
-                    "use backend 'collective' or mixed_basis 'full'",
-                )
+        else:  # mixed: _validate_config has matched mixed_basis to the backend
             levels.append(_mixed_domain_matrix(dom.population, init.a, init.b, basis.backend))
     return product_state(basis, levels)
 

@@ -10,6 +10,7 @@ from qlre.hilbert import (
     Backend,
     BasisDescriptor,
     DensityMatrix,
+    Operator,
     PureState,
     basis_isometry,
     collective_jz,
@@ -429,6 +430,22 @@ class TestIsometry:
         rho = product_state(b, [1, 2])
         back = to_collective_basis(to_full_basis(rho))
         assert np.allclose(back.matrix, rho.matrix)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_round_trip_operator(self, storage):
+        b = BasisDescriptor(Backend.COLLECTIVE, (2, 3))
+        jz = embed(collective_jz(3, Backend.COLLECTIVE), b, 1)
+        if storage == "csr":
+            jz = Operator(sp.csr_array(dense(jz.matrix)), b)
+        full = to_full_basis(jz)
+        assert full.basis == b.counterpart()
+        # on the symmetric sector the ladder's Jz is the full backend's
+        full_jz = embed(collective_jz(3, Backend.FULL), b.counterpart(), 1)
+        S = basis_isometry(b)
+        assert np.allclose(dense(full.matrix), dense(full_jz.matrix @ S @ S.conj().T))
+        for back in (to_collective_basis(full), to_collective_basis(full_jz)):
+            assert back.basis == b
+            assert np.allclose(dense(back.matrix), dense(jz.matrix))
 
     def test_round_trip_preserves_purity_and_trace(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (3,))

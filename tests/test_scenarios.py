@@ -161,7 +161,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="backend"):
             chain_config(backend="collective", gamma_dep_over_gamma=0.1)
 
-    def test_full_backend_refuses_symmetric_mixture(self):
+    @pytest.mark.parametrize(
+        "backend, noise",
+        [
+            ("full", {}),
+            ("auto", {"gamma_dep_over_gamma": 0.1}),
+            ("auto", {"include_individual": True}),
+        ],
+        ids=["full", "auto-dephasing", "auto-individual"],
+    )
+    def test_full_backend_refuses_symmetric_mixture(self, backend, noise):
         domains = (
             DomainSpec(1, InitialSpec("ground")),
             DomainSpec(2, InitialSpec("mixed", a=2.0 / 3.0, b=1.0 / 9.0)),
@@ -171,8 +180,9 @@ class TestValidation:
                 name="x",
                 domains=domains,
                 reservoirs=(ReservoirSpec((0, 1)),),
-                backend="full",
+                backend=backend,
                 mixed_basis="symmetric",
+                **noise,
             )
 
     def test_reservoir_index_range(self):
