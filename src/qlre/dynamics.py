@@ -765,7 +765,7 @@ class _Krylov:
         H = np.zeros((k + 2, k + 2))
         V[0] = y / beta
         self.substeps += 1
-        self._start, self._beta, self._f = t0, beta, None
+        self._start, self._beta, self._coefficients = t0, beta, None
         for j in range(k):
             W = V[: j + 1]
             p = L @ V[j]
@@ -819,11 +819,11 @@ class _Krylov:
         while target - self._start > self._span:
             y = self._beta * (self._end[: self._V.shape[0]] @ self._V)
             self._restart(y, self._start + self._span)
-        if self._f is None:  # the substep's first sample is read from its start
-            self._f = _Propagator(self._H, np.eye(self._H.shape[0])[0])
+        if self._coefficients is None:  # the substep's first sample is read from its start
+            self._coefficients = _Propagator(self._H, np.eye(self._H.shape[0])[0])
             h = target - self._start
-        self._f.advance(h)
-        self.y = self._beta * (self._f.y[: self._V.shape[0]] @ self._V)
+        self._coefficients.advance(h)
+        self.y = self._beta * (self._coefficients.y[: self._V.shape[0]] @ self._V)
 
 
 # ---------------------------------------------------------------------------
