@@ -251,7 +251,7 @@ def collective_lowering(N: int, backend: Backend) -> Operator:
         mat = np.zeros((N + 1, N + 1), dtype=complex)
         mat[np.arange(1, N + 1), np.arange(N)] = elems
         return Operator(mat, basis)
-    return Operator(sum(single_spin_lowering(basis, 0, site).matrix for site in range(N)), basis)
+    return Operator(_site_lowering(N, range(N)), basis)
 
 
 def collective_jz(N: int, backend: Backend) -> Operator:
@@ -326,16 +326,20 @@ def reservoir_jump(basis: BasisDescriptor, domains: Iterable[int]) -> Operator:
     return Operator(total, basis)
 
 
+def _site_lowering(num_bits: int, positions: Iterable[int]) -> sp.csr_array:
+    """sigma- summed over the spins at the given bit positions: each flips its bit 0 (up) to 1."""
+    states = np.arange(2**num_bits)
+    bits = [1 << (num_bits - 1 - pos) for pos in positions]
+    cols = np.concatenate([np.flatnonzero((states & bit) == 0) for bit in bits])
+    rows = cols | np.repeat(bits, states.size // 2)
+    return sp.csr_array((np.ones(cols.size, dtype=complex), (rows, cols)), shape=(states.size,) * 2)
+
+
 def single_spin_lowering(basis: BasisDescriptor, domain: int, site: int) -> Operator:
     """sigma- acting on one physical spin (full backend only), sparse."""
     _require_full_backend(basis, "single-spin operators")
     pos = _site_bit_position(basis, domain, site)
-    dim = basis.dim
-    bit = 1 << (sum(basis.domain_pops) - 1 - pos)
-    cols = np.array([b for b in range(dim) if not b & bit], dtype=np.int64)
-    rows = cols | bit
-    data = np.ones(len(cols), dtype=complex)
-    return Operator(sp.csr_array((data, (rows, cols)), shape=(dim, dim)), basis)
+    return Operator(_site_lowering(sum(basis.domain_pops), [pos]), basis)
 
 
 def single_spin_z(basis: BasisDescriptor, domain: int, site: int) -> Operator:
