@@ -628,9 +628,13 @@ class _LevelSweep:
     level; otherwise the whole sector is one block.  A step is forward
     substitution from x = 0: block b is x_b = inv_b (y_b + (h L)_b x), with
     inv_b the inverse of the block's diagonal part of I - h L, formed once,
-    densely, and (h L)_b its rows of h L, where x is still zero from b on.  A
-    block above LEVEL_BLOCK_LIMIT coordinates raises MemoryGuardExceeded
-    before anything is inverted.
+    densely, and (h L)_b x the feed from the blocks before it.  Both come
+    from the block's rows of L's CSR arrays: the entries inside the block
+    fill I - h L_bb, and those in earlier columns are kept as (local row,
+    column, h * value) and summed into the feed by ``np.bincount``.  Columns
+    past the block hold no entries, as L is block lower-triangular, or the
+    block is the whole sector.  A block above LEVEL_BLOCK_LIMIT coordinates
+    raises MemoryGuardExceeded before anything is inverted.
     """
 
     def __init__(self, sector: _Sector, h: float):
@@ -643,17 +647,23 @@ class _LevelSweep:
                 f"a steady-state block of {largest} coordinates needs a dense inverse of "
                 f"{8 * largest**2} bytes; LEVEL_BLOCK_LIMIT is {LEVEL_BLOCK_LIMIT}"
             )
-        hL = h * sector.liouvillian
+        L = sector.liouvillian
+        rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
         self.blocks = []
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            rows = hL[start:stop]
-            inverse = np.linalg.inv(np.eye(stop - start) - rows[:, start:stop].toarray())
-            self.blocks.append((start, stop, inverse, rows))
+            span = slice(L.indptr[start], L.indptr[stop])
+            r, c, v = rows[span] - start, L.indices[span], h * L.data[span]
+            inside = c >= start
+            hL = np.zeros((stop - start, stop - start))
+            hL[r[inside], c[inside] - start] = v[inside]
+            inverse = np.linalg.inv(np.eye(stop - start) - hL)
+            feed = r[~inside], c[~inside], v[~inside]
+            self.blocks.append((start, stop, inverse, feed))
 
     def step(self, y: np.ndarray) -> np.ndarray:
         x = np.zeros_like(y)
-        for start, stop, inverse, rows in self.blocks:
-            x[start:stop] = inverse @ (y[start:stop] + rows @ x)
+        for start, stop, inverse, (r, c, v) in self.blocks:
+            x[start:stop] = inverse @ (y[start:stop] + np.bincount(r, v * x[c], stop - start))
         return x
 
 

@@ -28,6 +28,11 @@ in either backend.
 Density matrices are always stored dense.  Operators are stored dense up
 to dimension ``DENSE_LIMIT`` and as CSR above it; jump operators in the
 full backend are always sparse.
+
+The jump operators, single-spin sigma_z and the backend isometry are built
+by placing their entries at indices computed from the basis ordering, with
+no Kronecker products.  ``embed`` (a Kronecker product with identities on
+the other domains) serves the observables, such as a domain's Jz.
 """
 
 from __future__ import annotations
@@ -245,13 +250,17 @@ def collective_lowering(N: int, backend: Backend) -> Operator:
         raise ValueError(f"unknown backend: {backend!r}")
     basis = single_domain_basis(int(N), backend)
     if backend is Backend.COLLECTIVE:
-        j = N / 2.0
-        m = j - np.arange(N)  # levels m = j .. -j+1, each lowered to m-1
-        elems = np.sqrt(j * (j + 1) - m * (m - 1))
         mat = np.zeros((N + 1, N + 1), dtype=complex)
-        mat[np.arange(1, N + 1), np.arange(N)] = elems
+        mat[np.arange(1, N + 1), np.arange(N)] = _ladder_element(N, np.arange(N))
         return Operator(mat, basis)
     return Operator(_site_lowering(N, range(N)), basis)
+
+
+def _ladder_element(N, level):
+    """<j,m-1|J-|j,m> for j = N/2 at level index i (m = j - i), elementwise."""
+    j = N / 2.0
+    m = j - level  # levels m = j .. -j+1, each lowered to m-1
+    return np.sqrt(j * (j + 1) - m * (m - 1))
 
 
 def collective_jz(N: int, backend: Backend) -> Operator:
@@ -313,17 +322,30 @@ def reservoir_jump(basis: BasisDescriptor, domains: Iterable[int]) -> Operator:
 
     This is the jump operator of one engineered reservoir: all spins in the
     listed domains are indistinguishable to the bath, so the reservoir
-    couples through the sum of their collective lowering operators.
-    CSR in the full backend and above DENSE_LIMIT, as ``embed`` makes each part.
+    couples through the sum of their collective lowering operators.  Its
+    entries are placed at computed indices, with the values of the summed
+    embedded parts.  Full backend: sigma- over every site of the listed
+    domains, CSR.  Collective backend: a listed domain of stride s lowers
+    state i to i + s wherever its level is below N, by the ladder element of
+    that level; dense up to DENSE_LIMIT, CSR above.
     """
     idx = _check_domain_indices(basis, domains)
-    total = None
-    for m in idx:
-        part = embed(collective_lowering(basis.domain_pops[m], basis.backend), basis, m).matrix
-        total = part if total is None else total + part
-    if sp.issparse(total):
-        total = sp.csr_array(total)
-    return Operator(total, basis)
+    pops, dims, d = basis.domain_pops, basis.domain_dims, basis.dim
+    if basis.backend is Backend.FULL:
+        sites = [sum(pops[:m]) + s for m in idx for s in range(pops[m])]
+        return Operator(_site_lowering(sum(pops), sites), basis)
+    strides = np.array([math.prod(dims[m + 1 :]) for m in idx])
+    level = np.arange(d)[:, None] // strides % np.array([dims[m] for m in idx])
+    rows, k = np.nonzero(level)  # row by row, each row's columns ascending
+    cols = rows - strides[k]
+    # the column sits one level above its row
+    values = _ladder_element(np.array(pops)[list(idx)][k], level[rows, k] - 1).astype(complex)
+    if d <= DENSE_LIMIT:
+        mat = np.zeros((d, d), dtype=complex)
+        mat[rows, cols] = values
+        return Operator(mat, basis)
+    indptr = np.searchsorted(rows, np.arange(d + 1))
+    return Operator(sp.csr_array((values, cols, indptr), shape=(d, d)), basis)
 
 
 def _site_lowering(num_bits: int, positions: Iterable[int]) -> sp.csr_array:
@@ -347,8 +369,10 @@ def single_spin_z(basis: BasisDescriptor, domain: int, site: int) -> Operator:
     _require_full_backend(basis, "single-spin operators")
     pos = _site_bit_position(basis, domain, site)
     bit = 1 << (sum(basis.domain_pops) - 1 - pos)
-    diag = np.array([1.0 if not b & bit else -1.0 for b in range(basis.dim)], dtype=complex)
-    return Operator(sp.diags_array(diag, format="csr"), basis)
+    index = np.arange(basis.dim + 1, dtype=np.int32)  # int32, as scipy stores indices that fit
+    diag = np.where(index[:-1] & bit, -1.0, 1.0).astype(complex)
+    mat = sp.csr_array((diag, index[:-1], index), shape=(basis.dim,) * 2)
+    return Operator(mat, basis)
 
 
 def _require_full_backend(basis: BasisDescriptor, what: str):
@@ -593,15 +617,24 @@ def basis_isometry(basis: BasisDescriptor) -> sp.csr_array:
     """Kron product of per-domain symmetric isometries for a collective basis.
 
     Maps collective-backend coordinates into the full backend; shape
-    (full_dim, collective_dim).
+    (full_dim, collective_dim).  Each full index has one entry: its column
+    holds every domain's down-spin count, and its value is the product of
+    the domains' weights, taken in domain order as the Kronecker product
+    takes it.
     """
     if basis.backend is not Backend.COLLECTIVE:
         raise ValueError("basis_isometry expects a collective-backend basis")
-    out = None
+    full = basis.counterpart().dim
+    states = np.arange(full)
+    shift = sum(basis.domain_pops)
+    cols, values = np.zeros(full, dtype=np.int64), np.ones(full, dtype=complex)
     for N in basis.domain_pops:
-        S = symmetric_isometry(N)
-        out = S if out is None else sp.csr_array(sp.kron(out, S, format="csr"))
-    return out
+        S = symmetric_isometry(N)  # one entry per row: S.indices and S.data are by row
+        shift -= N
+        local = (states >> shift) & (2**N - 1)
+        cols = cols * (N + 1) + S.indices[local]
+        values = values * S.data[local]
+    return sp.csr_array((values, cols, np.arange(full + 1)), shape=(full, basis.dim))
 
 
 def to_full_basis(obj):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qlre import dynamics
+from qlre import dynamics, hilbert
 from qlre.dynamics import (
     _Krylov,
     _Sector,
@@ -663,6 +663,19 @@ class TestBuilders:
         assert np.allclose(eq.terms[0].jump.toarray(), ja)
         assert np.allclose(eq.terms[1].jump.toarray(), jc)
 
+    def test_equations_and_isometry_use_no_kronecker_products(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built through a Kronecker product or diags_array")
+
+        for module, name in [(hilbert, "embed"), (np, "kron"), (sp, "kron"), (sp, "diags_array")]:
+            monkeypatch.setattr(module, name, refuse)
+        configs = [preset(name)[-1] for name in PRESET_NAMES]  # both backends, DENSE_LIMIT crossed
+        assert {build_basis(cfg).backend for cfg in configs} == set(Backend)
+        assert max(build_basis(cfg).dim for cfg in configs) > hilbert.DENSE_LIMIT
+        for cfg in configs:
+            build_master_equation(cfg)
+        hilbert.basis_isometry(BasisDescriptor(Backend.COLLECTIVE, (1, 4, 4, 1)))
+
     def test_star_has_three_reservoirs(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (1, 1, 1, 4))
         eq = build_collective_zero_T(b, [[0, 3], [1, 3], [2, 3]])
@@ -843,6 +856,25 @@ class TestSteadyState:
         b, eq = single_qubit_eq()
         with pytest.raises(ValueError):
             steady_state(eq, ground_state(b), tol=0.0)
+
+    @pytest.mark.parametrize(
+        "cfg, blocks",
+        [
+            (sweep(preset("fig6-star")[0], "N_D", [7])[0], 8),
+            (sweep(preset("fig5c-thermal")[0], "T", [0.3])[0], 1),
+        ],
+        ids=["fig6-N_D7-levels", "fig5c-T0.3-one-block"],
+    )
+    def test_sweep_is_one_implicit_euler_step(self, cfg, blocks):
+        rho0 = build_initial_state(cfg)
+        sector = _Sector(build_master_equation(cfg), rho0.matrix)
+        sweep_ = dynamics._LevelSweep(sector, dynamics.STEADY_STEP)
+        assert len(sweep_.blocks) == blocks
+        m = sector.levels.size
+        system = np.eye(m) - dynamics.STEADY_STEP * sector.liouvillian.toarray()
+        rng = np.random.default_rng(3)
+        for y in (sector.pack(rho0.matrix), rng.normal(size=m)):
+            assert np.max(np.abs(sweep_.step(y) - np.linalg.solve(system, y))) < 1e-12
 
     def test_trace_drift_raises(self, monkeypatch):
         step = dynamics._LevelSweep.step

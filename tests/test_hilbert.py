@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -37,6 +37,22 @@ from qlre.hilbert import (
 
 def dense(op):
     return op.toarray() if hasattr(op, "toarray") else np.asarray(op)
+
+
+def assert_same_matrix(actual, expected):
+    """Equal storage, and equal entries at equal places: CSR arrays compared one by one."""
+    assert type(actual) is type(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    if sp.issparse(expected):
+        assert np.array_equal(actual.indptr, expected.indptr)
+        assert np.array_equal(actual.indices, expected.indices)
+        assert np.array_equal(actual.data, expected.data)
+    else:
+        assert np.array_equal(actual, expected)
+
+
+def domain_subsets(n):
+    return [sub for k in range(1, n + 1) for sub in combinations(range(n), k)]
 
 
 class TestBasisDescriptor:
@@ -176,6 +192,28 @@ class TestEmbedAndReservoir:
             else:
                 assert np.array_equal(J, expected)
 
+    @pytest.mark.parametrize(
+        "basis",
+        [BasisDescriptor(Backend.COLLECTIVE, (1, N, N, 1)) for N in range(1, 13)]
+        + [BasisDescriptor(Backend.COLLECTIVE, pops) for pops in [(3,), (2, 5), (4, 1, 3)]]
+        + [
+            BasisDescriptor(Backend.FULL, pops)
+            for pops in [(1,), (1, 1), (3,), (1, 4, 1), (2, 3, 2), (1, 10, 1), (6, 6), (4, 4, 4)]
+        ],
+        ids=lambda b: f"{b.backend.value}-{'-'.join(map(str, b.domain_pops))}",
+    )
+    def test_reservoir_jump_is_the_sum_of_embedded_parts_entry_for_entry(self, basis):
+        # collective (1, N, N, 1) runs d = 16 .. 676, across DENSE_LIMIT; full up to 12 bits
+        for sub in domain_subsets(basis.num_domains):
+            parts = [
+                embed(collective_lowering(basis.domain_pops[m], basis.backend), basis, m).matrix
+                for m in sub
+            ]
+            expected = sum(parts[1:], parts[0])
+            if sp.issparse(expected):
+                expected = sp.csr_array(expected)
+            assert_same_matrix(reservoir_jump(basis, sub).matrix, expected)
+
     def test_invalid_domain_set(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (1, 2))
         with pytest.raises(ValueError):
@@ -202,6 +240,17 @@ class TestSingleSpinOperators:
             sz = dense(single_spin_z(b, dom, site).matrix)
             assert np.allclose(sz @ sm - sm @ sz, -2 * sm)
             assert np.allclose(sz @ sz, np.eye(b.dim))
+
+    @pytest.mark.parametrize("pops", [(1,), (2, 1), (1, 4, 1), (3, 2, 3)])
+    def test_sigma_z_is_the_plus_minus_one_diagonal(self, pops):
+        b = BasisDescriptor(Backend.FULL, pops)
+        for pos, (m, s) in enumerate((m, s) for m, N in enumerate(pops) for s in range(N)):
+            # +1 on up (bit 0), -1 on down at this site; identity on the others
+            factors = [np.eye(2**pos), np.diag([1.0, -1.0]), np.eye(2 ** (sum(pops) - pos - 1))]
+            expected = np.kron(np.kron(*factors[:2]), factors[2]).astype(complex)
+            sz = single_spin_z(b, m, s).matrix
+            assert sp.issparse(sz) and sz.nnz == b.dim
+            assert_same_matrix(sz.toarray(), expected)
 
     def test_site_out_of_range(self):
         b = BasisDescriptor(Backend.FULL, (2,))
@@ -424,6 +473,14 @@ class TestIsometry:
         assert S.shape == (8, 6)
         gram = (S.conj().T @ S).toarray()
         assert np.allclose(gram, np.eye(6))
+
+    @pytest.mark.parametrize("pops", [(1,), (4,), (1, 2), (2, 3, 1), (3, 3, 3), (1, 4, 4, 1)])
+    def test_basis_isometry_is_the_kron_chain_entry_for_entry(self, pops):
+        b = BasisDescriptor(Backend.COLLECTIVE, pops)
+        expected = symmetric_isometry(pops[0])
+        for N in pops[1:]:
+            expected = sp.csr_array(sp.kron(expected, symmetric_isometry(N), format="csr"))
+        assert_same_matrix(basis_isometry(b), expected)
 
     def test_round_trip_state(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (2, 2))
