@@ -256,7 +256,7 @@ def collective_lowering(N: int, backend: Backend) -> Operator:
     return Operator(_site_lowering(N, range(N)), basis)
 
 
-def _ladder_element(N, level):
+def _ladder_element(N, level: np.ndarray) -> np.ndarray:
     """<j,m-1|J-|j,m> for j = N/2 at level index i (m = j - i), elementwise."""
     j = N / 2.0
     m = j - level  # levels m = j .. -j+1, each lowered to m-1

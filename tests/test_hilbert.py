@@ -51,10 +51,6 @@ def assert_same_matrix(actual, expected):
         assert np.array_equal(actual, expected)
 
 
-def domain_subsets(n):
-    return [sub for k in range(1, n + 1) for sub in combinations(range(n), k)]
-
-
 class TestBasisDescriptor:
     def test_dims_collective(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (2, 3, 1))
@@ -204,7 +200,8 @@ class TestEmbedAndReservoir:
     )
     def test_reservoir_jump_is_the_sum_of_embedded_parts_entry_for_entry(self, basis):
         # collective (1, N, N, 1) runs d = 16 .. 676, across DENSE_LIMIT; full up to 12 bits
-        for sub in domain_subsets(basis.num_domains):
+        n = basis.num_domains
+        for sub in (sub for k in range(1, n + 1) for sub in combinations(range(n), k)):
             parts = [
                 embed(collective_lowering(basis.domain_pops[m], basis.backend), basis, m).matrix
                 for m in sub
@@ -246,8 +243,8 @@ class TestSingleSpinOperators:
         b = BasisDescriptor(Backend.FULL, pops)
         for pos, (m, s) in enumerate((m, s) for m, N in enumerate(pops) for s in range(N)):
             # +1 on up (bit 0), -1 on down at this site; identity on the others
-            factors = [np.eye(2**pos), np.diag([1.0, -1.0]), np.eye(2 ** (sum(pops) - pos - 1))]
-            expected = np.kron(np.kron(*factors[:2]), factors[2]).astype(complex)
+            rest = np.eye(2 ** (sum(pops) - pos - 1))
+            expected = np.kron(np.kron(np.eye(2**pos), np.diag([1.0, -1.0])), rest).astype(complex)
             sz = single_spin_z(b, m, s).matrix
             assert sp.issparse(sz) and sz.nnz == b.dim
             assert_same_matrix(sz.toarray(), expected)
