@@ -183,7 +183,9 @@ def run_config(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> RunSu
     The summary records the seconds spent in each phase: build (basis,
     equation, initial state, observables), evolve and residual, which
     ``wall_time_s`` spans, then write (the observable summary and the time
-    series; the summary file itself comes after).
+    series; the summary file itself comes after).  The residual is
+    ``Trajectory.residual``, the Frobenius norm of the right-hand side at
+    the final state, which evolve takes on its sector coordinates.
     """
     _check_memory(cfg, force)
     clock = [time.perf_counter()]
@@ -194,7 +196,7 @@ def run_config(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> RunSu
     clock.append(time.perf_counter())
     traj = evolve(eq, rho0, cfg.t_max, cfg.sample_dt, observables=observables)
     clock.append(time.perf_counter())
-    residual = float(np.linalg.norm(lindblad_rhs(eq, traj.final_rho)))
+    residual = traj.residual
     clock.append(time.perf_counter())
 
     obs_summary = {}

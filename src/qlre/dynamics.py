@@ -24,7 +24,8 @@ PIQS, Shammah et al., Phys. Rev. A 98, 063815 (2018)).
 
 L is constant, so the state at every sample is exp(t L) rho0.  Each
 sample comes with the interval h before it: sample_dt, or a shorter last
-one (``_sample_grid``).  ``_Propagator`` multiplies a vector by the dense
+one (``_sample_grid``).  ``evolve`` stores the samples' coordinates and
+reads them once the last is reached.  ``_Propagator`` multiplies a vector by the dense
 exp(h A), formed once per h by scaling and squaring.  A sector of at most
 SECTOR_DENSE_LIMIT coordinates runs it on L itself.  A larger sector takes
 restarted Krylov substeps (``_Krylov``), each set by an a-posteriori error
@@ -322,6 +323,8 @@ class Trajectory:
 
     ``stats`` is the Krylov route's SolverStats, or None when the sector
     was small enough for the dense propagator (no substeps to count).
+    ``residual`` is ||L y|| of the final coordinates y, which equals the
+    Frobenius norm of lindblad_rhs(final_rho).
     """
 
     times: np.ndarray
@@ -329,6 +332,7 @@ class Trajectory:
     snapshots: Optional[list[DensityMatrix]]
     final_rho: DensityMatrix
     stats: Optional[SolverStats] = None
+    residual: Optional[float] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -376,20 +380,18 @@ def _pairs(a0, a1, b0, b1):
     return g, a0[g] + offset // nb[g], b0[g] + offset % nb[g]
 
 
-def _exchangeable(basis: BasisDescriptor, jumps, rho0: np.ndarray) -> list[int]:
+def _exchangeable(basis: BasisDescriptor, entries, rho0: np.ndarray) -> list[int]:
     """The full-backend domains of >= 2 spins whose site permutations keep L and rho0.
 
-    ``jumps`` holds each active jump's sqrt(rate)-scaled entries as (column
-    pointers, rows, values).  A domain qualifies when a swap of two of its
-    sites and the cycle of all of them (which generate every permutation)
-    each map the jumps onto themselves as a multiset, and rho0's nonzero
-    entries onto equal ones, to 1e-12.
+    ``entries`` holds each active jump's sqrt(rate)-scaled entries as (flat
+    indices c * d + r, ascending, and values).  A domain qualifies when a
+    swap of two of its sites and the cycle of all of them (which generate
+    every permutation) each map the jumps onto themselves as a multiset,
+    and rho0's nonzero entries onto equal ones, to 1e-12.
     """
     if basis.backend is not Backend.FULL:
         return []
     d, (i, j) = basis.dim, np.nonzero(rho0)
-    # flat indices c * d + r, ascending
-    entries = [(np.repeat(np.arange(d), np.diff(ptr)) * d + r, v) for ptr, r, v in jumps]
 
     def keeps(perm):
         if np.any(np.abs(rho0[perm[i], perm[j]] - rho0[i, j]) > 1e-12):
@@ -409,6 +411,13 @@ def _exchangeable(basis: BasisDescriptor, jumps, rho0: np.ndarray) -> list[int]:
 
     candidates = [m for m, N in enumerate(basis.domain_pops) if N >= 2]
     return [m for m in candidates if all(map(keeps, site_permutations(basis, m)))]
+
+
+def _stack(*matrices):
+    """Matrices given as (column pointers, rows, values), side by side in one such triple."""
+    offsets = np.cumsum([0] + [m[1].size for m in matrices])
+    ptr = np.concatenate([m[0][:-1] + o for m, o in zip(matrices, offsets)] + [offsets[-1:]])
+    return (ptr,) + tuple(np.concatenate([m[i] for m in matrices]) for i in (1, 2))
 
 
 def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,12 +472,14 @@ class _Sector:
     Frobenius norm of rho.  Otherwise every orbit is one element.  The coordinates run by
     ``levels`` n(i) + n(j), highest first.
 
-    L is assembled in one pass from the nonzero entries of the jumps: each
-    term, 2 r O rho O^dag per jump and then -A rho and -rho A with
-    A = sum r O^dag O, is expanded on the kept elements and taken into the
-    coordinates as it is made (``_term``); one COO to CSR construction sums
-    all of them.  Column k is expanded from one representative member of its
-    orbit, scaled by n_k.  That is exact: a site permutation or the
+    L is assembled in one pass.  Every jump's nonzero entries are read once
+    into stacked arrays, from which come the shifts, A = sum r O^dag O (one
+    CSC construction) and the K + 2 slots of one ``_term`` call: 2 r O rho
+    O^dag per jump, then -A rho and -rho A.  Each is expanded on the kept
+    elements and taken into the coordinates, slot by slot, and one COO to
+    CSR construction sums them.  S, the map from the coordinates to the
+    elements, is built from its arrays.  Column k is expanded from one
+    representative member of its orbit, scaled by n_k.  That is exact: a site permutation or the
     transpose maps any member onto any other, commutes with L (the jumps
     are real and mapped onto themselves), and leaves every coordinate's
     Hermitian matrix unchanged, so all n_k members feed column k alike.
@@ -477,24 +488,29 @@ class _Sector:
     def __init__(self, eq: MasterEquation, rho0: np.ndarray):
         d = eq.basis.dim
         n = excitation_numbers(eq.basis)
-        # each active jump's nonzero entries, read once, by column and times sqrt(rate), and
-        # A = sum r O^dag O: entries (i, a, u), (i, b, v) of one row give conj(u) v at (a, b)
-        jumps, pairs, shifts = [], [(np.zeros(0, int),) * 2 + (np.zeros(0),)], []
-        for term in (t for t in eq.terms if t.rate != 0.0):
-            c, r, v = _entries(term.jump.matrix)
-            v = math.sqrt(term.rate) * v
-            jumps.append((np.searchsorted(c, np.arange(d + 1)), r, v))
-            shift = set((n[r] - n[c]).tolist()) or {0}
-            shifts.append(shift.pop() if len(shift) == 1 else None)
-            by_row = np.argsort(r, kind="stable")
-            bound = np.searchsorted(r[by_row], np.arange(d + 1))
-            _, x, y = _pairs(bound[:-1], bound[1:], bound[:-1], bound[1:])
-            x, y = by_row[x], by_row[y]
-            pairs.append((c[x], c[y], v[x].conj() * v[y]))
+        # every active jump's entries times sqrt(rate), stacked: jump k's column c is
+        # column k * d + c of (column pointers, rows, values)
+        read = [(math.sqrt(t.rate),) + _entries(t.jump.matrix) for t in eq.terms if t.rate]
+        K, count = len(read), [r.size for _, _, r, _ in read]
+        c, r = (np.concatenate([e[i] for e in read] or [np.zeros(0, int)]) for i in (1, 2))
+        v = np.concatenate([s * e for s, *_, e in read] or [np.zeros(0, complex)])
+        jump = np.repeat(np.arange(K), count)
+        jumps = np.searchsorted(jump * d + c, np.arange(K * d + 1)), r, v
+        # a jump's shift is fixed when its least and greatest agree; one without entries keeps n
+        low, high = np.full(K, np.inf), np.full(K, -np.inf)
+        np.minimum.at(low, jump, n[r] - n[c])
+        np.maximum.at(high, jump, n[r] - n[c])
+        # A = sum r O^dag O: entries (i, a, u), (i, b, v) of one row of one jump give conj(u) v
+        # at (a, b); summed by the CSC construction, in the order of the jumps and their rows
+        by_row = np.argsort(jump * d + r, kind="stable")
+        bound = np.searchsorted((jump * d + r)[by_row], np.arange(K * d + 1))
+        _, x, y = _pairs(bound[:-1], bound[1:], bound[:-1], bound[1:])
+        x, y = by_row[x], by_row[y]
+        A = sp.csc_array((v[x].conj() * v[y], (c[x], c[y])), shape=(d, d))
         i, j = np.nonzero(rho0)
         orders = {int(q) for q in n[i] - n[j]}
-        orders = None if None in shifts else orders | {-q for q in orders}
-        self.lowering = all(s is not None and s <= 0 for s in shifts)
+        orders = orders | {-q for q in orders} if np.all(low >= high) else None
+        self.lowering = orders is not None and bool(np.all(high <= 0))
         top = n[i].max() if self.lowering else n.max()
         levels = [np.flatnonzero(n == k) for k in np.unique(n) if k <= top]
         keys = np.sort(np.concatenate([
@@ -512,12 +528,13 @@ class _Sector:
         p = np.flatnonzero(rows <= cols)
         q = np.searchsorted(keys, cols[p] * d + rows[p])
         w = np.where(p == q, 0.5, math.sqrt(0.5)).astype(complex)
-        if np.any(rho0.imag) or any(np.any(v.imag) for *_, v in jumps):
+        if np.any(rho0.imag) or np.any(v.imag):
             off = p != q
-            p, q, w = np.r_[p, p[off]], np.r_[q, q[off]], np.r_[w, 1j * w[off]]
+            p, q = np.concatenate([p, p[off]]), np.concatenate([q, q[off]])
+            w = np.concatenate([w, 1j * w[off]])
             swaps = []
         else:
-            swaps = _exchangeable(eq.basis, jumps, rho0)
+            swaps = _exchangeable(eq.basis, [(c * d + r, s * v) for s, c, r, v in read], rho0)
         # p shares its orbit with the elements that a site permutation of the domains
         # ``swaps``, or the transpose, maps it onto; otherwise it is alone
         label = np.arange(p.size) if not swaps else np.minimum(
@@ -539,30 +556,39 @@ class _Sector:
         members = np.lexsort((p, k))  # by coordinate, then element
         p, q, k = p[members], q[members], k[members]
         w = w[members] / root[k]
-        S = sp.csr_array((np.r_[w, w.conj()], (np.r_[p, q], np.r_[k, k])), (keys.size, root.size))
+        # S has w at (p, k) and conj(w) at (q, k); on the diagonal they sum to 2w, exactly
+        mirror = p != q
+        e, k = np.concatenate([p, q[mirror]]), np.concatenate([k, k[mirror]])
+        w = np.concatenate([np.where(mirror, w, 2 * w), w[mirror].conj()])
+        by_element = np.lexsort((k, e))
+        indptr = np.searchsorted(e[by_element], np.arange(keys.size + 1))
+        S = sp.csr_array((w[by_element], k[by_element], indptr), (keys.size, root.size))
         self._to_elements = S
 
         # each element's coordinates and weights: its row of S, padded with zero weights
-        slot = S.indptr[:-1, None] + np.arange(np.diff(S.indptr).max())
-        slot[slot >= S.indptr[1:, None]] = S.nnz  # the zero appended below
-        to = np.r_[S.indices, 0][slot], np.r_[S.data, 0][slot]
-        a, b, x = map(np.concatenate, zip(*pairs))
-        A = sp.csc_array((x, (a, b)), shape=(d, d))
-        A = A.indptr, A.indices.astype(np.int64), A.data  # int64 rows: i * d + j cannot wrap
+        slot = indptr[:-1, None] + np.arange(np.diff(indptr).max())
+        slot[slot >= indptr[1:, None]] = S.nnz  # the zero appended below
+        to = np.append(S.indices, 0)[slot], np.append(S.data, 0)[slot]
+        # slot s < K is jump s, 2 O rho O^dag; then -A rho and -rho A, with I as eye
         eye = np.arange(d + 1), np.arange(d), np.ones(d)
-        terms = [(O, O, 2.0) for O in jumps] + [(A, eye, -1.0), (eye, A, -1.0)]
-        parts = [self._term(*t, rep_rows, rep_cols, rep_scale, to) for t in terms]
-        a, b, x = map(np.concatenate, zip(*parts))
+        A = A.indptr, A.indices.astype(np.int64), A.data  # int64 rows: i * d + j cannot wrap
+        offset = np.arange(K + 2)[:, None] * d
+        scale = np.concatenate([np.full(K, 2.0), [-1.0, -1.0]])[:, None] * rep_scale
+        a, b, x = self._term(
+            _stack(jumps, A, eye), _stack(jumps, eye, A), (offset + rep_rows).ravel(),
+            (offset + rep_cols).ravel(), scale.ravel(), to,
+        )
         self.liouvillian = sp.csr_array((x, (a, b)), shape=(root.size, root.size))
         self.liouvillian.eliminate_zeros()
 
-    def _term(self, X, Y, weight, a, b, scale, to):
-        """M: rho -> weight * X rho Y^dag on the coordinates, as COO (rows, columns, values).
+    def _term(self, X, Y, a, b, scale, to):
+        """M: rho -> sum of X_s rho Y_s^dag over slots s on the coordinates, as COO.
 
-        X, Y are (column pointers, rows, values).  L keeps Hermiticity, so column g is
+        X, Y are (column pointers, rows, values), slot s's column c at s * d + c, and
+        a, b, ``scale`` run slot-major.  L keeps Hermiticity, so column g is
         n_g Re(S^H M e_p 2 w / sqrt(n_g)) for the representative p = (a_g, b_g) of its
-        orbit, with ``scale`` = 2 w sqrt(n_g): p feeds each (i, j) with X[i, a]
-        conj(Y[j, b]), and (i, j) the coordinates in its row of S (``to``).
+        orbit, with ``scale`` = 2 w sqrt(n_g) times the slot's weight: p feeds each
+        (i, j) with X[i, a] conj(Y[j, b]), and (i, j) the coordinates in its row of S.
         """
         (xp, xi, xv), (yp, yi, yv), (coordinate, weights) = X, Y, to
         g, i, j = _pairs(xp[a], xp[a + 1], yp[b], yp[b + 1])
@@ -570,8 +596,8 @@ class _Sector:
         dst = np.searchsorted(self.keys, target)
         if np.any(self.keys[np.minimum(dst, self.keys.size - 1)] != target):
             raise NumericalFailure("a jump maps the kept coherence orders outside themselves")
-        value = (weight * scale[g] * xv[i] * yv[j].conj())[:, None]
-        cols = np.repeat(g.astype(np.int32), coordinate.shape[1])
+        value = (scale[g] * xv[i] * yv[j].conj())[:, None]
+        cols = np.repeat((g % self.levels.size).astype(np.int32), coordinate.shape[1])
         return coordinate[dst].ravel(), cols, (weights[dst].conj() * value).real.ravel()
 
     def readout(self, ob: Observable):
@@ -604,9 +630,9 @@ class _Sector:
         R.sort_indices()
         return R
 
-    def trace(self, y: np.ndarray) -> float:
-        """Tr rho of the coordinates y: sqrt(n_k) y_k summed over the diagonal orbits."""
-        return float(self._roots @ y[self.diagonal])
+    def trace(self, y: np.ndarray) -> np.ndarray:
+        """Tr rho of coordinates y (one state per row): sqrt(n_k) y_k over the diagonal orbits."""
+        return y[..., self.diagonal] @ self._roots
 
     def pack(self, matrix: np.ndarray) -> np.ndarray:
         """The coordinates of the Hermitian part of matrix."""
@@ -697,12 +723,14 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return P
 
 
-def _trace_drift(sector: _Sector, y: np.ndarray, t: float, route: str) -> float:
-    """|Tr rho - 1| of the coordinates y at scaled time t; above TRACE_DRIFT_TOL it raises."""
-    drift = abs(sector.trace(y) - 1.0)
-    if drift > TRACE_DRIFT_TOL:
-        raise NumericalFailure(f"{route} state drifted at scaled time {t:.6g}: trace {drift:.3e}")
-    return drift
+def _trace_drift(sector: _Sector, states: np.ndarray, times: np.ndarray, route: str) -> float:
+    """The worst |Tr rho - 1| of the states (rows); the first above TRACE_DRIFT_TOL raises."""
+    drift = np.abs(sector.trace(states) - 1.0)
+    bad = np.flatnonzero(drift > TRACE_DRIFT_TOL)
+    if bad.size:
+        t, worst = times[bad[0]], drift[bad[0]]
+        raise NumericalFailure(f"{route} state drifted at scaled time {t:.6g}: trace {worst:.3e}")
+    return float(np.fmax.reduce(drift, initial=0.0))
 
 
 class _Propagator:
@@ -880,13 +908,16 @@ def evolve(
     None.  Above, Krylov substeps carry it (``_Krylov``), each to an
     estimated error of KRYLOV_TOL in the Frobenius norm, and ``stats``
     records the substeps, rejections and products with L they took.  Every
-    sample after the first is checked for trace drift, on either route.
+    sample after the first is checked for trace drift, on either route; the
+    first that drifted is named.
 
-    Observables, operators and ``keep`` are read off the coordinates by one
-    map per distinct linear part (``_Sector.readout``), one product each per
-    sample; the measures run once, over all samples, after the last.  Only
-    other callables see the d x d matrix, unpacked at every sample for them;
-    otherwise ``final_rho`` is the one unpack.
+    The loop only stores each sample's coordinates; all checks and reads
+    come after it.  Observables, operators and ``keep`` are read off the
+    stored samples by one map per distinct linear part
+    (``_Sector.readout``), one product each per run, and the measures run
+    once, over all samples.  Only other callables see the d x d matrix,
+    unpacked at every sample for them; otherwise ``final_rho`` is the one
+    unpack.
     """
     if rho0.basis != eq.basis:
         raise ValueError(f"basis mismatch: {rho0.basis} vs {eq.basis}")
@@ -914,27 +945,25 @@ def evolve(
     for ob in list(compiled.values()) + ([] if snapshot is None else [snapshot]):
         if ob.part not in maps:
             maps[ob.part] = sector.readout(ob)
-    linear = {part: np.empty((times.size,) + R.shape[:-1], complex) for part, R in maps.items()}
-    series = {name: np.empty(times.size) for name in bare}
 
-    worst_drift = 0.0
-    for k, (t, h) in enumerate(zip(times, steps)):
-        if k:
-            if dense:
-                solver.advance(h)
-            else:
-                solver.advance_to(float(t), h)
-            worst_drift = max(worst_drift, _trace_drift(sector, solver.y, t, route))
-        for part, R in maps.items():
-            linear[part][k] = R @ solver.y
-        if bare:
-            # Solver output carries integrator-scale noise; eigenvalues may dip a
-            # few 1e-9 below zero for large systems, which validation would reject.
-            current = DensityMatrix(sector.unpack(solver.y), eq.basis, validate=False)
-            for name, fn in bare.items():
-                series[name][k] = float(fn(current))
-    for name, ob in compiled.items():
-        series[name] = ob.evaluate(linear[ob.part], times)
+    states = np.empty((times.size, y.size))
+    states[0] = y
+    for k in range(1, times.size):
+        if dense:
+            solver.advance(steps[k])
+        else:
+            solver.advance_to(float(times[k]), steps[k])
+        states[k] = solver.y
+    worst_drift = _trace_drift(sector, states[1:], times[1:], route)
+    linear = {part: (R @ states.T).T for part, R in maps.items()}
+    series = {name: np.empty(times.size) for name in bare}
+    for k, y in enumerate(states if bare else ()):
+        # Solver output carries integrator-scale noise; eigenvalues may dip a
+        # few 1e-9 below zero for large systems, which validation would reject.
+        current = DensityMatrix(sector.unpack(y), eq.basis, validate=False)
+        for name, fn in bare.items():
+            series[name][k] = float(fn(current))
+    series.update({name: ob.evaluate(linear[ob.part], times) for name, ob in compiled.items()})
     snapshots = None
     if snapshot is not None:
         sub = eq.basis.subset(snapshot.keep)
@@ -944,8 +973,9 @@ def evolve(
         times=times,
         observables={name: series[name] for name in observables},
         snapshots=snapshots,
-        final_rho=DensityMatrix(sector.unpack(solver.y), eq.basis, validate=False),
+        final_rho=DensityMatrix(sector.unpack(states[-1]), eq.basis, validate=False),
         stats=None if dense else solver.stats(worst_drift),
+        residual=float(np.linalg.norm(L @ states[-1])),
     )
 
 
@@ -987,7 +1017,7 @@ def steady_state(
     sweep = _LevelSweep(sector, STEADY_STEP)
     for steps in range(1, MAX_SWEEPS + 1):
         y = sweep.step(y)
-        _trace_drift(sector, y, steps * STEADY_STEP, "implicit Euler")
+        _trace_drift(sector, y[None], [steps * STEADY_STEP], "implicit Euler")
         residual = float(np.linalg.norm(sector.liouvillian @ y))
         if residual < tol:
             rho = DensityMatrix(sector.unpack(y), eq.basis, validate=False)

@@ -349,12 +349,18 @@ def reservoir_jump(basis: BasisDescriptor, domains: Iterable[int]) -> Operator:
 
 
 def _site_lowering(num_bits: int, positions: Iterable[int]) -> sp.csr_array:
-    """sigma- summed over the spins at the given bit positions: each flips its bit 0 (up) to 1."""
+    """sigma- summed over the spins at the given bit positions: each flips its bit 0 (up) to 1.
+
+    Row i holds a 1 at i - bit for every listed bit set in i.  The bits run
+    from the highest down, so each row's columns ascend, and the CSR arrays
+    are built directly.
+    """
+    bits = 1 << (num_bits - 1 - np.sort(list(positions)))
     states = np.arange(2**num_bits)
-    bits = [1 << (num_bits - 1 - pos) for pos in positions]
-    cols = np.concatenate([np.flatnonzero((states & bit) == 0) for bit in bits])
-    rows = cols | np.repeat(bits, states.size // 2)
-    return sp.csr_array((np.ones(cols.size, dtype=complex), (rows, cols)), shape=(states.size,) * 2)
+    rows, k = np.nonzero(states[:, None] & bits)
+    indptr = np.searchsorted(rows, np.arange(states.size + 1))
+    data = np.ones(rows.size, dtype=complex)
+    return sp.csr_array((data, rows - bits[k], indptr), shape=(states.size,) * 2)
 
 
 def single_spin_lowering(basis: BasisDescriptor, domain: int, site: int) -> Operator:

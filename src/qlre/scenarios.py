@@ -38,13 +38,13 @@ from .hilbert import (  # noqa: F401
     Backend,
     BasisDescriptor,
     DensityMatrix,
+    PureState,
     collective_jz,
     dicke_level_vector,
     embed,
     fidelity_with_pure,
     partial_trace,
     product_state,
-    to_collective_basis,
 )
 from .oracle import dark_state
 
@@ -481,8 +481,9 @@ def compile_observables(cfg: ScenarioConfig, basis: BasisDescriptor) -> dict:
 
     E_F, C, E_N, N and N_ABC reduce rho to their domains, then apply an
     entanglement measure; Jz_X is Tr(Jz rho), over N_X when normalized; x_d
-    is the dark-state weight Tr(|d><d| rho), clamped to [0, 1].  No map is
-    built here: ``evolve`` builds those on its sector coordinates.
+    is the dark-state weight Tr(|d><d| rho), clamped to [0, 1], with |d> built
+    on the run's basis (``_dark_state``).  No map is built here: ``evolve``
+    builds those on its sector coordinates.
     """
     out: dict[str, Observable] = {}
     for i, text in enumerate(cfg.observables):
@@ -505,11 +506,25 @@ def compile_observables(cfg: ScenarioConfig, basis: BasisDescriptor) -> dict:
         elif kind == "N_ABC":
             out[text] = Observable(lambda v, t: tripartite_negativity_array(v), keep=(0, 1, 2))
         else:  # x_d
-            psi = dark_state(plan["n_b"])
-            if basis.backend is Backend.COLLECTIVE:
-                psi = to_collective_basis(psi)
+            psi = _dark_state(basis, plan["n_b"])
             out[text] = Observable(lambda v, t: np.clip(v, 0.0, 1.0), operator=psi)
     return out
+
+
+def _dark_state(basis: BasisDescriptor, n_b: int) -> PureState:
+    """``oracle.dark_state`` of the (1, n_b, 1) chain on the run's basis.
+
+    On the collective ladder, index 2 (n_b + 1) a + 2 b + c with b the
+    central domain's down-spins, its three amplitudes are placed directly:
+    sqrt(x_d) on the excitation at A (0, n_b, 1) and at C (1, n_b, 0), and
+    -sqrt(x_d / n_b) on B's symmetric single excitation (1, n_b - 1, 1).
+    """
+    if basis.backend is Backend.FULL:
+        return dark_state(n_b)
+    norm = math.sqrt(n_b / (2.0 * n_b + 1.0))
+    amplitudes = np.zeros(basis.dim, dtype=complex)
+    amplitudes[[2 * n_b + 1, 4 * n_b + 2, 4 * n_b + 1]] = norm, norm, -norm / math.sqrt(n_b)
+    return PureState(amplitudes, basis)
 
 
 # ---------------------------------------------------------------------------

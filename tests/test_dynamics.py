@@ -436,6 +436,36 @@ class TestAssembly:
         assert sector.liouvillian.nnz == 0
         assert sector.liouvillian.has_canonical_format
 
+    def test_zero_jump_at_a_positive_rate_changes_nothing(self):
+        # a jump without entries keeps every shift fixed and adds no slot entries
+        b, eq = chain_eq(3)
+        zero = LindbladTerm(Operator(np.zeros((b.dim, b.dim), dtype=complex), b), 2.0)
+        rho0 = product_state(b, [1, 0, 0]).matrix
+        plain, padded = (
+            _Sector(MasterEquation(terms, b), rho0) for terms in (eq.terms, (zero,) + eq.terms)
+        )
+        assert padded.lowering and np.array_equal(plain.keys, padded.keys)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(plain.liouvillian, name), getattr(padded.liouvillian, name))
+
+    def test_single_jump(self):
+        b, eq = chain_eq(3)
+        single = MasterEquation(eq.terms[:1], b)
+        sector = _Sector(single, product_state(b, [1, 2, 0]).matrix)
+        assert sector.lowering
+        assert abs(sector.liouvillian - reference_liouvillian(single, sector)).max() < 1e-12
+
+    def test_complex_raising_jump(self):
+        # i J+ at rate 0.3 beside J- at 1: no level ordering, and the Im coordinates are kept
+        b, eq = chain_eq(2)
+        J = eq.terms[0].jump
+        terms = (LindbladTerm(J, 1.0), LindbladTerm(Operator(1j * J.dag().matrix, b), 0.3))
+        raising = MasterEquation(terms, b)
+        sector = _Sector(raising, product_state(b, [1, 0, 0]).matrix)
+        assert not sector.lowering
+        assert sector.levels.size > _one_coordinate_per_pair(sector)
+        assert abs(sector.liouvillian - reference_liouvillian(raising, sector)).max() < 1e-12
+
     def test_fig4_chain4_sizes(self):
         cfg = preset("fig4-chain4")[0]
         sector = _Sector(build_master_equation(cfg), build_initial_state(cfg).matrix)
@@ -1360,6 +1390,15 @@ class TestPropagator:
             evolve(eq, rho0, 1.0, 0.1)
 
 
+    def test_trace_drift_names_the_first_drifting_sample(self, monkeypatch):
+        # each interval adds 3e-9 to the trace: 9e-9 at 0.3, past TRACE_DRIFT_TOL at 0.4
+        expm = dynamics._expm
+        monkeypatch.setattr(dynamics, "_expm", lambda A: expm(A) * (1.0 + 3e-9))
+        eq, rho0 = _fig3b(4)
+        with pytest.raises(NumericalFailure, match="propagated state drifted at scaled time 0.4:"):
+            evolve(eq, rho0, 1.0, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # observables read off the sector coordinates, measured over all samples at once
 # ---------------------------------------------------------------------------
@@ -1559,3 +1598,53 @@ class TestBatchedObservables:
         eq, rho0 = _fig3b(2)
         evolve(eq, rho0, 1.0, 0.1, observables={"pe": lambda r: r.matrix[0, 0].real})
         assert len(calls) == 11 + 1
+
+
+class TestReadAfterTheLoop:
+    """evolve stores the samples, then reads every linear part with one product per map."""
+
+    @pytest.mark.parametrize("limit", [None, 0], ids=["propagator", "krylov"])
+    @pytest.mark.parametrize("name", ["fig5b", "appB"])
+    def test_stored_samples_match_the_per_sample_path(self, monkeypatch, name, limit):
+        # per-spin orbit coordinates (fig5b) and the ladder's dark state (appB)
+        if limit is not None:
+            monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", limit)
+        cfg = _smallest_configs()[name]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        compiled = compile_observables(cfg, build_basis(cfg))
+        batched, _ = _assert_batched_matches_bare(eq, rho0, 2.0, 0.1, compiled)
+        assert (batched.stats is None) == (limit is None)
+
+    def test_one_product_per_readout_map_per_run(self, monkeypatch):
+        products = []
+
+        class Counted:
+            def __init__(self, R):
+                self.R = R
+
+            def __matmul__(self, states):
+                products.append(states.shape)
+                return self.R @ states
+
+        readout = _Sector.readout
+        monkeypatch.setattr(_Sector, "readout", lambda self, ob: Counted(readout(self, ob)))
+        cfg = preset("fig3b")[0]
+        cfg = dataclasses.replace(cfg, observables=("E_F(A,C)", "C(A,C)", "Jz_B/N_B", "x_d"))
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        compiled = compile_observables(cfg, build_basis(cfg))
+        traj = evolve(eq, rho0, 8.0, 0.1, keep=[0, 2], observables=compiled)
+        # E_F, C and the snapshots share the (A, C) map; Jz_B/N_B and x_d have one each
+        assert len(products) == 3
+        assert all(shape[1] == traj.times.size == 81 for shape in products)
+
+    @pytest.mark.parametrize("name", ["fig3b", "fig5b", "fig4-chain4"])
+    def test_residual_is_the_frobenius_norm_of_the_rhs(self, name):
+        cfg = _smallest_configs()[name]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        traj = evolve(eq, rho0, 0.25, 0.05)
+        if name == "fig5b":  # orbits of many members
+            sector = _Sector(eq, rho0.matrix)
+            assert sector.levels.size < _one_coordinate_per_pair(sector)
+        assert (traj.stats is not None) == (name == "fig4-chain4")
+        expected = np.linalg.norm(lindblad_rhs(eq, traj.final_rho))
+        assert abs(traj.residual - expected) <= 1e-13
