@@ -1389,7 +1389,6 @@ class TestPropagator:
         with pytest.raises(NumericalFailure, match="drifted"):
             evolve(eq, rho0, 1.0, 0.1)
 
-
     def test_trace_drift_names_the_first_drifting_sample(self, monkeypatch):
         # each interval adds 3e-9 to the trace: 9e-9 at 0.3, past TRACE_DRIFT_TOL at 0.4
         expm = dynamics._expm
