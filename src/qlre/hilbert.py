@@ -27,7 +27,8 @@ in either backend.
 
 Density matrices are always stored dense.  Operators are stored dense up
 to dimension ``DENSE_LIMIT`` and as CSR above it; jump operators in the
-full backend are always sparse.
+full backend are always sparse.  Only the builders of CSR operators import
+``scipy.sparse``, when they first run.
 
 The jump operators, single-spin sigma_z and the backend isometry are built
 by placing their entries at indices computed from the basis ordering, with
@@ -41,12 +42,14 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalFailure
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Dense/sparse storage cutoff for operators (total Hilbert dimension).
 DENSE_LIMIT = 256
@@ -57,7 +60,7 @@ TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-9
 NORM_TOL = 1e-12
 
-MatrixLike = Union[np.ndarray, sp.csr_array]
+MatrixLike = Union[np.ndarray, "sp.csr_array"]
 
 
 class Backend(enum.Enum):
@@ -138,7 +141,7 @@ class Operator:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
+        return not isinstance(self.matrix, np.ndarray)  # so scipy.sparse need not be loaded
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray() if self.is_sparse else np.asarray(self.matrix)
@@ -169,7 +172,9 @@ class PureState:
         object.__setattr__(self, "amplitudes", vec)
 
     def projector(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.basis)
+        """|psi><psi|, a state by construction: its eigenvalues are |psi|^2 = 1 and zeros."""
+        matrix = np.outer(self.amplitudes, self.amplitudes.conj())
+        return DensityMatrix(matrix, self.basis, validate=False)
 
 
 @dataclass(frozen=True)
@@ -177,8 +182,9 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with basis metadata.
 
     Validation checks Hermiticity (max-abs 1e-10), trace (within 1e-8 of 1)
-    and the eigenvalue floor (-1e-9).  Internal hot paths may pass
-    ``validate=False``; anything returned to callers is validated.
+    and the eigenvalue floor (-1e-9).  Solver outputs and states valid by
+    construction (projectors on unit vectors, products and isometric images
+    of states) pass ``validate=False``; matrices a caller supplies are checked.
     """
 
     matrix: np.ndarray
@@ -273,6 +279,7 @@ def collective_jz(N: int, backend: Backend) -> Operator:
     if backend is Backend.COLLECTIVE:
         diag = N / 2.0 - np.arange(N + 1)
         return Operator(np.diag(diag).astype(complex), basis)
+    import scipy.sparse as sp
     diag = N / 2.0 - _popcounts(N)
     return Operator(sp.diags_array(diag.astype(complex), format="csr"), basis)
 
@@ -280,12 +287,6 @@ def collective_jz(N: int, backend: Backend) -> Operator:
 # ---------------------------------------------------------------------------
 # embedding and jump operators
 # ---------------------------------------------------------------------------
-
-
-def _identity(dim: int, sparse: bool) -> MatrixLike:
-    if sparse:
-        return sp.eye_array(dim, dtype=complex, format="csr")
-    return np.eye(dim, dtype=complex)
 
 
 def embed(op: Operator, basis: BasisDescriptor, m: int) -> Operator:
@@ -297,23 +298,22 @@ def embed(op: Operator, basis: BasisDescriptor, m: int) -> Operator:
         raise ValueError(
             f"operator dimension {op.basis.dim} does not match domain {m} dimension {dims[m]}"
         )
-    sparse = op.is_sparse or basis.dim > DENSE_LIMIT
     left = math.prod(dims[:m]) if m > 0 else 1
     right = math.prod(dims[m + 1 :]) if m + 1 < len(dims) else 1
-    mat: MatrixLike = op.matrix.tocsr() if sp.issparse(op.matrix) else np.asarray(op.matrix)
-    if sparse and not sp.issparse(mat):
-        mat = sp.csr_array(mat)
-    if sparse:
+    if op.is_sparse or basis.dim > DENSE_LIMIT:
+        import scipy.sparse as sp
+        mat = sp.csr_array(op.matrix)
         if left > 1:
-            mat = sp.kron(_identity(left, True), mat, format="csr")
+            mat = sp.kron(sp.eye_array(left, dtype=complex, format="csr"), mat, format="csr")
         if right > 1:
-            mat = sp.kron(mat, _identity(right, True), format="csr")
+            mat = sp.kron(mat, sp.eye_array(right, dtype=complex, format="csr"), format="csr")
         mat = sp.csr_array(mat)
     else:
+        mat = np.asarray(op.matrix)
         if left > 1:
-            mat = np.kron(_identity(left, False), mat)
+            mat = np.kron(np.eye(left, dtype=complex), mat)
         if right > 1:
-            mat = np.kron(mat, _identity(right, False))
+            mat = np.kron(mat, np.eye(right, dtype=complex))
     return Operator(mat, basis)
 
 
@@ -344,6 +344,7 @@ def reservoir_jump(basis: BasisDescriptor, domains: Iterable[int]) -> Operator:
         mat = np.zeros((d, d), dtype=complex)
         mat[rows, cols] = values
         return Operator(mat, basis)
+    import scipy.sparse as sp
     indptr = np.searchsorted(rows, np.arange(d + 1))
     return Operator(sp.csr_array((values, cols, indptr), shape=(d, d)), basis)
 
@@ -355,6 +356,7 @@ def _site_lowering(num_bits: int, positions: Iterable[int]) -> sp.csr_array:
     from the highest down, so each row's columns ascend, and the CSR arrays
     are built directly.
     """
+    import scipy.sparse as sp
     bits = 1 << (num_bits - 1 - np.sort(list(positions)))
     states = np.arange(2**num_bits)
     rows, k = np.nonzero(states[:, None] & bits)
@@ -372,6 +374,7 @@ def single_spin_lowering(basis: BasisDescriptor, domain: int, site: int) -> Oper
 
 def single_spin_z(basis: BasisDescriptor, domain: int, site: int) -> Operator:
     """sigma_z acting on one physical spin (full backend only), sparse."""
+    import scipy.sparse as sp
     _require_full_backend(basis, "single-spin operators")
     pos = _site_bit_position(basis, domain, site)
     bit = 1 << (sum(basis.domain_pops) - 1 - pos)
@@ -610,6 +613,7 @@ def symmetric_isometry(N: int) -> sp.csr_array:
     all bitstrings with i down-spins.  Columns are orthonormal, so
     S.conj().T @ S is the identity on the collective space.
     """
+    import scipy.sparse as sp
     if N < 1:
         raise ValueError("spin count must be >= 1")
     pops = _popcounts(N)
@@ -628,6 +632,7 @@ def basis_isometry(basis: BasisDescriptor) -> sp.csr_array:
     the domains' weights, taken in domain order as the Kronecker product
     takes it.
     """
+    import scipy.sparse as sp
     if basis.backend is not Backend.COLLECTIVE:
         raise ValueError("basis_isometry expects a collective-backend basis")
     full = basis.counterpart().dim
@@ -644,13 +649,19 @@ def basis_isometry(basis: BasisDescriptor) -> sp.csr_array:
 
 
 def to_full_basis(obj):
-    """Map a collective-backend state or operator into the full backend."""
+    """Map a collective-backend state or operator into the full backend.
+
+    S rho S^dag is a state whenever rho is: it is not checked again, and keeps rho's flag.
+    """
+    import scipy.sparse as sp
     S = basis_isometry(obj.basis)
     target = obj.basis.counterpart()
     if isinstance(obj, PureState):
         return PureState(S @ obj.amplitudes, target)
     if isinstance(obj, DensityMatrix):
-        return DensityMatrix(S @ obj.matrix @ S.conj().T.toarray(), target)
+        out = DensityMatrix(S @ obj.matrix @ S.conj().T.toarray(), target, validate=False)
+        object.__setattr__(out, "validate", obj.validate)
+        return out
     if isinstance(obj, Operator):
         mat = sp.csr_array(S @ obj.matrix @ S.conj().T) if obj.is_sparse else S @ obj.matrix @ S.conj().T.toarray()
         return Operator(mat, target)
@@ -664,6 +675,7 @@ def to_collective_basis(obj):
     the symmetric sector of every domain; the resulting state validation
     catches leakage outside it.
     """
+    import scipy.sparse as sp
     if obj.basis.backend is not Backend.FULL:
         raise ValueError("to_collective_basis expects a full-backend input")
     target = obj.basis.counterpart()

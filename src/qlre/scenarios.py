@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import constants
 
 # bench/tracing.py times the scalar measures, expectation, fidelity_with_pure
 # and partial_trace by rebinding them in this module, so they stay importable
@@ -77,11 +76,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# the exact SI values, equal to scipy.constants.h and .k; importing scipy.constants
+# would add ~20 MiB to every run
+PLANCK = 6.62607015e-34  # J s
+BOLTZMANN = 1.380649e-23  # J / K
+
+
 def bose_einstein_nbar(omega0_over_2pi_hz: float, T_kelvin: float) -> float:
     """Mean thermal photon number of a reservoir mode.
 
     Takes the mode frequency as omega0/2pi in hertz and the temperature in
-    kelvin; h*f/(k_B*T) is evaluated with CODATA constants.  T = 0 returns
+    kelvin; h*f/(k_B*T) is evaluated with the exact SI h and k_B.  T = 0 returns
     exactly 0, as does any exponent large enough to underflow.
     """
     f = float(omega0_over_2pi_hz)
@@ -92,7 +97,7 @@ def bose_einstein_nbar(omega0_over_2pi_hz: float, T_kelvin: float) -> float:
         raise ValueError(f"T_kelvin must be finite and >= 0, got {T!r}")
     if T == 0.0:
         return 0.0
-    x = constants.h * f / (constants.k * T)
+    x = PLANCK * f / (BOLTZMANN * T)
     if x > 700.0:  # exp would overflow; the occupation is indistinguishable from 0
         return 0.0
     return 1.0 / math.expm1(x)

@@ -592,11 +592,15 @@ class TestImportWeight:
     # benchmark's peak-RSS bound allows; a path no workload takes may
     # import one lazily
     HEAVY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.integrate")
+    # these two share scipy's array-API layer, ~20 MiB; the collective runs
+    # below DENSE_LIMIT need neither, and the sparse builders import
+    # scipy.sparse when they first run
+    SPARSE = ("scipy.sparse", "scipy.constants")
 
-    def heavy_loaded_after(self, code):
-        """The HEAVY modules loaded once code has run in a fresh interpreter."""
+    def loaded_after(self, code, modules):
+        """Which of modules are loaded once code has run in a fresh interpreter."""
         src = str(Path(cli.__file__).resolve().parents[1])  # the copy under test
-        code += f"\nimport sys\nprint([m for m in {self.HEAVY!r} if m in sys.modules])"
+        code += f"\nimport sys\nprint([m for m in {modules!r} if m in sys.modules])"
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -604,7 +608,7 @@ class TestImportWeight:
         return done.stdout.strip()
 
     def test_cli_import_leaves_heavy_scipy_modules_out(self):
-        assert self.heavy_loaded_after("import qlre.cli") == "[]"
+        assert self.loaded_after("import qlre.cli", self.HEAVY + self.SPARSE) == "[]"
 
     def test_run_config_leaves_heavy_scipy_modules_out(self, tmp_path):
         # the batched observables of fig3b N_B = 12 through the whole run_config path
@@ -617,7 +621,7 @@ class TestImportWeight:
             f"summary = run_config(cfg, Path({str(tmp_path)!r}))\n"
             "assert summary.observables['E_F(A,C)']['final'] > 0"
         )
-        assert self.heavy_loaded_after(code) == "[]"
+        assert self.loaded_after(code, self.HEAVY + self.SPARSE) == "[]"
 
     def test_propagated_evolve_leaves_heavy_scipy_modules_out(self):
         # fig3b N_B = 12 is the largest small-sweep sector, advanced by its exact propagator
@@ -630,23 +634,26 @@ class TestImportWeight:
             "traj = evolve(build_master_equation(cfg), build_initial_state(cfg), 1.0, 0.1)\n"
             "assert traj.stats is None"
         )
-        assert self.heavy_loaded_after(code) == "[]"
+        assert self.loaded_after(code, self.HEAVY + self.SPARSE) == "[]"
 
     def test_per_spin_evolve_leaves_heavy_scipy_modules_out(self):
-        # fig5b at (1,4,1): per-spin decay, 65 orbit coordinates, advanced by its exact propagator
+        # fig5b at (1,4,1): per-spin decay, 65 orbit coordinates, advanced by its exact
+        # propagator; its CSR jumps load scipy.sparse, and only when they are built
         code = (
+            "import sys\n"
             "import qlre.cli\n"
             "from qlre.dynamics import _Sector, evolve\n"
             "from qlre.scenarios import build_basis, build_initial_state, build_master_equation\n"
             "from qlre.scenarios import compile_observables, preset, sweep\n"
             "cfg = sweep(preset('fig5b-individual')[0], 'N_B', [4])[0]\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
             "eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)\n"
             "assert _Sector(eq, rho0.matrix).levels.size == 65\n"
             "observables = compile_observables(cfg, build_basis(cfg))\n"
             "traj = evolve(eq, rho0, 1.0, 0.1, observables=observables)\n"
             "assert traj.stats is None"
         )
-        assert self.heavy_loaded_after(code) == "[]"
+        assert self.loaded_after(code, self.HEAVY + self.SPARSE) == "['scipy.sparse']"
 
     def test_krylov_evolve_leaves_heavy_scipy_modules_out(self):
         # fig4 chain4, 771 coordinates, advanced by Krylov substeps: the chain-evolve path
@@ -661,22 +668,22 @@ class TestImportWeight:
             "              observables=observables)\n"
             "assert traj.stats.substeps > 0"
         )
-        assert self.heavy_loaded_after(code) == "[]"
+        assert self.loaded_after(code, self.HEAVY) == "[]"
 
     def test_steady_state_leaves_heavy_scipy_modules_out(self):
-        # the steady-oracle path: appB N_B = 8 by level sweeps and the fig6 star at N_D = 7
+        # the steady-oracle path: appB N_B = 4 and 8 by level sweeps and the fig6 star at N_D = 7
         code = (
             "import qlre.cli\n"
             "from qlre.dynamics import steady_state\n"
             "from qlre.scenarios import build_initial_state, build_master_equation, preset, sweep\n"
-            "appb = preset('appB-oracle')[-1]\n"
-            "assert appb.domains[1].population == 8\n"
+            "appb = [preset('appB-oracle')[n - 1] for n in (4, 8)]\n"
+            "assert [cfg.domains[1].population for cfg in appb] == [4, 8]\n"
             "star = sweep(preset('fig6-star')[0], 'N_D', [7])[0]\n"
-            "for cfg in (appb, star):\n"
+            "for cfg in appb + [star]:\n"
             "    eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)\n"
             "    assert steady_state(eq, rho0).steps > 0"
         )
-        assert self.heavy_loaded_after(code) == "[]"
+        assert self.loaded_after(code, self.HEAVY + self.SPARSE) == "[]"
 
 
 class TestLibraryOutput:

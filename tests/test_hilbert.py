@@ -323,6 +323,20 @@ class TestStates:
         expected[2] = 1.0  # 'd'=1 at the most significant bit
         assert np.allclose(psi.amplitudes, expected)
 
+    @pytest.mark.parametrize("pops", [(1,), (3,), (1, 2, 1), (2, 2)])
+    def test_projector_is_a_state_without_the_eigendecomposition(self, pops, monkeypatch):
+        # 25 seeded unit vectors per backend, 200 over the four layouts
+        rng = np.random.default_rng(sum(pops) * 10 + len(pops))
+        for backend in Backend:
+            b = BasisDescriptor(backend, pops)
+            vectors = rng.normal(size=(25, b.dim)) + 1j * rng.normal(size=(25, b.dim))
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvalsh", None)  # a call would raise
+                projectors = [PureState(v / np.linalg.norm(v), b).projector() for v in vectors]
+            for rho in projectors:
+                assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-12
+                assert abs(rho.matrix.trace() - 1.0) <= 1e-12
+
     def test_bitstring_needs_full_backend(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (2,))
         with pytest.raises(ValueError):
@@ -500,6 +514,21 @@ class TestIsometry:
         for back in (to_collective_basis(full), to_collective_basis(full_jz)):
             assert back.basis == b
             assert np.allclose(dense(back.matrix), dense(jz.matrix))
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_state_image_is_not_checked_again_and_carries_the_flag(self, validate, monkeypatch):
+        rng = np.random.default_rng(52)
+        for pops in ((1, 2, 1), (2, 3)):
+            b = BasisDescriptor(Backend.COLLECTIVE, pops)
+            for _ in range(10):
+                a = rng.normal(size=(b.dim, b.dim)) + 1j * rng.normal(size=(b.dim, b.dim))
+                m = a @ a.conj().T
+                rho = DensityMatrix(m / m.trace().real, b, validate=validate)
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.linalg, "eigvalsh", None)  # a call would raise
+                    full = to_full_basis(rho)
+                assert full.validate is validate
+                DensityMatrix(full.matrix, full.basis)  # passes every check
 
     def test_round_trip_preserves_purity_and_trace(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (3,))

@@ -72,6 +72,17 @@ class TestBoseEinstein:
         x = PLANCK * f / (BOLTZMANN * T)
         assert bose_einstein_nbar(f, T) == pytest.approx(1.0 / math.expm1(x), rel=1e-13)
 
+    def test_matches_scipy_constants_bitwise_on_every_fig5c_temperature(self):
+        # the exact SI h and k_B stand in for scipy.constants, which a run never imports
+        from scipy import constants
+
+        temperatures = [cfg.temperature for cfg in preset("fig5c-thermal")]
+        assert len(temperatures) == 5
+        for temp in temperatures:
+            f, T = temp.omega0_over_2pi_hz, temp.T_kelvin
+            expected = 1.0 / math.expm1(constants.h * f / (constants.k * T)) if T else 0.0
+            assert bose_einstein_nbar(f, T) == expected
+
     def test_extreme_cold_underflows_to_zero(self):
         assert bose_einstein_nbar(1e10, 1e-30) == 0.0
 
