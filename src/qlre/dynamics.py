@@ -47,6 +47,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -405,7 +406,7 @@ class _CSR:
         rows, cols = np.divmod(key[data != 0], shape[1])
         return cls(np.searchsorted(rows, np.arange(shape[0] + 1)), cols, data[data != 0], shape)
 
-    @property
+    @cached_property
     def rows(self) -> np.ndarray:
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 

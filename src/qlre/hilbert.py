@@ -25,15 +25,16 @@ runs:
 With these conventions the global ground state is the last basis vector
 in either backend.
 
-Density matrices are always stored dense.  Operators are stored dense up
-to dimension ``DENSE_LIMIT`` and as CSR above it; jump operators in the
-full backend are always sparse.  Only the builders of CSR operators import
-``scipy.sparse``, when they first run.
+Density matrices are always stored dense.  Every operator builder, in
+either backend, returns a dense ndarray up to dimension ``DENSE_LIMIT`` and
+a CSR array above it.  ``scipy.sparse`` is imported only when an operator
+above ``DENSE_LIMIT`` or a backend isometry is built.
 
-The jump operators, single-spin sigma_z and the backend isometry are built
-by placing their entries at indices computed from the basis ordering, with
-no Kronecker products.  ``embed`` (a Kronecker product with identities on
-the other domains) serves the observables, such as a domain's Jz.
+The jump operators, Jz, single-spin sigma_z and the backend isometry are
+built by placing their entries at indices computed from the basis
+ordering, with no Kronecker products; ``_place`` applies the storage rule.
+``embed`` (a Kronecker product with identities on the other domains)
+serves the observables, such as a domain's Jz.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def collective_lowering(N: int, backend: Backend) -> Operator:
     """Collective lowering operator J- for a single domain of N spins.
 
     Collective backend: ladder matrix with <j,m-1|J-|j,m> = sqrt(j(j+1) - m(m-1))
-    for j = N/2.  Full backend: sum of single-site lowering operators (sparse).
+    for j = N/2.  Full backend: sum of single-site lowering operators.
     The adjoint of the result is the raising operator J+.
     """
     if not isinstance(N, (int, np.integer)) or N < 1:
@@ -256,9 +257,8 @@ def collective_lowering(N: int, backend: Backend) -> Operator:
         raise ValueError(f"unknown backend: {backend!r}")
     basis = single_domain_basis(int(N), backend)
     if backend is Backend.COLLECTIVE:
-        mat = np.zeros((N + 1, N + 1), dtype=complex)
-        mat[np.arange(1, N + 1), np.arange(N)] = _ladder_element(N, np.arange(N))
-        return Operator(mat, basis)
+        level = np.arange(N)
+        return Operator(_place(level + 1, level, _ladder_element(N, level), N + 1), basis)
     return Operator(_site_lowering(N, range(N)), basis)
 
 
@@ -270,18 +270,15 @@ def _ladder_element(N, level: np.ndarray) -> np.ndarray:
 
 
 def collective_jz(N: int, backend: Backend) -> Operator:
-    """Collective Jz for a single domain; diagonal in both backends."""
+    """Collective Jz for a single domain: diagonal, N/2 minus the down-spins, in both backends."""
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"spin count must be a positive integer, got {N!r}")
     if not isinstance(backend, Backend):
         raise ValueError(f"unknown backend: {backend!r}")
     basis = single_domain_basis(int(N), backend)
-    if backend is Backend.COLLECTIVE:
-        diag = N / 2.0 - np.arange(N + 1)
-        return Operator(np.diag(diag).astype(complex), basis)
-    import scipy.sparse as sp
-    diag = N / 2.0 - _popcounts(N)
-    return Operator(sp.diags_array(diag.astype(complex), format="csr"), basis)
+    index = np.arange(basis.dim)
+    downs = index if backend is Backend.COLLECTIVE else _popcounts(N)
+    return Operator(_place(index, index, N / 2.0 - downs, basis.dim), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +287,7 @@ def collective_jz(N: int, backend: Backend) -> Operator:
 
 
 def embed(op: Operator, basis: BasisDescriptor, m: int) -> Operator:
-    """Embed a single-domain operator at domain index m, identity elsewhere."""
+    """Embed a single-domain operator at domain m, identity elsewhere; CSR above DENSE_LIMIT."""
     if not 0 <= m < basis.num_domains:
         raise ValueError(f"domain index {m} out of range")
     dims = basis.domain_dims
@@ -300,7 +297,7 @@ def embed(op: Operator, basis: BasisDescriptor, m: int) -> Operator:
         )
     left = math.prod(dims[:m]) if m > 0 else 1
     right = math.prod(dims[m + 1 :]) if m + 1 < len(dims) else 1
-    if op.is_sparse or basis.dim > DENSE_LIMIT:
+    if basis.dim > DENSE_LIMIT:
         import scipy.sparse as sp
         mat = sp.csr_array(op.matrix)
         if left > 1:
@@ -309,7 +306,7 @@ def embed(op: Operator, basis: BasisDescriptor, m: int) -> Operator:
             mat = sp.kron(mat, sp.eye_array(right, dtype=complex, format="csr"), format="csr")
         mat = sp.csr_array(mat)
     else:
-        mat = np.asarray(op.matrix)
+        mat = op.toarray()
         if left > 1:
             mat = np.kron(np.eye(left, dtype=complex), mat)
         if right > 1:
@@ -325,9 +322,9 @@ def reservoir_jump(basis: BasisDescriptor, domains: Iterable[int]) -> Operator:
     couples through the sum of their collective lowering operators.  Its
     entries are placed at computed indices, with the values of the summed
     embedded parts.  Full backend: sigma- over every site of the listed
-    domains, CSR.  Collective backend: a listed domain of stride s lowers
-    state i to i + s wherever its level is below N, by the ladder element of
-    that level; dense up to DENSE_LIMIT, CSR above.
+    domains.  Collective backend: a listed domain of stride s lowers state i
+    to i + s wherever its level is below N, by the ladder element of that
+    level.  Both are dense up to DENSE_LIMIT and CSR above.
     """
     idx = _check_domain_indices(basis, domains)
     pops, dims, d = basis.domain_pops, basis.domain_dims, basis.dim
@@ -337,51 +334,50 @@ def reservoir_jump(basis: BasisDescriptor, domains: Iterable[int]) -> Operator:
     strides = np.array([math.prod(dims[m + 1 :]) for m in idx])
     level = np.arange(d)[:, None] // strides % np.array([dims[m] for m in idx])
     rows, k = np.nonzero(level)  # row by row, each row's columns ascending
-    cols = rows - strides[k]
     # the column sits one level above its row
-    values = _ladder_element(np.array(pops)[list(idx)][k], level[rows, k] - 1).astype(complex)
+    values = _ladder_element(np.array(pops)[list(idx)][k], level[rows, k] - 1)
+    return Operator(_place(rows, rows - strides[k], values, d), basis)
+
+
+def _place(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, d: int) -> MatrixLike:
+    """The complex d x d matrix holding values at (rows, cols): dense up to DENSE_LIMIT, CSR above.
+
+    The rows ascend, each row's columns ascend and no place repeats, so the
+    CSR arrays are built directly; their indices keep the dtype of cols.
+    """
     if d <= DENSE_LIMIT:
         mat = np.zeros((d, d), dtype=complex)
         mat[rows, cols] = values
-        return Operator(mat, basis)
+        return mat
     import scipy.sparse as sp
-    indptr = np.searchsorted(rows, np.arange(d + 1))
-    return Operator(sp.csr_array((values, cols, indptr), shape=(d, d)), basis)
+    indptr = np.searchsorted(rows, np.arange(d + 1)).astype(cols.dtype)
+    return sp.csr_array((values.astype(complex), cols, indptr), shape=(d, d))
 
 
-def _site_lowering(num_bits: int, positions: Iterable[int]) -> sp.csr_array:
+def _site_lowering(num_bits: int, positions: Iterable[int]) -> MatrixLike:
     """sigma- summed over the spins at the given bit positions: each flips its bit 0 (up) to 1.
 
     Row i holds a 1 at i - bit for every listed bit set in i.  The bits run
-    from the highest down, so each row's columns ascend, and the CSR arrays
-    are built directly.
+    from the highest down, so each row's columns ascend, as ``_place`` needs.
     """
-    import scipy.sparse as sp
     bits = 1 << (num_bits - 1 - np.sort(list(positions)))
-    states = np.arange(2**num_bits)
-    rows, k = np.nonzero(states[:, None] & bits)
-    indptr = np.searchsorted(rows, np.arange(states.size + 1))
-    data = np.ones(rows.size, dtype=complex)
-    return sp.csr_array((data, rows - bits[k], indptr), shape=(states.size,) * 2)
+    rows, k = np.nonzero(np.arange(2**num_bits)[:, None] & bits)
+    return _place(rows, rows - bits[k], np.ones(rows.size), 2**num_bits)
 
 
 def single_spin_lowering(basis: BasisDescriptor, domain: int, site: int) -> Operator:
-    """sigma- acting on one physical spin (full backend only), sparse."""
+    """sigma- acting on one physical spin (full backend only)."""
     _require_full_backend(basis, "single-spin operators")
     pos = _site_bit_position(basis, domain, site)
     return Operator(_site_lowering(sum(basis.domain_pops), [pos]), basis)
 
 
 def single_spin_z(basis: BasisDescriptor, domain: int, site: int) -> Operator:
-    """sigma_z acting on one physical spin (full backend only), sparse."""
-    import scipy.sparse as sp
+    """sigma_z on one physical spin (full backend only): +1 where its bit is 0 (up), else -1."""
     _require_full_backend(basis, "single-spin operators")
-    pos = _site_bit_position(basis, domain, site)
-    bit = 1 << (sum(basis.domain_pops) - 1 - pos)
-    index = np.arange(basis.dim + 1, dtype=np.int32)  # int32, as scipy stores indices that fit
-    diag = np.where(index[:-1] & bit, -1.0, 1.0).astype(complex)
-    mat = sp.csr_array((diag, index[:-1], index), shape=(basis.dim,) * 2)
-    return Operator(mat, basis)
+    bit = 1 << (sum(basis.domain_pops) - 1 - _site_bit_position(basis, domain, site))
+    index = np.arange(basis.dim, dtype=np.int32)  # int32, as scipy stores indices that fit
+    return Operator(_place(index, index, np.where(index & bit, -1.0, 1.0), basis.dim), basis)
 
 
 def _require_full_backend(basis: BasisDescriptor, what: str):

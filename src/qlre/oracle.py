@@ -127,14 +127,15 @@ def concurrence_analytic(n_b: int) -> float:
 def edge_excited_steady(n_b: int) -> DensityMatrix:
     """Exact relaxation endpoint from one excitation on the first outer spin.
 
-    (1 - x_d) * ground + x_d * dark projector, in the full backend.
+    (1 - x_d) * ground + x_d * dark projector, in the full backend: a mix of two
+    orthogonal unit-vector projectors, a state by construction, not checked again.
     """
     n_b = _check_nb(n_b)
-    basis = chain_basis(n_b)
     xd = x_dark(n_b)
-    rho = xd * dark_state(n_b).projector().matrix
+    rho = dark_state(n_b).projector().matrix
+    rho *= xd
     rho[-1, -1] += 1.0 - xd
-    return DensityMatrix(rho, basis)
+    return DensityMatrix(rho, chain_basis(n_b), validate=False)
 
 
 def _pair_basis() -> BasisDescriptor:

@@ -592,9 +592,9 @@ class TestImportWeight:
     # benchmark's peak-RSS bound allows; a path no workload takes may
     # import one lazily
     HEAVY = ("scipy.linalg", "scipy.sparse.linalg", "scipy.integrate")
-    # these two share scipy's array-API layer, ~20 MiB; the collective runs
-    # below DENSE_LIMIT need neither, and the sparse builders import
-    # scipy.sparse when they first run
+    # these two share scipy's array-API layer, ~20 MiB; the runs below
+    # DENSE_LIMIT, collective or per-spin, need neither, and the builders of
+    # operators above it import scipy.sparse when they first run
     SPARSE = ("scipy.sparse", "scipy.constants")
 
     def loaded_after(self, code, modules):
@@ -623,6 +623,20 @@ class TestImportWeight:
         )
         assert self.loaded_after(code, self.HEAVY + self.SPARSE) == "[]"
 
+    @pytest.mark.parametrize("family, index", [("fig5a-dephasing", 4), ("appA-mixed", 0)])
+    def test_per_spin_run_config_leaves_heavy_scipy_modules_out(self, family, index, tmp_path):
+        # fig5a dep 0.2 (d = 128) and appA-mixed f 0.5 (d = 64) on the full backend
+        code = (
+            "from pathlib import Path\n"
+            "from qlre.cli import run_config\n"
+            "from qlre.scenarios import build_basis, preset\n"
+            f"cfg = preset({family!r})[{index}]\n"
+            "assert build_basis(cfg).backend.value == 'full'\n"
+            f"summary = run_config(cfg, Path({str(tmp_path)!r}))\n"
+            "assert summary.observables"
+        )
+        assert self.loaded_after(code, self.HEAVY + self.SPARSE) == "[]"
+
     def test_propagated_evolve_leaves_heavy_scipy_modules_out(self):
         # fig3b N_B = 12 is the largest small-sweep sector, advanced by its exact propagator
         code = (
@@ -638,20 +652,38 @@ class TestImportWeight:
 
     def test_per_spin_evolve_leaves_heavy_scipy_modules_out(self):
         # fig5b at (1,4,1): per-spin decay, 65 orbit coordinates, advanced by its exact
-        # propagator; its CSR jumps load scipy.sparse, and only when they are built
+        # propagator; its jumps are dense at d = 64
         code = (
-            "import sys\n"
             "import qlre.cli\n"
             "from qlre.dynamics import _Sector, evolve\n"
             "from qlre.scenarios import build_basis, build_initial_state, build_master_equation\n"
             "from qlre.scenarios import compile_observables, preset, sweep\n"
             "cfg = sweep(preset('fig5b-individual')[0], 'N_B', [4])[0]\n"
-            "assert 'scipy.sparse' not in sys.modules\n"
             "eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)\n"
             "assert _Sector(eq, rho0.matrix).levels.size == 65\n"
             "observables = compile_observables(cfg, build_basis(cfg))\n"
             "traj = evolve(eq, rho0, 1.0, 0.1, observables=observables)\n"
             "assert traj.stats is None"
+        )
+        assert self.loaded_after(code, self.HEAVY + self.SPARSE) == "[]"
+
+    def test_per_spin_evolve_above_the_dense_limit_loads_scipy_sparse_when_built(self):
+        # fig5b at (1,7,1), d = 512: its CSR jumps load scipy.sparse, and only when
+        # they are built
+        code = (
+            "import sys\n"
+            "import qlre.cli\n"
+            "from qlre.dynamics import evolve\n"
+            "from qlre.scenarios import build_basis, build_initial_state, build_master_equation\n"
+            "from qlre.scenarios import compile_observables, preset, sweep\n"
+            "cfg = sweep(preset('fig5b-individual')[0], 'N_B', [7])[0]\n"
+            "assert build_basis(cfg).dim == 512\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)\n"
+            "assert 'scipy.sparse' in sys.modules\n"
+            "observables = compile_observables(cfg, build_basis(cfg))\n"
+            "traj = evolve(eq, rho0, 0.2, 0.1, observables=observables)\n"
+            "assert traj.stats.substeps > 0"
         )
         assert self.loaded_after(code, self.HEAVY + self.SPARSE) == "['scipy.sparse']"
 

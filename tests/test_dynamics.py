@@ -411,7 +411,8 @@ class TestAssembly:
     def test_non_canonical_csr_jump_gives_the_canonical_sector(self):
         # every entry stored twice, as halves, in descending column order
         b = BasisDescriptor(Backend.FULL, (1, 2, 1))
-        J = reservoir_jump(b, [0, 1]).matrix
+        plain = reservoir_jump(b, [0, 1]).matrix
+        J = sp.csr_array(plain)
         counts = np.diff(J.indptr)
         order = np.lexsort((-J.indices, np.repeat(np.arange(b.dim), counts)))
         messy = sp.csr_array(
@@ -420,12 +421,14 @@ class TestAssembly:
         )
         assert not messy.has_canonical_format
         rho0 = product_state(b, [1, 1, 0]).matrix
-        L, messy_L = (
+        plain_L, L, messy_L = (
             as_scipy(
                 _Sector(MasterEquation((LindbladTerm(Operator(m, b), 1.0),), b), rho0).liouvillian
             )
-            for m in (J, messy)
+            for m in (plain, J, messy)
         )
+        assert isinstance(plain, np.ndarray)  # the dense jump reads in the CSR jump's order
+        assert (L != plain_L).nnz == 0
         assert (L != messy_L).nnz == 0
 
     def test_complex_jump_with_im_coordinates(self):
@@ -488,7 +491,7 @@ class TestAssembly:
         # an explicit 0 at (0, 0) has no shift; read as an entry it would map
         # order 0 out of the kept orders
         b = BasisDescriptor(Backend.FULL, (1, 1))
-        plain = reservoir_jump(b, [0, 1]).matrix.tocoo()
+        plain = sp.csr_array(reservoir_jump(b, [0, 1]).matrix).tocoo()
         rows, cols = np.r_[plain.row, 0], np.r_[plain.col, 0]
         stored = sp.csr_array((np.r_[plain.data, 0.0], (rows, cols)), shape=plain.shape)
         assert stored.nnz == plain.nnz + 1
@@ -952,7 +955,7 @@ class TestExpectation:
 
     def test_csr_operator_matches_its_dense_copy(self):
         b = BasisDescriptor(Backend.FULL, (1, 3))
-        jz = embed(collective_jz(3, Backend.FULL), b, 1)
+        jz = Operator(sp.csr_array(embed(collective_jz(3, Backend.FULL), b, 1).matrix), b)
         assert jz.is_sparse
         rho = random_density(np.random.default_rng(7), b)
         value = expectation(rho, jz)

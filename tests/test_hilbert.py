@@ -107,11 +107,12 @@ class TestCollectiveOperators:
     def test_full_backend_matches_conjugated_ladder(self, N):
         S = symmetric_isometry(N)
         Jm_full = collective_lowering(N, Backend.FULL).matrix
-        projected = (S.conj().T @ Jm_full @ S).toarray()
+        projected = dense(S.conj().T @ Jm_full @ S)
         assert np.allclose(projected, collective_lowering(N, Backend.COLLECTIVE).toarray())
 
-    def test_full_jump_is_sparse(self):
-        assert collective_lowering(3, Backend.FULL).is_sparse
+    def test_full_jump_is_dense_up_to_the_limit(self):
+        assert not collective_lowering(8, Backend.FULL).is_sparse  # d = 256
+        assert collective_lowering(9, Backend.FULL).is_sparse  # d = 512
 
     def test_jz_diagonals(self):
         assert np.allclose(np.diag(collective_jz(2, Backend.COLLECTIVE).toarray()), [1, 0, -1])
@@ -159,9 +160,10 @@ class TestEmbedAndReservoir:
         singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
         assert np.linalg.norm(dense(J.matrix) @ singlet) < 1e-14
 
-    def test_full_backend_reservoir_always_sparse(self):
-        b = BasisDescriptor(Backend.FULL, (1, 1))
-        assert reservoir_jump(b, [0, 1]).is_sparse
+    def test_full_backend_reservoir_is_dense_up_to_the_limit(self):
+        for pops, sparse in [((1, 1), False), ((1, 6, 1), False), ((1, 7, 1), True)]:
+            b = BasisDescriptor(Backend.FULL, pops)
+            assert reservoir_jump(b, [0, 1]).is_sparse is sparse
 
     @pytest.mark.parametrize(
         "backend, pops",
@@ -170,18 +172,19 @@ class TestEmbedAndReservoir:
             (Backend.COLLECTIVE, (1, 6, 6, 1)),
             (Backend.COLLECTIVE, (1, 12, 12, 1)),
             (Backend.FULL, (1, 4, 1)),
+            (Backend.FULL, (1, 7, 1)),
         ],
-        ids=["collective-d4", "collective-d196", "collective-d676", "full-(1,4,1)"],
+        ids=["collective-d4", "collective-d196", "collective-d676", "full-(1,4,1)", "full-(1,7,1)"],
     )
     def test_reservoir_jump_is_the_plain_sum_of_embedded_parts(self, backend, pops):
-        # embed already makes each part CSR in the full backend and above DENSE_LIMIT
+        # embed already makes each part CSR above DENSE_LIMIT
         b = BasisDescriptor(backend, pops)
         for m in range(len(pops) - 1):
             J = reservoir_jump(b, [m, m + 1]).matrix
             parts = [embed(collective_lowering(pops[k], backend), b, k).matrix for k in (m, m + 1)]
             expected = parts[0] + parts[1]
             assert type(J) is type(expected)
-            assert sp.issparse(J) == (backend is Backend.FULL or b.dim > DENSE_LIMIT)
+            assert sp.issparse(J) == (b.dim > DENSE_LIMIT)
             if sp.issparse(J):
                 assert J.nnz == expected.nnz
                 assert (J != expected).nnz == 0
@@ -245,14 +248,92 @@ class TestSingleSpinOperators:
             # +1 on up (bit 0), -1 on down at this site; identity on the others
             rest = np.eye(2 ** (sum(pops) - pos - 1))
             expected = np.kron(np.kron(np.eye(2**pos), np.diag([1.0, -1.0])), rest).astype(complex)
-            sz = single_spin_z(b, m, s).matrix
-            assert sp.issparse(sz) and sz.nnz == b.dim
-            assert_same_matrix(sz.toarray(), expected)
+            assert_same_matrix(single_spin_z(b, m, s).matrix, expected)  # dense: d <= 256
 
     def test_site_out_of_range(self):
         b = BasisDescriptor(Backend.FULL, (2,))
         with pytest.raises(ValueError):
             single_spin_lowering(b, 0, 2)
+
+
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # up (index 0) to down (index 1)
+SIGMA_Z = np.diag([1.0, -1.0])
+
+
+def site_kron(num_bits, pos, local):
+    """I x local x I with local at bit position pos, dense."""
+    return domain_kron((2,) * num_bits, pos, local)
+
+
+def domain_kron(dims, m, local):
+    """I x local x I with local on domain m, dense."""
+    left, right = math.prod(dims[:m]), math.prod(dims[m + 1 :])
+    return np.kron(np.kron(np.eye(left), local), np.eye(right)).astype(complex)
+
+
+def ladder(N):
+    j, m = N / 2.0, N / 2.0 - np.arange(N)
+    return np.diag(np.sqrt(j * (j + 1) - m * (m - 1)), -1).astype(complex)
+
+
+class TestStorageRule:
+    # every builder returns an ndarray up to DENSE_LIMIT and CSR above, in either
+    # backend, equal entry for entry to its Kronecker product on both sides
+
+    def check(self, op, expected):
+        assert isinstance(op.matrix, np.ndarray) is (op.basis.dim <= DENSE_LIMIT)
+        assert op.is_sparse is (op.basis.dim > DENSE_LIMIT)
+        assert op.matrix.dtype == complex
+        assert np.array_equal(dense(op.matrix), expected)
+
+    @pytest.mark.parametrize("pops", [(1, 6, 1), (1, 7, 1)], ids=["d256", "d512"])
+    def test_full_backend(self, pops):
+        b, bits = BasisDescriptor(Backend.FULL, pops), sum(pops)
+        sites = [(m, s) for m, N in enumerate(pops) for s in range(N)]
+        for pos, (m, s) in enumerate(sites):
+            self.check(single_spin_lowering(b, m, s), site_kron(bits, pos, SIGMA_MINUS))
+            self.check(single_spin_z(b, m, s), site_kron(bits, pos, SIGMA_Z))
+        for sub in (sub for k in (1, 2, 3) for sub in combinations(range(3), k)):
+            listed = [p for p, (m, _) in enumerate(sites) if m in sub]
+            self.check(reservoir_jump(b, sub), sum(site_kron(bits, p, SIGMA_MINUS) for p in listed))
+        jz = 0.5 * sum(site_kron(pops[1], p, SIGMA_Z) for p in range(pops[1]))
+        embedded = embed(collective_jz(pops[1], Backend.FULL), b, 1)
+        self.check(embedded, domain_kron(b.domain_dims, 1, jz))
+
+    @pytest.mark.parametrize("N", [8, 9], ids=["d256", "d512"])
+    def test_full_backend_single_domain(self, N):
+        lowering = sum(site_kron(N, p, SIGMA_MINUS) for p in range(N))
+        self.check(collective_lowering(N, Backend.FULL), lowering)
+        jz = 0.5 * sum(site_kron(N, p, SIGMA_Z) for p in range(N))
+        self.check(collective_jz(N, Backend.FULL), jz)
+
+    @pytest.mark.parametrize("N", [7, 8], ids=["d256", "d324"])
+    def test_collective_backend(self, N):
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, N, N, 1))
+        pops, dims = b.domain_pops, b.domain_dims
+        for sub in (sub for k in range(1, 5) for sub in combinations(range(4), k)):
+            expected = sum(domain_kron(dims, m, ladder(pops[m])) for m in sub)
+            self.check(reservoir_jump(b, sub), expected)
+        jz = np.diag(N / 2.0 - np.arange(N + 1))
+        self.check(embed(collective_jz(N, Backend.COLLECTIVE), b, 1), domain_kron(dims, 1, jz))
+
+    @pytest.mark.parametrize("N", [255, 256], ids=["d256", "d257"])
+    def test_collective_backend_single_domain(self, N):
+        self.check(collective_lowering(N, Backend.COLLECTIVE), ladder(N))
+        jz = np.diag(N / 2.0 - np.arange(N + 1)).astype(complex)
+        self.check(collective_jz(N, Backend.COLLECTIVE), jz)
+
+    def test_embed_follows_the_rule_whatever_its_input(self):
+        b = BasisDescriptor(Backend.FULL, (1, 3))
+        jz = collective_jz(3, Backend.FULL)
+        csr = Operator(sp.csr_array(jz.matrix), jz.basis)
+        self.check(embed(csr, b, 1), domain_kron(b.domain_dims, 1, jz.matrix))
+
+    def test_sigma_z_keeps_int32_indices(self):
+        # d = 65536: 32-bit indices halve the index arrays; dynamics widens its keys
+        sz = single_spin_z(BasisDescriptor(Backend.FULL, (16,)), 0, 3).matrix
+        assert sp.issparse(sz)
+        assert sz.indices.dtype == sz.indptr.dtype == np.int32
 
 
 class TestSitePermutations:
@@ -543,7 +624,7 @@ class TestIsometry:
         J_coll = dense(reservoir_jump(b, [0, 1]).matrix)
         J_full = reservoir_jump(b.counterpart(), [0, 1]).matrix
         S = basis_isometry(b)
-        assert np.allclose((S.conj().T @ J_full @ S).toarray(), J_coll)
+        assert np.allclose(dense(S.conj().T @ J_full @ S), J_coll)
 
 
 class TestMetrics:

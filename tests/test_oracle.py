@@ -179,6 +179,22 @@ class TestSteadyStates:
         expected = (1 - w) * g.matrix + w * dark_state(n_b).projector().matrix
         assert np.max(np.abs(rho.matrix - expected)) < 1e-14
 
+    @pytest.mark.parametrize("n_b", range(1, 11))
+    def test_is_a_state_without_the_eigendecomposition(self, n_b, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", None)  # a call would raise
+            rho = edge_excited_steady(n_b)
+        assert rho.validate is False
+        # every nonzero lies in the block of the nonzero rows, so the spectrum is the
+        # block's plus zeros; d = 4096 at n_b = 10 would take seconds whole
+        m = rho.matrix
+        support = np.flatnonzero(np.any(m != 0, axis=1))
+        block = m[np.ix_(support, support)]
+        assert np.count_nonzero(block) == np.count_nonzero(m)
+        assert np.array_equal(block, block.conj().T)
+        assert abs(m.trace() - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(block)[0] >= -1e-12
+
     @pytest.mark.parametrize("n_b", [1, 2, 4])
     def test_reduced_pair_matches_two_level_form(self, n_b):
         full = edge_excited_steady(n_b)
