@@ -21,7 +21,8 @@ Per-spin channels at equal rates and a permutation-symmetric rho0 keep
 the state constant on each orbit of elements under the site
 permutations, so each such orbit is one coordinate (the state space of
 PIQS, Shammah et al., Phys. Rev. A 98, 063815 (2018)).
-``lindblad_rhs`` stays the plain matrix form, the reference for tests.
+``lindblad_rhs`` stays the plain matrix form, the reference for tests; it
+runs in float64 when rho and every jump are real, as in every preset.
 
 L is constant, so the state at every sample is exp(t L) rho0.  Each
 sample comes with the interval h before it: sample_dt, or a shorter last
@@ -162,31 +163,45 @@ class MasterEquation:
 
 
 def lindblad_rhs(eq: MasterEquation, rho: DensityMatrix) -> np.ndarray:
-    """d rho / d(scaled time) for the given equation, as a d x d matrix.
+    """d rho / d(scaled time) for the given equation, as a complex d x d matrix.
 
     A plain sum over terms of rate * (2 O rho O^dag - O^dag O rho - rho O^dag O),
-    kept as the reference the sector's L is tested against.  The
-    result is Hermitian and traceless to 1e-12; a violation signals a
-    numeric problem in the assembled terms.
+    kept as the reference the sector's L is tested against.  It is summed as
+    2 rate O rho O^dag per term, less A rho and rho A with A = sum rate O^dag O
+    formed once.  When rho and every active jump have no imaginary part
+    (every preset; ``_Sector`` drops its Im coordinates by the same rule)
+    the products run on float64 copies.  rho A is formed itself, not as
+    (A rho)^dag, so the result is Hermitian and traceless to 1e-12 only when
+    the input and the terms are; a violation signals a numeric problem.
     """
     if rho.basis != eq.basis:
         raise ValueError(f"basis mismatch: {rho.basis} vs {eq.basis}")
     y = rho.matrix
+    active = [(t.rate, t.jump.matrix) for t in eq.terms if t.rate]
+    if not np.any(y.imag) and not any(np.any(_values(O).imag) for _, O in active):
+        y = y.real.copy()
+        active = [(r, O.real.copy()) for r, O in active]
     out = np.zeros_like(y)
-    for term in eq.terms:
-        if term.rate == 0.0:
-            continue
-        O = term.jump.matrix
+    A = 0.0  # a scalar zero adds to a dense or a CSR product alike
+    for r, O in active:
         Od = O.conj().T
-        Oy = O @ y
-        out += term.rate * (2.0 * (Oy @ Od) - Od @ Oy - (y @ Od) @ O)
+        out += (2.0 * r) * ((O @ y) @ Od)
+        A = A + r * (Od @ O)
+    if active:
+        out -= A @ y
+        out -= y @ A
     herm = np.max(np.abs(out - out.conj().T)) if out.size else 0.0
     tr = abs(out.trace())
     if herm > 1e-12 or tr > 1e-12:
         raise NumericalFailure(
             f"right-hand side violates structure: hermiticity {herm:.3e}, trace {tr:.3e}"
         )
-    return out
+    return out.astype(complex, copy=False)
+
+
+def _values(matrix) -> np.ndarray:
+    """A dense matrix itself, or a CSR matrix's stored values."""
+    return matrix if isinstance(matrix, np.ndarray) else matrix.data
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ With these conventions the global ground state is the last basis vector
 in either backend.
 
 Density matrices are always stored dense.  Every operator builder, in
-either backend, returns a dense ndarray up to dimension ``DENSE_LIMIT`` and
-a CSR array above it.  ``scipy.sparse`` is imported only when an operator
+either backend, and both basis conversions return a dense ndarray up to
+dimension ``DENSE_LIMIT`` and a CSR array above it.  ``scipy.sparse`` is imported only when an operator
 above ``DENSE_LIMIT`` or a backend isometry is built.
 
 The jump operators, Jz, single-spin sigma_z and the backend isometry are
@@ -659,8 +659,7 @@ def to_full_basis(obj):
         object.__setattr__(out, "validate", obj.validate)
         return out
     if isinstance(obj, Operator):
-        mat = sp.csr_array(S @ obj.matrix @ S.conj().T) if obj.is_sparse else S @ obj.matrix @ S.conj().T.toarray()
-        return Operator(mat, target)
+        return Operator(_by_size(S @ sp.csr_array(obj.matrix) @ S.conj().T), target)
     raise ValueError(f"cannot convert {type(obj).__name__}")
 
 
@@ -682,7 +681,11 @@ def to_collective_basis(obj):
     if isinstance(obj, DensityMatrix):
         return DensityMatrix((Sd @ obj.matrix) @ S.toarray(), target)
     if isinstance(obj, Operator):
-        mat = Sd @ obj.matrix @ S
-        mat = sp.csr_array(mat) if sp.issparse(mat) else mat
-        return Operator(mat, target)
+        return Operator(_by_size(Sd @ sp.csr_array(obj.matrix) @ S), target)
     raise ValueError(f"cannot convert {type(obj).__name__}")
+
+
+def _by_size(mat: "sp.sparray") -> MatrixLike:
+    """A sparse d x d product in the storage of the rule: dense up to DENSE_LIMIT, CSR above."""
+    import scipy.sparse as sp
+    return mat.toarray() if mat.shape[0] <= DENSE_LIMIT else sp.csr_array(mat)

@@ -652,16 +652,17 @@ class TestImportWeight:
 
     def test_per_spin_evolve_leaves_heavy_scipy_modules_out(self):
         # fig5b at (1,4,1): per-spin decay, 65 orbit coordinates, advanced by its exact
-        # propagator; its jumps are dense at d = 64
+        # propagator; its jumps are dense at d = 64, and so is its set-up's rhs
         code = (
             "import qlre.cli\n"
-            "from qlre.dynamics import _Sector, evolve\n"
+            "from qlre.dynamics import _Sector, evolve, lindblad_rhs\n"
             "from qlre.scenarios import build_basis, build_initial_state, build_master_equation\n"
             "from qlre.scenarios import compile_observables, preset, sweep\n"
             "cfg = sweep(preset('fig5b-individual')[0], 'N_B', [4])[0]\n"
             "eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)\n"
             "assert _Sector(eq, rho0.matrix).levels.size == 65\n"
             "observables = compile_observables(cfg, build_basis(cfg))\n"
+            "lindblad_rhs(eq, rho0)\n"
             "traj = evolve(eq, rho0, 1.0, 0.1, observables=observables)\n"
             "assert traj.stats is None"
         )

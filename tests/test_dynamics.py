@@ -97,6 +97,26 @@ class TestRhs:
             assert abs(out.trace()) < 1e-12
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
+    @pytest.mark.parametrize("family", PRESET_NAMES)
+    def test_phased_jumps_give_the_real_rhs(self, family):
+        # D[e^{i phi} O] = D[O]: phased jumps take the complex route, the presets' real one
+        for cfg in preset(family):  # the first config whose rho0 is not stationary
+            eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+            real = lindblad_rhs(eq, rho0)
+            if np.any(real):
+                break
+        phased = MasterEquation(
+            tuple(
+                LindbladTerm(Operator(np.exp(1j * (0.3 + 0.7 * k)) * t.jump.matrix, eq.basis), t.rate)
+                for k, t in enumerate(eq.terms)
+            ),
+            eq.basis,
+        )
+        assert all(np.any(t.jump.toarray().imag) for t in phased.terms if t.rate)
+        complex_ = lindblad_rhs(phased, rho0)
+        assert real.dtype == complex_.dtype == complex
+        assert np.max(np.abs(complex_ - real)) <= 1e-13 * np.max(np.abs(real))
+
     def test_basis_mismatch_rejected(self):
         b, eq = chain_eq(2)
         other = ground_state(BasisDescriptor(Backend.COLLECTIVE, (1, 3, 1)))

@@ -329,6 +329,19 @@ class TestStorageRule:
         csr = Operator(sp.csr_array(jz.matrix), jz.basis)
         self.check(embed(csr, b, 1), domain_kron(b.domain_dims, 1, jz.matrix))
 
+    @pytest.mark.parametrize("pops", [(2, 3), (1, 4, 4, 1)], ids=["d12-32", "d100-1024"])
+    def test_basis_conversions(self, pops):
+        # each operator result follows the rule by its own dimension, whatever the input's
+        b = BasisDescriptor(Backend.COLLECTIVE, pops)
+        jz = embed(collective_jz(pops[1], Backend.COLLECTIVE), b, 1)
+        full_jz = embed(collective_jz(pops[1], Backend.FULL), b.counterpart(), 1)
+        full, back = to_full_basis(jz), to_collective_basis(full_jz)
+        S = basis_isometry(b)
+        for op, expected in ((full, dense(full_jz.matrix @ S @ S.conj().T)), (back, dense(jz.matrix))):
+            assert isinstance(op.matrix, np.ndarray) is (op.basis.dim <= DENSE_LIMIT)
+            assert op.matrix.dtype == complex
+            assert np.allclose(dense(op.matrix), expected, rtol=0, atol=1e-14)
+
     def test_sigma_z_keeps_int32_indices(self):
         # d = 65536: 32-bit indices halve the index arrays; dynamics widens its keys
         sz = single_spin_z(BasisDescriptor(Backend.FULL, (16,)), 0, 3).matrix
