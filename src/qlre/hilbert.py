@@ -27,8 +27,9 @@ in either backend.
 
 Density matrices are always stored dense.  Every operator builder, in
 either backend, and both basis conversions return a dense ndarray up to
-dimension ``DENSE_LIMIT`` and a CSR array above it.  ``scipy.sparse`` is imported only when an operator
-above ``DENSE_LIMIT`` or a backend isometry is built.
+dimension ``DENSE_LIMIT`` and a CSR array above it.  ``scipy.sparse`` is
+imported only when an operator above ``DENSE_LIMIT`` or a backend isometry
+is built.
 
 The jump operators, Jz, single-spin sigma_z and the backend isometry are
 built by placing their entries at indices computed from the basis
