@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -209,10 +208,11 @@ def run_config(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> RunSu
         obs_summary[name] = {"final": float(series[-1]), "t_half": t_half}
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.observables:
+        # one format string per row, as _fmt would write each cell
+        row = ",".join(["%.12g"] * (1 + len(cfg.observables)))
+        table = np.column_stack([traj.times] + [traj.observables[n] for n in cfg.observables])
         lines = ["t_scaled," + ",".join(cfg.observables)]
-        for i, t in enumerate(traj.times):
-            row = [_fmt(t)] + [_fmt(traj.observables[n][i]) for n in cfg.observables]
-            lines.append(",".join(row))
+        lines += [row % tuple(values) for values in table.tolist()]
         _atomic_write(out_dir / f"{cfg.name}_timeseries.csv", "\n".join(lines) + "\n")
     clock.append(time.perf_counter())
 
@@ -354,6 +354,8 @@ def cmd_sweep(args) -> int:
     if workers <= 1:
         rows = [_sweep_worker(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
 

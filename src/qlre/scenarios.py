@@ -7,7 +7,6 @@ outputs can be run independently (and in parallel by the cli)."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -965,5 +964,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 def config_hash(cfg: ScenarioConfig) -> str:
     """Stable hex digest of the resolved config; identical configs hash alike."""
+    import hashlib  # loads OpenSSL's libcrypto; only run_config and simulate hash
+
     canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

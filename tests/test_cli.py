@@ -12,11 +12,16 @@ import pytest
 
 from qlre import cli, scenarios
 from qlre.cli import main, run_config
+from qlre.dynamics import evolve
 from qlre.scenarios import (
     DomainSpec,
     InitialSpec,
     ReservoirSpec,
     ScenarioConfig,
+    build_basis,
+    build_initial_state,
+    build_master_equation,
+    compile_observables,
     config_hash,
     config_from_dict,
     config_to_dict,
@@ -76,6 +81,21 @@ class TestSimulate:
         entry = summary["observables"]["E_F(A,C)"]
         assert entry["final"] > 0.0
         assert 0.0 < entry["t_half"] < cfg.t_max
+
+    def test_timeseries_rows_read_as_one_cell_at_a_time(self, tmp_path):
+        # fig3b N_B = 4 to t = 1.05 ends on a short interval after t = 1.0
+        cfg = dataclasses.replace(preset("fig3b")[2], t_max=1.05)
+        assert cfg.name == "fig3b_nb4" and len(cfg.observables) == 2
+        run_config(cfg, tmp_path)
+        written = (tmp_path / "fig3b_nb4_timeseries.csv").read_bytes()
+        traj = evolve(build_master_equation(cfg), build_initial_state(cfg), cfg.t_max,
+                      cfg.sample_dt, observables=compile_observables(cfg, build_basis(cfg)))
+        assert traj.times[-2:].tolist() == [1.0, 1.05]
+        lines = ["t_scaled," + ",".join(cfg.observables)]
+        for i, t in enumerate(traj.times):
+            row = [cli._fmt(t)] + [cli._fmt(traj.observables[n][i]) for n in cfg.observables]
+            lines.append(",".join(row))
+        assert written == ("\n".join(lines) + "\n").encode()
 
     def test_phase_times_fill_the_wall_time(self, tmp_path):
         summary = run_config(chain(), tmp_path)
@@ -322,7 +342,8 @@ class TestSweepJobs:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # cmd_sweep imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         return made
 
     @pytest.mark.parametrize(
@@ -596,6 +617,9 @@ class TestImportWeight:
     # DENSE_LIMIT, collective or per-spin, need neither, and the builders of
     # operators above it import scipy.sparse when they first run
     SPARSE = ("scipy.sparse", "scipy.constants")
+    # hashlib maps OpenSSL's libcrypto (~3.5 MiB) and the process pool pulls in
+    # multiprocessing (~1 MiB); only config_hash and a multi-worker sweep need them
+    STDLIB = ("hashlib", "_hashlib", "concurrent.futures", "multiprocessing")
 
     def loaded_after(self, code, modules):
         """Which of modules are loaded once code has run in a fresh interpreter."""
@@ -609,6 +633,35 @@ class TestImportWeight:
 
     def test_cli_import_leaves_heavy_scipy_modules_out(self):
         assert self.loaded_after("import qlre.cli", self.HEAVY + self.SPARSE) == "[]"
+
+    def test_solves_leave_hashing_and_the_process_pool_out(self):
+        # a steady state on appB N_B = 4 and the fig5b (1,4,1) evolve, after the cli import
+        code = (
+            "import sys\n"
+            "import qlre.cli\n"
+            f"assert not [m for m in {self.STDLIB!r} if m in sys.modules]\n"
+            "from qlre.dynamics import evolve, steady_state\n"
+            "from qlre.scenarios import build_basis, build_initial_state, build_master_equation\n"
+            "from qlre.scenarios import compile_observables, preset, sweep\n"
+            "cfg = preset('appB-oracle')[3]\n"
+            "assert cfg.domains[1].population == 4\n"
+            "assert steady_state(build_master_equation(cfg), build_initial_state(cfg)).steps > 0\n"
+            "cfg = sweep(preset('fig5b-individual')[0], 'N_B', [4])[0]\n"
+            "eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)\n"
+            "observables = compile_observables(cfg, build_basis(cfg))\n"
+            "assert evolve(eq, rho0, 1.0, 0.1, observables=observables).times.size == 11"
+        )
+        assert self.loaded_after(code, self.STDLIB) == "[]"
+
+    def test_config_hash_loads_hashlib_and_keeps_its_value(self):
+        code = (
+            "from qlre.scenarios import config_hash, preset\n"
+            "print(config_hash(preset('appB-oracle')[3]))"
+        )
+        assert self.loaded_after(code, ("hashlib",)).splitlines() == [
+            "eed1bfa2f1e7c39a",
+            "['hashlib']",
+        ]
 
     def test_run_config_leaves_heavy_scipy_modules_out(self, tmp_path):
         # the batched observables of fig3b N_B = 12 through the whole run_config path

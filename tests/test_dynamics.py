@@ -675,11 +675,12 @@ class TestSolverStats:
         # every basis that did not break down costs KRYLOV_DIM products and one more
         return stats.products == (dynamics.KRYLOV_DIM + 1) * stats.substeps
 
-    def test_chain4_to_a_quarter_takes_93_products(self):
+    def test_chain4_to_a_quarter_takes_62_products(self):
+        # the predicted substep, tried on the first basis, replaces a first guess of 0.016
         cfg = preset("fig4-chain4")[0]
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
         stats = evolve(eq, rho0, 0.25, 0.25).stats
-        assert (stats.substeps, stats.rejected, stats.products) == (3, 0, 93)
+        assert (stats.substeps, stats.rejected, stats.products) == (2, 0, 62)
         assert self._identity_holds(stats)
         assert 0.0 <= stats.worst_trace_drift <= dynamics.TRACE_DRIFT_TOL
 
@@ -699,6 +700,27 @@ class TestSolverStats:
         krylov.advance_to(tau, tau)
         exact = dynamics._expm(tau * sector.liouvillian.toarray()) @ y
         assert np.linalg.norm(krylov.y - exact) <= dynamics.KRYLOV_TOL
+
+    def test_a_failed_first_trial_is_not_a_rejection(self, monkeypatch):
+        # the first basis tries the predicted substep once; when its estimate
+        # fails, the first guess stands and nothing is counted as rejected
+        cfg = preset("fig4-chain4")[0]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+        sector = _Sector(eq, rho0.matrix)
+        expm, sizes = dynamics._expm, []
+
+        def failing_trial(A):
+            sizes.append(np.abs(A).sum())  # tau times |H|
+            F = expm(A)
+            if len(sizes) == 2:  # the trial: its last two rows make the estimate fail
+                F[-2:, 0] = 1.0
+            return F
+
+        monkeypatch.setattr(dynamics, "_expm", failing_trial)
+        krylov = _Krylov(sector.liouvillian, sector.pack(rho0.matrix), 0.25)
+        assert len(sizes) == 2 and sizes[1] > sizes[0]
+        assert (krylov.substeps, krylov.rejected, krylov.products) == (1, 0, 31)
+        assert 0.01 < krylov._span < 0.02 < krylov._next
 
     def test_trace_drift_raises(self, monkeypatch):
         monkeypatch.setattr(dynamics, "SECTOR_DENSE_LIMIT", 0)
@@ -1297,14 +1319,14 @@ class TestKrylov:
         assert max(trace_distance(a, b) for a, b in zip(states, reference)) <= 1e-10
 
     def test_no_substep_runs_past_the_end(self):
-        # to t = 0.16 the third substep is cut to ~0.004, and left out of the range
+        # to t = 0.304 the third substep is cut to ~0.004, and left out of the range
         cfg = preset("fig4-chain4")[0]
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
         sector = _Sector(eq, rho0.matrix)
-        krylov = _Krylov(sector.liouvillian, sector.pack(rho0.matrix), 0.16)
-        krylov.advance_to(0.16, 0.16)
+        krylov = _Krylov(sector.liouvillian, sector.pack(rho0.matrix), 0.304)
+        krylov.advance_to(0.304, 0.304)
         assert krylov.substeps == 3
-        assert krylov._start + krylov._span == pytest.approx(0.16, rel=1e-15)
+        assert krylov._start + krylov._span == pytest.approx(0.304, rel=1e-15)
         assert krylov._span < 0.01 < krylov.stats(0.0).min_step
 
     def test_a_steady_state_stays_put(self):
@@ -1574,13 +1596,13 @@ class TestBatchedObservables:
         batched, _ = _assert_batched_matches_bare(eq, rho0, 8.0, cfg.sample_dt, compiled)
         assert batched.stats is not None
 
-    def test_chain4_batched_and_bare_take_the_same_93_products(self):
+    def test_chain4_batched_and_bare_take_the_same_62_products(self):
         cfg = preset("fig4-chain4")[0]
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
         compiled = compile_observables(cfg, build_basis(cfg))
         batched, bare = _assert_batched_matches_bare(eq, rho0, 0.25, 0.25, compiled)
         assert batched.stats == bare.stats
-        assert (batched.stats.substeps, batched.stats.products) == (3, 93)
+        assert (batched.stats.substeps, batched.stats.products) == (2, 62)
 
     def test_fig5a_on_krylov_to_its_horizon(self, monkeypatch):
         # near rank-deficient reduced states the concurrence turns a changed
