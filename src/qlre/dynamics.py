@@ -931,7 +931,7 @@ class _Krylov:
                     f"Krylov substep underflow at scaled time {t0:.6g} "
                     f"(estimated error {err:.3e})"
                 )
-        if first and tau < remaining:  # try the predicted substep once on this basis
+        if first:  # try the predicted substep once on this basis
             trial = min(0.9 * tau * (KRYLOV_TOL / err) ** xm, remaining)
             if trial > tau:
                 trial_F, trial_err, trial_xm = estimate(trial)
