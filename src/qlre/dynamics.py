@@ -449,34 +449,44 @@ def _pairs(a0, a1, b0, b1):
     return g, a0[g] + offset // nb[g], b0[g] + offset % nb[g]
 
 
-def _exchangeable(basis: BasisDescriptor, entries, rho0: np.ndarray) -> list[int]:
+def _exchangeable(basis: BasisDescriptor, entries, rho0: np.ndarray, support) -> list[int]:
     """The full-backend domains of >= 2 spins whose site permutations keep L and rho0.
 
-    ``entries`` holds each active jump's sqrt(rate)-scaled entries as (flat
-    indices c * d + r, ascending, and values).  A domain qualifies when a
-    swap of two of its sites and the cycle of all of them (which generate
-    every permutation) each map the jumps onto themselves as a multiset,
-    and rho0's nonzero entries onto equal ones, to 1e-12.
+    ``entries`` holds the active jumps' entries stacked as ``_Sector`` reads
+    them: each entry's jump (ascending), column, row and sqrt(rate)-scaled
+    value, each jump's flat keys c * d + r ascending; ``support`` holds the
+    rows and columns of rho0's nonzeros.  A domain qualifies when a swap of
+    two of its sites and the cycle of all of them (which generate every
+    permutation) each map the jumps onto themselves as a multiset, and
+    rho0's nonzero entries onto equal ones, to 1e-12.  Per permutation,
+    every key is mapped at once and sorted by jump and then image; a jump's
+    signature is the bytes of its sorted images and of its values in that
+    order, and the multiset of signatures must equal the unpermuted one.  A
+    jump that matches another only to rounding is therefore refused: that
+    costs the orbit merge, and L stays exact.
     """
     if basis.backend is not Backend.FULL:
         return []
-    d, (i, j) = basis.dim, np.nonzero(rho0)
+    jump, c, r, v = entries
+    d, (i, j) = basis.dim, support
+    if jump.size and (int(jump[-1]) + 1) * d * d >= 2**63:
+        return []  # the sort key below would wrap; refusing only forgoes the merge
+    start = np.flatnonzero(np.diff(jump, prepend=-1)).tolist()  # one without entries is kept
+    spans = list(zip(start, start[1:] + [jump.size]))
+
+    def signatures(keys, values):
+        k, u = keys.tobytes(), values.tobytes()
+        a, b = keys.itemsize, values.itemsize
+        return sorted((k[a * s : a * e], u[b * s : b * e]) for s, e in spans)
+
+    unpermuted = signatures(c * d + r, v)
 
     def keeps(perm):
         if np.any(np.abs(rho0[perm[i], perm[j]] - rho0[i, j]) > 1e-12):
             return False
-        unmatched = {}
-        for key, v in entries:
-            unmatched.setdefault(key.tobytes(), []).append(v)
-        for key, v in entries:
-            image = perm[key // d] * d + perm[key % d]
-            order = np.argsort(image)
-            same = unmatched.get(image[order].tobytes(), [])
-            hit = [n for n, u in enumerate(same) if np.all(np.abs(u - v[order]) <= 1e-12)]
-            if not hit:
-                return False
-            same.pop(hit[0])
-        return True
+        image = perm[c] * d + perm[r]
+        order = np.argsort(jump * (d * d) + image, kind="stable")
+        return signatures(image[order], v[order]) == unpermuted
 
     candidates = [m for m, N in enumerate(basis.domain_pops) if N >= 2]
     return [m for m in candidates if all(map(keeps, site_permutations(basis, m)))]
@@ -568,8 +578,11 @@ class _Sector:
         jumps = np.searchsorted(jump * d + c, np.arange(K * d + 1)), r, v
         # a jump's shift is fixed when its least and greatest agree; one without entries keeps n
         low, high = np.full(K, np.inf), np.full(K, -np.inf)
-        np.minimum.at(low, jump, n[r] - n[c])
-        np.maximum.at(high, jump, n[r] - n[c])
+        if v.size:
+            shift, start = n[r] - n[c], np.cumsum([0] + count[:-1])
+            some = np.flatnonzero(count)
+            low[some] = np.minimum.reduceat(shift, start[some])
+            high[some] = np.maximum.reduceat(shift, start[some])
         # A = sum r O^dag O: entries (i, a, u), (i, b, v) of one row of one jump give conj(u) v
         # at (a, b); summed in the order of the jumps and their rows, by column (CSC); a
         # zero sum feeds no entry of L
@@ -605,16 +618,20 @@ class _Sector:
             w = np.concatenate([w, 1j * w[off]])
             swaps = []
         else:
-            swaps = _exchangeable(eq.basis, [(c * d + r, s * v) for s, c, r, v in read], rho0)
+            swaps = _exchangeable(eq.basis, (jump, c, r, v), rho0, (i, j))
         # p shares its orbit with the elements that a site permutation of the domains
         # ``swaps``, or the transpose, maps it onto; otherwise it is alone
-        label = np.arange(p.size) if not swaps else np.minimum(
-            exchange_labels(eq.basis, swaps, rows[p], cols[p]),
-            exchange_labels(eq.basis, swaps, cols[p], rows[p]),
-        )
-        _, first, orbit, size = np.unique(
-            label, return_index=True, return_inverse=True, return_counts=True
-        )
+        if swaps:
+            label = np.minimum(
+                exchange_labels(eq.basis, swaps, rows[p], cols[p]),
+                exchange_labels(eq.basis, swaps, cols[p], rows[p]),
+            )
+            _, first, orbit, size = np.unique(
+                label, return_index=True, return_inverse=True, return_counts=True
+            )
+        else:
+            first = orbit = np.arange(p.size)
+            size = np.ones(p.size, dtype=np.int64)
         level = n[rows[p]] + n[cols[p]]
         order = np.lexsort((first, p[first], -level[first]))
         first, root = first[order], np.sqrt(size[order])

@@ -219,7 +219,7 @@ def test_criterion_08_noise_properties():
 
 @pytest.mark.skipif(
     not os.environ.get("QLRE_BIGMEM"),
-    reason="2^13-dimensional full-backend run; needs several GiB and hours, "
+    reason="2^13-dimensional full-backend run; takes ~13 s and a 2.8 GiB peak RSS, "
     "set QLRE_BIGMEM=1 to enable",
 )
 def test_criterion_08_individual_peak_value_bigmem():

@@ -669,6 +669,103 @@ class TestExchangeSymmetry:
         assert trace_distance(merged.final_rho, refused.final_rho) < 1e-12
 
 
+def _greedy_exchangeable(basis, entries, rho0):
+    """The jump-by-jump exchange check that ``dynamics._exchangeable`` replaced, as a reference.
+
+    ``entries`` holds each active jump's sqrt(rate)-scaled entries as (flat
+    indices c * d + r, ascending, and values).  Each permuted jump takes the
+    first unmatched jump with the same sorted images whose values agree to
+    1e-12.
+    """
+    if basis.backend is not Backend.FULL:
+        return []
+    d, (i, j) = basis.dim, np.nonzero(rho0)
+
+    def keeps(perm):
+        if np.any(np.abs(rho0[perm[i], perm[j]] - rho0[i, j]) > 1e-12):
+            return False
+        unmatched = {}
+        for key, v in entries:
+            unmatched.setdefault(key.tobytes(), []).append(v)
+        for key, v in entries:
+            image = perm[key // d] * d + perm[key % d]
+            order = np.argsort(image)
+            same = unmatched.get(image[order].tobytes(), [])
+            hit = [n for n, u in enumerate(same) if np.all(np.abs(u - v[order]) <= 1e-12)]
+            if not hit:
+                return False
+            same.pop(hit[0])
+        return True
+
+    candidates = [m for m, N in enumerate(basis.domain_pops) if N >= 2]
+    return [m for m in candidates if all(map(keeps, hilbert.site_permutations(basis, m)))]
+
+
+def _both_exchangeable(eq, rho0):
+    """The domains ``_exchangeable`` and the greedy reference find, on the entries _Sector reads."""
+    d = eq.basis.dim
+    read = [(math.sqrt(t.rate),) + dynamics._entries(t.jump.matrix) for t in eq.terms if t.rate]
+    jump = np.repeat(np.arange(len(read)), [e[2].size for e in read])
+    c, r = (np.concatenate([e[i] for e in read]) for i in (1, 2))
+    v = np.concatenate([s * e for s, *_, e in read])
+    entries = [(c * d + r, s * v) for s, c, r, v in read]
+    return (
+        dynamics._exchangeable(eq.basis, (jump, c, r, v), rho0, np.nonzero(rho0)),
+        _greedy_exchangeable(eq.basis, entries, rho0),
+    )
+
+
+def _noise_sweep():
+    configs = preset("fig5a-dephasing") + preset("fig5b-individual")
+    return [cfg for base in configs for cfg in sweep(base, "N_B", list(range(2, 8)))]
+
+
+class TestExchangeable:
+    """The sorted-signature exchange check against the greedy, tolerant reference."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name):
+        for cfg in preset(name):
+            eq, rho0 = build_master_equation(cfg), build_initial_state(cfg).matrix
+            new, reference = _both_exchangeable(eq, rho0)
+            assert new == reference
+
+    @pytest.mark.parametrize("name", sorted(_per_spin_configs()))
+    def test_refused_equations(self, name):
+        cfg = _per_spin_configs()[name]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg).matrix
+        new, reference = _both_exchangeable(_refused(eq), rho0)
+        # split terms are refused here; a phased jump still maps onto itself, and
+        # _Sector refuses it for its Im coordinates instead
+        assert new == reference == ([1] if name == "appA-mixed" else [])
+
+    def test_noise_sweeps(self):
+        found = []
+        for cfg in _noise_sweep():
+            eq, rho0 = build_master_equation(cfg), build_initial_state(cfg).matrix
+            new, reference = _both_exchangeable(eq, rho0)
+            assert new == reference, cfg.name
+            found.append(new)
+        assert found.count([1]) == len(found)  # every one merges domain B
+
+    def test_a_jump_matching_only_to_rounding_is_refused(self):
+        cfg = sweep(preset("fig5b-individual")[0], "N_B", [4])[0]
+        eq, rho0 = build_master_equation(cfg), build_initial_state(cfg).matrix
+        b, site = eq.basis, single_spin_lowering(eq.basis, 1, 0).matrix
+        terms = tuple(
+            LindbladTerm(Operator(t.jump.matrix + 1e-14 * site, b), t.rate)
+            if abs(t.jump.matrix - site).max() == 0
+            else t
+            for t in eq.terms
+        )
+        perturbed = MasterEquation(terms, b)
+        assert sum(t is not u for t, u in zip(terms, eq.terms)) == 1
+        # the greedy reference merged it; the signatures are compared bit for bit
+        assert _both_exchangeable(perturbed, rho0) == ([], [1])
+        assert _Sector(perturbed, rho0).levels.size == _one_coordinate_per_pair(_Sector(perturbed, rho0))
+        assert _Sector(eq, rho0).levels.size < _Sector(perturbed, rho0).levels.size
+
+
 class TestSolverStats:
     @staticmethod
     def _identity_holds(stats):
