@@ -578,11 +578,9 @@ class _Sector:
         jumps = np.searchsorted(jump * d + c, np.arange(K * d + 1)), r, v
         # a jump's shift is fixed when its least and greatest agree; one without entries keeps n
         low, high = np.full(K, np.inf), np.full(K, -np.inf)
-        if v.size:
-            shift, start = n[r] - n[c], np.cumsum([0] + count[:-1])
-            some = np.flatnonzero(count)
-            low[some] = np.minimum.reduceat(shift, start[some])
-            high[some] = np.maximum.reduceat(shift, start[some])
+        first = np.flatnonzero(np.diff(jump, prepend=-1))  # each jump's first entry, if any
+        low[jump[first]] = np.minimum.reduceat(n[r] - n[c], first)
+        high[jump[first]] = np.maximum.reduceat(n[r] - n[c], first)
         # A = sum r O^dag O: entries (i, a, u), (i, b, v) of one row of one jump give conj(u) v
         # at (a, b); summed in the order of the jumps and their rows, by column (CSC); a
         # zero sum feeds no entry of L
