@@ -471,7 +471,7 @@ def _exchangeable(basis: BasisDescriptor, entries, rho0: np.ndarray, support) ->
     d, (i, j) = basis.dim, support
     if jump.size and (int(jump[-1]) + 1) * d * d >= 2**63:
         return []  # the sort key below would wrap; refusing only forgoes the merge
-    start = np.flatnonzero(np.diff(jump, prepend=-1)).tolist()  # one without entries is kept
+    start = np.flatnonzero(np.diff(jump, prepend=-1)).tolist()  # an empty jump maps onto itself
     spans = list(zip(start, start[1:] + [jump.size]))
 
     def signatures(keys, values):
@@ -485,6 +485,7 @@ def _exchangeable(basis: BasisDescriptor, entries, rho0: np.ndarray, support) ->
         if np.any(np.abs(rho0[perm[i], perm[j]] - rho0[i, j]) > 1e-12):
             return False
         image = perm[c] * d + perm[r]
+        # the keys are distinct; timsort ("stable") is the fastest on their sorted runs
         order = np.argsort(jump * (d * d) + image, kind="stable")
         return signatures(image[order], v[order]) == unpermuted
 
