@@ -620,17 +620,13 @@ class _Sector:
             swaps = _exchangeable(eq.basis, (jump, c, r, v), rho0, (i, j))
         # p shares its orbit with the elements that a site permutation of the domains
         # ``swaps``, or the transpose, maps it onto; otherwise it is alone
-        if swaps:
-            label = np.minimum(
-                exchange_labels(eq.basis, swaps, rows[p], cols[p]),
-                exchange_labels(eq.basis, swaps, cols[p], rows[p]),
-            )
-            _, first, orbit, size = np.unique(
-                label, return_index=True, return_inverse=True, return_counts=True
-            )
-        else:
-            first = orbit = np.arange(p.size)
-            size = np.ones(p.size, dtype=np.int64)
+        label = np.arange(p.size) if not swaps else np.minimum(
+            exchange_labels(eq.basis, swaps, rows[p], cols[p]),
+            exchange_labels(eq.basis, swaps, cols[p], rows[p]),
+        )
+        _, first, orbit, size = np.unique(
+            label, return_index=True, return_inverse=True, return_counts=True
+        )
         level = n[rows[p]] + n[cols[p]]
         order = np.lexsort((first, p[first], -level[first]))
         first, root = first[order], np.sqrt(size[order])

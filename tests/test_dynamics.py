@@ -702,17 +702,21 @@ def _greedy_exchangeable(basis, entries, rho0):
 
 
 def _both_exchangeable(eq, rho0):
-    """The domains ``_exchangeable`` and the greedy reference find, on the entries _Sector reads."""
-    d = eq.basis.dim
-    read = [(math.sqrt(t.rate),) + dynamics._entries(t.jump.matrix) for t in eq.terms if t.rate]
-    jump = np.repeat(np.arange(len(read)), [e[2].size for e in read])
-    c, r = (np.concatenate([e[i] for e in read]) for i in (1, 2))
-    v = np.concatenate([s * e for s, *_, e in read])
-    entries = [(c * d + r, s * v) for s, c, r, v in read]
-    return (
-        dynamics._exchangeable(eq.basis, (jump, c, r, v), rho0, np.nonzero(rho0)),
-        _greedy_exchangeable(eq.basis, entries, rho0),
-    )
+    """The domains ``_exchangeable`` finds when ``_Sector`` calls it, and the reference's.
+
+    The reference runs on the entries ``_Sector`` handed over, split by jump.
+    None when ``_Sector`` keeps Im coordinates and so makes no call.
+    """
+    calls, check = [], dynamics._exchangeable
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_exchangeable", lambda *a: calls.append((a, check(*a))) or calls[-1][1])
+        _Sector(eq, rho0)
+    if not calls:
+        return None
+    [((basis, (jump, c, r, v), rho, _), found)] = calls
+    assert basis is eq.basis and rho is rho0
+    entries = [((c * basis.dim + r)[jump == k], v[jump == k]) for k in np.unique(jump)]
+    return found, _greedy_exchangeable(basis, entries, rho)
 
 
 def _noise_sweep():
@@ -734,10 +738,10 @@ class TestExchangeable:
     def test_refused_equations(self, name):
         cfg = _per_spin_configs()[name]
         eq, rho0 = build_master_equation(cfg), build_initial_state(cfg).matrix
-        new, reference = _both_exchangeable(_refused(eq), rho0)
-        # split terms are refused here; a phased jump still maps onto itself, and
-        # _Sector refuses it for its Im coordinates instead
-        assert new == reference == ([1] if name == "appA-mixed" else [])
+        both = _both_exchangeable(_refused(eq), rho0)
+        # split terms are refused here; a phased jump keeps the Im coordinates, so
+        # _Sector makes no call
+        assert both == (None if name == "appA-mixed" else ([], []))
 
     def test_noise_sweeps(self):
         found = []

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Hash what qlre computes on a fixed list of configs, and diff two checkouts.
 
-    python3 tools/sector_census.py OLD_CHECKOUT NEW_CHECKOUT [--evolve]
-    python3 tools/sector_census.py --hash [--evolve]
+    python3 tools/sector_census.py OLD_CHECKOUT NEW_CHECKOUT
+    python3 tools/sector_census.py --hash
 
 The first form runs the second once per checkout, each in a fresh
 interpreter with that checkout's ``src/`` on ``PYTHONPATH`` and one BLAS
@@ -12,10 +12,9 @@ prints the hashes of the ``qlre`` on the path as one JSON object.
 
 The configs are every preset config, the fig6 star at N_D = 1..11, and
 every fig5a and fig5b config at N_B = 2..7.  Per config it hashes
-``_Sector``'s keys, levels, L, S, diagonal and roots, and the steady state
-with its residual and step count.  ``--evolve`` adds ``evolve`` to the
-config's own horizon: its times, observables, final_rho, SolverStats and
-residual.  Equal hashes mean bitwise equal arrays; an exception is hashed by
+``_Sector``'s keys, levels, L, S, diagonal and roots, the steady state
+with its residual and step count, and ``evolve`` to the config's own
+horizon: its times, observables, final_rho, SolverStats and residual.  Equal hashes mean bitwise equal arrays; an exception is hashed by
 its type and message.
 """
 
@@ -71,7 +70,7 @@ def guarded(compute):
         return {f"{compute.__name__} raised": digest(type(exc).__name__, str(exc))}
 
 
-def census(evolve_too: bool) -> dict:
+def census() -> dict:
     import qlre
     from qlre import dynamics
 
@@ -109,16 +108,14 @@ def census(evolve_too: bool) -> dict:
 
         row = guarded(sector)
         row.update(guarded(steady))
-        if evolve_too:
-            row.update(guarded(run))
+        row.update(guarded(run))
         out["configs"][name] = row
     return out
 
 
-def hashes_of(checkout: Path, evolve_too: bool) -> dict:
+def hashes_of(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **{v: "1" for v in THREAD_VARS})
     command = [sys.executable, str(Path(__file__).resolve()), "--hash"]
-    command += ["--evolve"] if evolve_too else []
     done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -140,14 +137,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="*", type=Path, help="OLD and NEW checkout roots")
     parser.add_argument("--hash", action="store_true", help="print this qlre's hashes as JSON")
-    parser.add_argument("--evolve", action="store_true", help="also hash evolve to each horizon")
     args = parser.parse_args(argv)
     if args.hash:
-        json.dump(census(args.evolve), sys.stdout)
+        json.dump(census(), sys.stdout)
         return 0
     if len(args.checkouts) != 2:
         parser.error("give two checkouts, or --hash")
-    old, new = (hashes_of(c.resolve(), args.evolve) for c in args.checkouts)
+    old, new = (hashes_of(c.resolve()) for c in args.checkouts)
     lines = diff(old, new)
     fields = sum(len(row) for row in new["configs"].values())
     print(f"old: {old['source']}\nnew: {new['source']}")
