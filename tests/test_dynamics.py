@@ -708,8 +708,13 @@ def _both_exchangeable(eq, rho0):
     None when ``_Sector`` keeps Im coordinates and so makes no call.
     """
     calls, check = [], dynamics._exchangeable
+
+    def record(*args):
+        calls.append((args, check(*args)))
+        return calls[-1][1]
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "_exchangeable", lambda *a: calls.append((a, check(*a))) or calls[-1][1])
+        m.setattr(dynamics, "_exchangeable", record)
         _Sector(eq, rho0)
     if not calls:
         return None

@@ -14,8 +14,9 @@ The configs are every preset config, the fig6 star at N_D = 1..11, and
 every fig5a and fig5b config at N_B = 2..7.  Per config it hashes
 ``_Sector``'s keys, levels, L, S, diagonal and roots, the steady state
 with its residual and step count, and ``evolve`` to the config's own
-horizon: its times, observables, final_rho, SolverStats and residual.  Equal hashes mean bitwise equal arrays; an exception is hashed by
-its type and message.
+horizon: its times, observables, final_rho, SolverStats and residual.
+Equal hashes mean bitwise equal arrays; an exception is hashed by its type
+and message.
 """
 
 from __future__ import annotations
