@@ -80,6 +80,12 @@ from .scenarios import (
 
 DEFAULT_MEM_BYTES = 4 * 2**30
 MEM_ENV_VAR = "QLRE_MAX_MEM_BYTES"
+# evolve's peak per sample: the intro pair (d = 4) took ~830 B per sample at 2.5e5
+# and 2.5e6 samples, fig1a and fig3b (d = 4, 12) ~1.1 KiB.  The first SAMPLE_SLACK
+# bytes of samples are not counted: the few hundred samples of a preset keep far
+# less than the interpreter's own ~30 MiB, which the estimate leaves out too.
+SAMPLE_BYTES = 1024
+SAMPLE_SLACK = 2**20
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -156,6 +162,10 @@ class RunSummary:
 
 
 def _check_memory(cfg: ScenarioConfig, force: bool):
+    """Refuse cfg if one density matrix and its samples are estimated above the cap.
+
+    The sample count is a float, t_max / sample_dt, so an absurd one gives an
+    infinite estimate rather than an overflow."""
     cap = _mem_cap()
     full = effective_backend(cfg) is Backend.FULL
     log2_dim = sum(d.population if full else math.log2(d.population + 1) for d in cfg.domains)
@@ -166,9 +176,11 @@ def _check_memory(cfg: ScenarioConfig, force: bool):
         estimate = f"2^{4 + 2 * log2_dim:.6g}"
     else:
         dim = hilbert_dimension(cfg)
-        estimate = 16 * dim * dim
-        _log.info("%s: dimension %d, density matrix ~%.1f MiB", cfg.name, dim, estimate / 2**20)
+        _log.info("%s: dimension %d, density matrix ~%.1f MiB", cfg.name, dim, 16 * dim**2 / 2**20)
+        samples = (cfg.t_max / cfg.sample_dt + 1.0) * SAMPLE_BYTES
+        estimate = 16.0 * dim * dim + max(0.0, samples - SAMPLE_SLACK)
         over = estimate > cap
+        estimate = f"{estimate:.6g}"
     if over and not force:
         raise _ConfigError(
             f"{cfg.name}: estimated {estimate} bytes exceeds the cap of {cap}; "
@@ -319,11 +331,10 @@ def _parse_values(raw: str) -> list:
 
 
 def _sweep_worker(payload):
-    """Run one sweep point in a separate process; returns a row dict."""
-    config_json, out_dir, force, value = payload
-    cfg = config_from_dict(json.loads(config_json))
+    """Run one sweep point, in this process or a pool worker; returns a row dict."""
+    cfg, out_dir, force, value = payload
     try:
-        summary = run_config(cfg, Path(out_dir), force=force)
+        summary = run_config(cfg, out_dir, force=force)
     except Exception as exc:  # the row records the failure, the sweep continues
         status = f"failed: {type(exc).__name__}: {exc}"
         return {"value": value, "status": status, "obs": {}}
@@ -345,10 +356,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    payloads = [
-        (json.dumps(config_to_dict(cfg)), str(out_dir), args.force, value)
-        for cfg, value in zip(swept, values)
-    ]
+    payloads = [(cfg, out_dir, args.force, value) for cfg, value in zip(swept, values)]
     # more workers than cores or points only oversubscribe the machine
     workers = min(args.jobs, os.cpu_count() or 1, len(payloads))
     if workers <= 1:
@@ -533,11 +541,9 @@ def _check_weights(cap):
         psi = to_collective_basis(dark_state(n_b))
         weight = fidelity_with_pure(res.rho, psi)
         worst = max(worst, abs(weight - x_dark(n_b)))
-        red = partial_trace(to_full_basis(res.rho), [0, 2])
-        worst = max(worst, abs(concurrence(red) - x_reduced(n_b)))
-        worst = max(
-            worst, trace_distance(to_full_basis(res.rho), edge_excited_steady(n_b))
-        )
+        full = to_full_basis(res.rho)
+        worst = max(worst, abs(concurrence(partial_trace(full, [0, 2])) - x_reduced(n_b)))
+        worst = max(worst, trace_distance(full, edge_excited_steady(n_b)))
     return worst, f"steady-state weights versus closed forms, sizes 1..{cap}"
 
 

@@ -215,12 +215,11 @@ def build_collective_zero_T(
     """Zero-temperature engineered reservoirs, one per listed domain set.
 
     Each reservoir contributes a single jump operator, the summed collective
-    lowering operator of its domains, at unit scaled rate.
+    lowering operator of its domains, at unit scaled rate.  This is
+    ``build_realistic`` with its defaults and no spin cap: above
+    INDIVIDUAL_SPIN_CAP full-backend spins it logs its large-run warning.
     """
-    terms = tuple(LindbladTerm(reservoir_jump(basis, r), 1.0) for r in reservoirs)
-    if not terms:
-        raise ValueError("at least one reservoir is required")
-    return MasterEquation(terms, basis)
+    return build_realistic(basis, reservoirs, allow_large=True)
 
 
 def build_realistic(
@@ -238,8 +237,9 @@ def build_realistic(
     at rate nbar.  With ``include_individual``, every physical spin gains a
     lowering channel at nbar+1 and a raising channel at nbar (same coupling
     as the collective one).  ``gamma_dep_over_gamma`` adds a sigma_z channel
-    per spin at that scaled rate.  Channels with rate zero are dropped, so
-    the default arguments reproduce build_collective_zero_T exactly.
+    per spin at that scaled rate.  Channels with rate zero are dropped;
+    build_collective_zero_T is this function with the default arguments and
+    ``allow_large``.
 
     ``rates`` supplies an optional per-reservoir coupling multiple (default
     1 everywhere); it scales both the lowering and raising channels of that
@@ -1027,6 +1027,8 @@ def evolve(
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     if not (sample_dt > 0):
         raise ValueError(f"sample_dt must be positive, got {sample_dt!r}")
+    if not math.isfinite(t_max / sample_dt):
+        raise ValueError(f"sample_dt {sample_dt!r} gives no finite sample count up to {t_max!r}")
     observables = dict(observables or {})
     compiled, bare = {}, {}
     for name, ob in observables.items():

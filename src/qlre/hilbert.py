@@ -250,17 +250,15 @@ def collective_lowering(N: int, backend: Backend) -> Operator:
 
     Collective backend: ladder matrix with <j,m-1|J-|j,m> = sqrt(j(j+1) - m(m-1))
     for j = N/2.  Full backend: sum of single-site lowering operators.
-    The adjoint of the result is the raising operator J+.
+    The adjoint of the result is the raising operator J+.  It is
+    ``reservoir_jump`` on the one-domain basis, so one builder places the
+    entries of every jump.
     """
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"spin count must be a positive integer, got {N!r}")
     if not isinstance(backend, Backend):
         raise ValueError(f"unknown backend: {backend!r}")
-    basis = single_domain_basis(int(N), backend)
-    if backend is Backend.COLLECTIVE:
-        level = np.arange(N)
-        return Operator(_place(level + 1, level, _ladder_element(N, level), N + 1), basis)
-    return Operator(_site_lowering(N, range(N)), basis)
+    return reservoir_jump(single_domain_basis(int(N), backend), [0])
 
 
 def _ladder_element(N, level: np.ndarray) -> np.ndarray:

@@ -12,39 +12,41 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# bench/tracing.py times the scalar measures, expectation, fidelity_with_pure
-# and partial_trace by rebinding them in this module, so they stay importable
-# here although compile_observables does not call them.
-from .dynamics import MasterEquation, Observable, build_realistic, expectation  # noqa: F401
-from .entanglement import (  # noqa: F401
-    concurrence,
+from .dynamics import MasterEquation, Observable, build_realistic
+from .entanglement import (
     concurrence_array,
-    entanglement_of_formation,
     eof_from_concurrence_array,
-    log_negativity,
     log_negativity_array,
-    negativity,
     negativity_array,
-    tripartite_negativity,
     tripartite_negativity_array,
 )
-from .hilbert import (  # noqa: F401
+from .hilbert import (
     Backend,
     BasisDescriptor,
     DensityMatrix,
     PureState,
     collective_jz,
-    dicke_level_vector,
     embed,
-    fidelity_with_pure,
-    partial_trace,
     product_state,
 )
 from .oracle import dark_state
+
+# bench/tracing.py times the scalar measures, expectation, fidelity_with_pure
+# and partial_trace by rebinding them in this module, so they stay importable
+# here although nothing here calls them; no other import carries a noqa.
+from .dynamics import expectation  # noqa: F401
+from .entanglement import (  # noqa: F401
+    concurrence,
+    entanglement_of_formation,
+    log_negativity,
+    negativity,
+    tripartite_negativity,
+)
+from .hilbert import fidelity_with_pure, partial_trace  # noqa: F401
 
 __all__ = [
     "TemperatureSpec",
@@ -434,45 +436,51 @@ def _domain_index(fieldname: str, letter: str, cfg: ScenarioConfig) -> int:
     return idx
 
 
-def _parse_observable(fieldname: str, text: str, cfg: ScenarioConfig) -> dict:
-    """Validate one observable string; returns a small plan dict for the compiler."""
-    m = _PAIR_RE.match(text)
-    if m:
-        kind, la, lb = m.groups()
-        i, j = _domain_index(fieldname, la, cfg), _domain_index(fieldname, lb, cfg)
-        if i == j:
-            _fail(fieldname, f"{text!r} names the same domain twice")
-        for k in (i, j):
-            if cfg.domains[k].population != 1:
-                _fail(fieldname, f"{kind} needs single-spin domains, domain {k} has more")
-        return {"kind": kind, "keep": tuple(sorted((i, j)))}
-    m = _NEG_RE.match(text)
+def _parse_observable(fieldname: str, text: str, cfg: ScenarioConfig) -> Callable[..., Observable]:
+    """Validate one observable string; returns the function of the run's basis that builds it."""
+    m = _PAIR_RE.match(text) or _NEG_RE.match(text)
     if m:
         kind, la, lb = m.groups()
         i, j = _domain_index(fieldname, la, cfg), _domain_index(fieldname, lb, cfg)
         if i == j:
             _fail(fieldname, f"{text!r} names the same domain twice")
         keep = tuple(sorted((i, j)))
-        return {"kind": kind, "keep": keep, "part": keep.index(i)}
+        if kind in ("E_N", "N"):
+            fn = log_negativity_array if kind == "E_N" else negativity_array
+            part = [keep.index(i)]
+            return lambda basis: Observable(
+                lambda v, t: fn(v, [basis.domain_dims[k] for k in keep], part), keep=keep
+            )
+        for k in (i, j):
+            if cfg.domains[k].population != 1:
+                _fail(fieldname, f"{kind} needs single-spin domains, domain {k} has more")
+        measure = _eof if kind == "E_F" else concurrence_array
+        return lambda basis: Observable(measure, keep=keep)
     m = _JZ_RE.match(text)
     if m:
         la, lnorm = m.groups()
         i = _domain_index(fieldname, la, cfg)
         if lnorm is not None and lnorm != la:
             _fail(fieldname, f"{text!r} normalizes by a different domain")
-        return {"kind": "Jz", "domain": i, "normalize": lnorm is not None}
+        n = cfg.domains[i].population
+        scale = 1.0 / n if lnorm is not None else 1.0
+        return lambda basis: Observable(
+            lambda v, t: scale * v, operator=embed(collective_jz(n, basis.backend), basis, i)
+        )
     if text == "N_ABC":
         if len(cfg.domains) < 3:
             _fail(fieldname, "N_ABC needs at least three domains")
         for k in range(3):
             if cfg.domains[k].population != 1:
                 _fail(fieldname, f"N_ABC needs single-spin domains A, B, C; domain {k} has more")
-        return {"kind": "N_ABC"}
+        return lambda basis: Observable(lambda v, t: tripartite_negativity_array(v), keep=(0, 1, 2))
     if text == "x_d":
         pops = tuple(d.population for d in cfg.domains)
         if len(pops) != 3 or pops[0] != 1 or pops[2] != 1:
             _fail(fieldname, "x_d is defined for the (1, N_B, 1) chain only")
-        return {"kind": "x_d", "n_b": pops[1]}
+        return lambda basis: Observable(
+            lambda v, t: np.clip(v, 0.0, 1.0), operator=_dark_state(basis, pops[1])
+        )
     _fail(fieldname, f"unrecognized observable {text!r}")
 
 
@@ -486,33 +494,15 @@ def compile_observables(cfg: ScenarioConfig, basis: BasisDescriptor) -> dict:
     E_F, C, E_N, N and N_ABC reduce rho to their domains, then apply an
     entanglement measure; Jz_X is Tr(Jz rho), over N_X when normalized; x_d
     is the dark-state weight Tr(|d><d| rho), clamped to [0, 1], with |d> built
-    on the run's basis (``_dark_state``).  No map is built here: ``evolve``
-    builds those on its sector coordinates.
+    on the run's basis (``_dark_state``).  Observables are parsed once per
+    call, by ``_parse_observable``, the same parser that validates the config,
+    and built from what it returns with no second dispatch on their kind.  No
+    map is built here: ``evolve`` builds those on its sector coordinates.
     """
-    out: dict[str, Observable] = {}
-    for i, text in enumerate(cfg.observables):
-        plan = _parse_observable(f"observables[{i}]", text, cfg)
-        kind = plan["kind"]
-        if kind in ("E_F", "C"):
-            out[text] = Observable(_eof if kind == "E_F" else concurrence_array, keep=plan["keep"])
-        elif kind in ("E_N", "N"):
-            fn = log_negativity_array if kind == "E_N" else negativity_array
-            dims, part = [basis.domain_dims[k] for k in plan["keep"]], [plan["part"]]
-            out[text] = Observable(
-                lambda v, t, fn=fn, dims=dims, part=part: fn(v, dims, part), keep=plan["keep"]
-            )
-        elif kind == "Jz":
-            m = plan["domain"]
-            n = cfg.domains[m].population
-            op = embed(collective_jz(n, basis.backend), basis, m)
-            scale = 1.0 / n if plan["normalize"] else 1.0
-            out[text] = Observable(lambda v, t, scale=scale: scale * v, operator=op)
-        elif kind == "N_ABC":
-            out[text] = Observable(lambda v, t: tripartite_negativity_array(v), keep=(0, 1, 2))
-        else:  # x_d
-            psi = _dark_state(basis, plan["n_b"])
-            out[text] = Observable(lambda v, t: np.clip(v, 0.0, 1.0), operator=psi)
-    return out
+    return {
+        text: _parse_observable(f"observables[{i}]", text, cfg)(basis)
+        for i, text in enumerate(cfg.observables)
+    }
 
 
 def _dark_state(basis: BasisDescriptor, n_b: int) -> PureState:

@@ -13,6 +13,12 @@ import pytest
 from qlre import cli, scenarios
 from qlre.cli import main, run_config
 from qlre.dynamics import evolve
+from qlre.errors import (
+    ConvergenceFailure,
+    IntegrationFailure,
+    NumericalFailure,
+    UnsupportedConfigurationError,
+)
 from qlre.scenarios import (
     DomainSpec,
     InitialSpec,
@@ -568,6 +574,75 @@ class TestValidate:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
         assert "all 4 checks passed" in out
+
+    def test_failing_check_exits_4_and_names_it(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_check_measures", lambda: (1.0, "a broken measure"))
+        assert main(["validate", "--scale", "quick"]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert "FAIL  measures" in out
+        assert out.count("PASS") == 3
+        assert err == "validation failed: measures\n"
+
+
+class TestSimulateRunErrors:
+    """A run that raises inside run_config exits with its code and the config named."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ValueError, 1),
+            (UnsupportedConfigurationError, 1),
+            (IntegrationFailure, 2),
+            (ConvergenceFailure, 2),
+            (NumericalFailure, 2),
+        ],
+    )
+    def test_exit_code(self, error, code, tmp_path, monkeypatch, capsys):
+        def failing(cfg, out_dir, force=False):
+            raise error("went wrong")
+
+        monkeypatch.setattr(cli, "run_config", failing)
+        src = write_config(tmp_path / "c.json", chain())
+        assert main(["simulate", "--config", src, "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == "error: cli_chain: went wrong\n"
+
+
+class TestMemoryGuardSamples:
+    """The estimate counts the samples, so a run with too many is refused before it starts."""
+
+    def intro(self, tmp_path, t_max, sample_dt):
+        data = config_to_dict(preset("intro-pair")[0])
+        data.update(t_max=t_max, sample_dt=sample_dt)
+        return write_config_dict(tmp_path / "intro.json", data)
+
+    def test_many_samples_refused_under_a_small_cap(self, tmp_path, monkeypatch, capsys):
+        # 2.5e6 samples peak at ~2 GiB; the estimate must say so, not 256 B
+        monkeypatch.setenv("QLRE_MAX_MEM_BYTES", str(2**30))
+        src = self.intro(tmp_path, 25.0, 1e-5)
+        assert main(["simulate", "--config", src, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: intro-pair: estimated 2.55" in err
+        assert "bytes exceeds the cap of 1073741824" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*_summary.json"))
+
+    def test_overflowing_sample_count_refused(self, tmp_path, capsys):
+        src = self.intro(tmp_path, 1e300, 1e-300)
+        assert main(["simulate", "--config", src, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: intro-pair: estimated inf bytes exceeds the cap" in err
+        assert "Traceback" not in err
+
+    def test_no_preset_refused_at_the_default_cap(self, monkeypatch):
+        monkeypatch.delenv("QLRE_MAX_MEM_BYTES", raising=False)
+        for name in scenarios.PRESET_NAMES:
+            for cfg in preset(name):
+                cli._check_memory(cfg, force=False)
+
+
+def write_config_dict(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
 
 
 _SWEEP_ARGS = ["--param", "N_B", "--values", "1"]

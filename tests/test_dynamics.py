@@ -941,6 +941,11 @@ class TestEvolve:
         for snap in traj.snapshots:
             assert trace_distance(snap, rho0) < 1e-12
 
+    def test_non_finite_sample_count_refused(self):
+        b, eq = single_qubit_eq()
+        with pytest.raises(ValueError, match="sample_dt"):
+            evolve(eq, product_state(b, [1]), 1e300, 1e-300)
+
     def test_sample_grid_hits_endpoints(self):
         b, eq = single_qubit_eq()
         traj = evolve(eq, product_state(b, [1]), 1.0, 0.3)

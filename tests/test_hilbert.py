@@ -503,6 +503,42 @@ class TestStates:
             DensityMatrix(np.diag([1.5, -0.5]), b)  # negative eigenvalue
 
 
+class TestOperatorAdjoint:
+    def test_csr_adjoint_stays_csr(self):
+        # above DENSE_LIMIT the jump is CSR, as in every thermal run there
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, DENSE_LIMIT))
+        J = reservoir_jump(b, [0, 1])
+        assert J.is_sparse
+        Jp = J.dag()
+        assert Jp.is_sparse and Jp.matrix.format == "csr"
+        assert Jp.basis == b
+        assert np.array_equal(Jp.toarray(), J.toarray().conj().T)
+        assert_same_matrix(Jp.dag().matrix, J.matrix)
+
+
+class TestProductStateDensityFactor:
+    def test_factor_in_the_domain_basis(self):
+        b = BasisDescriptor(Backend.COLLECTIVE, (2, 1))
+        m = np.diag([0.25, 0.25, 0.5]).astype(complex)
+        factor = DensityMatrix(m, BasisDescriptor(Backend.COLLECTIVE, (2,)))
+        rho = product_state(b, [factor, 0])
+        assert np.array_equal(rho.matrix, np.kron(m, np.diag([0.0, 1.0])))
+
+    @pytest.mark.parametrize(
+        "factor_basis, m",
+        [
+            (BasisDescriptor(Backend.COLLECTIVE, (1,)), 0),  # a 1-spin ladder for a 2-spin domain
+            (BasisDescriptor(Backend.FULL, (1,)), 1),  # the right spin count, the other backend
+        ],
+    )
+    def test_factor_in_another_basis_refused(self, factor_basis, m):
+        b = BasisDescriptor(Backend.COLLECTIVE, (2, 1))
+        levels = [0, 0]
+        levels[m] = DensityMatrix(np.diag([0.5, 0.5]), factor_basis)
+        with pytest.raises(ValueError, match=f"domain {m}: density matrix basis does not match"):
+            product_state(b, levels)
+
+
 class TestPartialTrace:
     def test_product_state_reduces_to_factors(self):
         b = BasisDescriptor(Backend.COLLECTIVE, (2, 3, 1))

@@ -13,10 +13,14 @@ prints the hashes of the ``qlre`` on the path as one JSON object.
 The configs are every preset config, the fig6 star at N_D = 1..11, and
 every fig5a and fig5b config at N_B = 2..7.  Per config it hashes
 ``_Sector``'s keys, levels, L, S, diagonal and roots, the steady state
-with its residual and step count, and ``evolve`` to the config's own
-horizon: its times, observables, final_rho, SolverStats and residual.
-Equal hashes mean bitwise equal arrays; an exception is hashed by its type
-and message.
+with its residual and step count, ``compile_observables``' keeps and
+operators, and ``evolve`` to the config's own horizon: its times,
+observables, final_rho, SolverStats and residual.  Once per run it also
+hashes ``collective_lowering`` and ``collective_jz`` for N = 1..12 on both
+backends, and ``build_collective_zero_T``'s terms on the (1, N_B, 1)
+chains, N_B = 1..5, on both backends.  Equal hashes mean bitwise equal
+arrays, and for an operator the same storage too; an exception is hashed
+by its type and message.
 """
 
 from __future__ import annotations
@@ -63,6 +67,35 @@ def digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
+def operator_digest(op) -> str:
+    """An Operator's or PureState's storage, dtype and bytes."""
+    import numpy as np
+
+    if hasattr(op, "amplitudes"):
+        return digest("PureState", op.amplitudes)
+    m = op.matrix
+    if isinstance(m, np.ndarray):
+        return digest("ndarray", m)
+    return digest(type(m).__name__, m.indptr, m.indices, m.data, m.shape)
+
+
+def builders() -> dict:
+    """Hashes of the single-domain operators and the zero-T equations, keyed by call."""
+    from qlre import Backend, BasisDescriptor, build_collective_zero_T
+    from qlre.hilbert import collective_jz, collective_lowering
+
+    out = {}
+    for backend in Backend:
+        for n in range(1, 13):
+            for fn in (collective_lowering, collective_jz):
+                out[f"{fn.__name__}({n}, {backend.value})"] = operator_digest(fn(n, backend))
+        for n_b in range(1, 6):
+            eq = build_collective_zero_T(BasisDescriptor(backend, (1, n_b, 1)), [[0, 1], [1, 2]])
+            terms = [(operator_digest(t.jump), t.rate) for t in eq.terms]
+            out[f"build_collective_zero_T((1, {n_b}, 1), {backend.value})"] = digest(*terms)
+    return out
+
+
 def guarded(compute):
     """compute()'s hashes, or one hash of the exception it raised, under its name."""
     try:
@@ -75,7 +108,7 @@ def census() -> dict:
     import qlre
     from qlre import dynamics
 
-    out = {"source": str(Path(qlre.__file__).resolve().parent), "configs": {}}
+    out = {"source": str(Path(qlre.__file__).resolve().parent), "once": builders(), "configs": {}}
     for name, cfg in configs():
         eq, rho0 = qlre.build_master_equation(cfg), qlre.build_initial_state(cfg)
 
@@ -95,6 +128,14 @@ def census() -> dict:
             result = qlre.steady_state(eq, rho0)
             return {"steady": digest(result.rho.matrix, result.residual, result.steps)}
 
+        def compiled():
+            observables = qlre.compile_observables(cfg, qlre.build_basis(cfg))
+            parts = [
+                (k, ob.keep, None if ob.operator is None else operator_digest(ob.operator))
+                for k, ob in sorted(observables.items())
+            ]
+            return {"observables compiled": digest(*parts)}
+
         def run():
             observables = qlre.compile_observables(cfg, qlre.build_basis(cfg))
             traj = qlre.evolve(eq, rho0, cfg.t_max, cfg.sample_dt, observables=observables)
@@ -109,6 +150,7 @@ def census() -> dict:
 
         row = guarded(sector)
         row.update(guarded(steady))
+        row.update(guarded(compiled))
         row.update(guarded(run))
         out["configs"][name] = row
     return out
@@ -119,6 +161,11 @@ def hashes_of(checkout: Path) -> dict:
     command = [sys.executable, str(Path(__file__).resolve()), "--hash"]
     done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
+
+
+def diff_once(old: dict, new: dict) -> list[str]:
+    keys = sorted(set(old["once"]) | set(new["once"]))
+    return [f"{k}: differs" for k in keys if old["once"].get(k) != new["once"].get(k)]
 
 
 def diff(old: dict, new: dict) -> list[str]:
@@ -145,12 +192,13 @@ def main(argv=None) -> int:
     if len(args.checkouts) != 2:
         parser.error("give two checkouts, or --hash")
     old, new = (hashes_of(c.resolve()) for c in args.checkouts)
-    lines = diff(old, new)
+    once, lines = diff_once(old, new), diff(old, new)
     fields = sum(len(row) for row in new["configs"].values())
     print(f"old: {old['source']}\nnew: {new['source']}")
-    print("\n".join(lines) if lines else "no difference")
+    print("\n".join(once + lines) if once or lines else "no difference")
+    print(f"{len(new['once'])} builder calls, {len(once)} differ")
     print(f"{len(new['configs'])} configs, {fields} hashes, {len(lines)} configs differ")
-    return 1 if lines else 0
+    return 1 if once or lines else 0
 
 
 if __name__ == "__main__":
