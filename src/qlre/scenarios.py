@@ -494,10 +494,10 @@ def compile_observables(cfg: ScenarioConfig, basis: BasisDescriptor) -> dict:
     E_F, C, E_N, N and N_ABC reduce rho to their domains, then apply an
     entanglement measure; Jz_X is Tr(Jz rho), over N_X when normalized; x_d
     is the dark-state weight Tr(|d><d| rho), clamped to [0, 1], with |d> built
-    on the run's basis (``_dark_state``).  Observables are parsed once per
-    call, by ``_parse_observable``, the same parser that validates the config,
-    and built from what it returns with no second dispatch on their kind.  No
-    map is built here: ``evolve`` builds those on its sector coordinates.
+    on the run's basis (``_dark_state``).  Each string is parsed once per
+    call, by ``_parse_observable``, the parser that validates the config, and
+    the builder it returns makes the Observable.  No map is built here:
+    ``evolve`` builds those on its sector coordinates.
     """
     return {
         text: _parse_observable(f"observables[{i}]", text, cfg)(basis)
