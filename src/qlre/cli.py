@@ -144,21 +144,10 @@ class RunSummary:
     config: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "config_hash": self.config_hash,
-                "backend": self.backend,
-                "dim": self.dim,
-                "steady_state_residual": self.residual,
-                "wall_time_s": self.wall_time_s,
-                "phase_times_s": self.phase_times_s,
-                "observables": self.observables,
-                "config": self.config,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        """Every field, keys sorted, with ``residual`` written as ``steady_state_residual``."""
+        fields = dict(vars(self))
+        fields["steady_state_residual"] = fields.pop("residual")
+        return json.dumps(fields, indent=2, sort_keys=True)
 
 
 def _check_memory(cfg: ScenarioConfig, force: bool):

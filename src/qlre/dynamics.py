@@ -233,17 +233,16 @@ def build_realistic(
 ) -> MasterEquation:
     """Thermal reservoirs plus optional per-spin decay and dephasing.
 
-    Per reservoir: collective lowering at rate nbar+1 and collective raising
-    at rate nbar.  With ``include_individual``, every physical spin gains a
-    lowering channel at nbar+1 and a raising channel at nbar (same coupling
-    as the collective one).  ``gamma_dep_over_gamma`` adds a sigma_z channel
-    per spin at that scaled rate.  Channels with rate zero are dropped;
-    build_collective_zero_T is this function with the default arguments and
-    ``allow_large``.
-
-    ``rates`` supplies an optional per-reservoir coupling multiple (default
-    1 everywhere); it scales both the lowering and raising channels of that
-    reservoir.
+    One list holds the lowering channels with their rate multiples: each
+    reservoir's collective J- at its entry of ``rates`` (default 1
+    everywhere) and, with ``include_individual``, every physical spin's
+    sigma- at 1.  One rule makes them thermal: each channel acts at
+    multiple * (nbar+1) and, when nbar > 0, its adjoint at multiple * nbar.
+    The terms come collective lowering, collective raising, per-spin
+    lowering, per-spin raising, then ``gamma_dep_over_gamma``'s sigma_z
+    channel per spin at that scaled rate.  Channels with rate zero are
+    dropped; build_collective_zero_T is this function with the default
+    arguments and ``allow_large``.
 
     Per-spin channels act on individual product-space sites and therefore
     require the full backend.
@@ -283,26 +282,16 @@ def build_realistic(
                 bytes_needed / 2**20,
             )
 
-    terms: list[LindbladTerm] = []
-    lowering = [reservoir_jump(basis, r) for r in reservoirs]
-    for J, r in zip(lowering, rates):
-        terms.append(LindbladTerm(J, r * (nbar + 1.0)))
-    if nbar > 0:
-        for J, r in zip(lowering, rates):
-            terms.append(LindbladTerm(J.dag(), r * nbar))
+    sites = [(m, s) for m in range(basis.num_domains) for s in range(basis.domain_pops[m])]
+    channels = [[(reservoir_jump(basis, r), k) for r, k in zip(reservoirs, rates)]]
     if include_individual:
-        sites = [
-            (m, s) for m in range(basis.num_domains) for s in range(basis.domain_pops[m])
-        ]
-        for m, s in sites:
-            terms.append(LindbladTerm(single_spin_lowering(basis, m, s), nbar + 1.0))
+        channels.append([(single_spin_lowering(basis, m, s), 1.0) for m, s in sites])
+    terms: list[LindbladTerm] = []
+    for group in channels:  # collective, then per-spin: lowering, then raising
+        terms += [LindbladTerm(J, k * (nbar + 1.0)) for J, k in group]
         if nbar > 0:
-            for m, s in sites:
-                terms.append(LindbladTerm(single_spin_lowering(basis, m, s).dag(), nbar))
-    if gdep > 0:
-        for m in range(basis.num_domains):
-            for s in range(basis.domain_pops[m]):
-                terms.append(LindbladTerm(single_spin_z(basis, m, s), gdep))
+            terms += [LindbladTerm(J.dag(), k * nbar) for J, k in group]
+    terms += [LindbladTerm(single_spin_z(basis, m, s), gdep) for m, s in sites if gdep > 0]
     return MasterEquation(tuple(terms), basis)
 
 

@@ -252,13 +252,9 @@ def collective_lowering(N: int, backend: Backend) -> Operator:
     for j = N/2.  Full backend: sum of single-site lowering operators.
     The adjoint of the result is the raising operator J+.  It is
     ``reservoir_jump`` on the one-domain basis, so one builder places the
-    entries of every jump.
+    entries of every jump, and ``BasisDescriptor`` checks N and the backend.
     """
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"spin count must be a positive integer, got {N!r}")
-    if not isinstance(backend, Backend):
-        raise ValueError(f"unknown backend: {backend!r}")
-    return reservoir_jump(single_domain_basis(int(N), backend), [0])
+    return reservoir_jump(single_domain_basis(N, backend), [0])
 
 
 def _ladder_element(N, level: np.ndarray) -> np.ndarray:
@@ -269,12 +265,11 @@ def _ladder_element(N, level: np.ndarray) -> np.ndarray:
 
 
 def collective_jz(N: int, backend: Backend) -> Operator:
-    """Collective Jz for a single domain: diagonal, N/2 minus the down-spins, in both backends."""
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"spin count must be a positive integer, got {N!r}")
-    if not isinstance(backend, Backend):
-        raise ValueError(f"unknown backend: {backend!r}")
-    basis = single_domain_basis(int(N), backend)
+    """Collective Jz for a single domain: diagonal, N/2 minus the down-spins, in both backends.
+
+    ``BasisDescriptor``, through ``single_domain_basis``, checks N and the backend.
+    """
+    basis = single_domain_basis(N, backend)
     index = np.arange(basis.dim)
     downs = index if backend is Backend.COLLECTIVE else _popcounts(N)
     return Operator(_place(index, index, N / 2.0 - downs, basis.dim), basis)
@@ -437,11 +432,21 @@ def exchange_labels(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _dicke_weights(N: int) -> np.ndarray:
+    """1/sqrt(C(N, downs)) at every full index of an N-spin domain; shared and read-only."""
+    per_level = 1.0 / np.sqrt([float(math.comb(N, downs)) for downs in range(N + 1)])
+    weights = per_level[_popcounts(N)]
+    weights.flags.writeable = False
+    return weights
+
+
 def dicke_level_vector(N: int, k: int, backend: Backend) -> np.ndarray:
     """Amplitudes of the symmetric Dicke state with k excited spins.
 
     Collective backend: the basis vector at level index N - k.  Full
-    backend: the normalized superposition of all bitstrings with k up-spins.
+    backend: the normalized superposition of all bitstrings with k up-spins,
+    whose weights ``_dicke_weights`` holds, as for ``symmetric_isometry``.
     """
     if not 0 <= k <= N:
         raise ValueError(f"Dicke level k={k} outside [0, {N}]")
@@ -449,23 +454,21 @@ def dicke_level_vector(N: int, k: int, backend: Backend) -> np.ndarray:
         vec = np.zeros(N + 1, dtype=complex)
         vec[N - k] = 1.0
         return vec
-    vec = np.zeros(2**N, dtype=complex)
-    downs = N - k
-    amp = 1.0 / math.sqrt(math.comb(N, downs))
-    pops = _popcounts(N)
-    vec[pops == downs] = amp
-    return vec
+    return np.where(_popcounts(N) == N - k, _dicke_weights(N), 0.0).astype(complex)
 
 
-def _bitstring_vector(N: int, spec: str) -> np.ndarray:
-    s = spec.strip().lower()
+def _level_vector(basis: BasisDescriptor, m: int, level: Union[int, str]) -> np.ndarray:
+    """Amplitudes of domain m at Dicke level k, or at a bitstring of 'u'/'d' (full backend)."""
+    N = basis.domain_pops[m]
+    if not isinstance(level, str):
+        return dicke_level_vector(N, int(level), basis.backend)
+    if basis.backend is not Backend.FULL:
+        raise ValueError("bitstring levels require the full backend")
+    s = level.strip().lower()
     if len(s) != N or any(c not in "ud" for c in s):
-        raise ValueError(f"bitstring {spec!r} must have {N} characters from 'u'/'d'")
-    idx = 0
-    for c in s:
-        idx = (idx << 1) | (1 if c == "d" else 0)
+        raise ValueError(f"bitstring {level!r} must have {N} characters from 'u'/'d'")
     vec = np.zeros(2**N, dtype=complex)
-    vec[idx] = 1.0
+    vec[int(s.replace("u", "0").replace("d", "1"), 2)] = 1.0
     return vec
 
 
@@ -486,13 +489,8 @@ def _domain_density(basis: BasisDescriptor, m: int, level: LevelSpec) -> np.ndar
             return DensityMatrix(level, basis.subset([m])).matrix
         except ValueError as exc:
             raise ValueError(f"domain {m}: {exc}") from None
-    if isinstance(level, str):
-        if basis.backend is not Backend.FULL:
-            raise ValueError("bitstring levels require the full backend")
-        vec = _bitstring_vector(N, level)
-        return np.outer(vec, vec.conj())
-    if isinstance(level, (int, np.integer)):
-        vec = dicke_level_vector(N, int(level), basis.backend)
+    if isinstance(level, (int, np.integer, str)):
+        vec = _level_vector(basis, m, level)
         return np.outer(vec, vec.conj())
     raise ValueError(f"domain {m}: unsupported level specification {level!r}")
 
@@ -532,13 +530,8 @@ def pure_product_state(
         raise ValueError(f"expected {basis.num_domains} levels, got {len(levels)}")
     out = np.ones(1, dtype=complex)
     for m, level in enumerate(levels):
-        N = basis.domain_pops[m]
-        if isinstance(level, str):
-            if basis.backend is not Backend.FULL:
-                raise ValueError("bitstring levels require the full backend")
-            vec = _bitstring_vector(N, level)
-        elif isinstance(level, (int, np.integer)):
-            vec = dicke_level_vector(N, int(level), basis.backend)
+        if isinstance(level, (int, np.integer, str)):
+            vec = _level_vector(basis, m, level)
         elif isinstance(level, np.ndarray):
             vec = np.asarray(level, dtype=complex).ravel()
             if vec.size != basis.domain_dims[m]:
@@ -605,17 +598,15 @@ def symmetric_isometry(N: int) -> sp.csr_array:
     """Isometry from the (N+1)-level collective ladder into the 2**N space.
 
     Column i (level m = N/2 - i) maps to the equal-weight superposition of
-    all bitstrings with i down-spins.  Columns are orthonormal, so
-    S.conj().T @ S is the identity on the collective space.
+    all bitstrings with i down-spins, at the weights of ``_dicke_weights``.
+    Columns are orthonormal, so S.conj().T @ S is the identity on the
+    collective space.
     """
     import scipy.sparse as sp
     if N < 1:
         raise ValueError("spin count must be >= 1")
-    pops = _popcounts(N)
-    rows = np.arange(2**N)
-    cols = pops
-    data = np.array([1.0 / math.sqrt(math.comb(N, int(i))) for i in pops], dtype=complex)
-    return sp.csr_array((data, (rows, cols)), shape=(2**N, N + 1))
+    data = _dicke_weights(N).astype(complex)
+    return sp.csr_array((data, (np.arange(2**N), _popcounts(N))), shape=(2**N, N + 1))
 
 
 def basis_isometry(basis: BasisDescriptor) -> sp.csr_array:

@@ -384,17 +384,16 @@ def build_basis(cfg: ScenarioConfig) -> BasisDescriptor:
     return BasisDescriptor(effective_backend(cfg), tuple(d.population for d in cfg.domains))
 
 
-def _mixed_domain_matrix(population: int, a: float, b: float, backend: Backend) -> np.ndarray:
-    dim = 2**population if backend is Backend.FULL else population + 1
-    m = b * np.eye(dim, dtype=complex)
-    m[0, 0] += a  # index 0 is the all-up bitstring, on the ladder the fully excited level
-    return m
+def _mixed_domain_matrix(basis: BasisDescriptor, m: int, a: float, b: float) -> np.ndarray:
+    mat = b * np.eye(basis.domain_dims[m], dtype=complex)
+    mat[0, 0] += a  # index 0 is the all-up bitstring, on the ladder the fully excited level
+    return mat
 
 
 def build_initial_state(cfg: ScenarioConfig) -> DensityMatrix:
     basis = build_basis(cfg)
     levels = []
-    for dom in cfg.domains:
+    for m, dom in enumerate(cfg.domains):
         init = dom.initial
         if init.kind == "ground":
             levels.append(0)
@@ -403,7 +402,7 @@ def build_initial_state(cfg: ScenarioConfig) -> DensityMatrix:
         elif init.kind == "dicke":
             levels.append(init.dicke_k)
         else:  # mixed: _validate_config has matched mixed_basis to the backend
-            levels.append(_mixed_domain_matrix(dom.population, init.a, init.b, basis.backend))
+            levels.append(_mixed_domain_matrix(basis, m, init.a, init.b))
     return product_state(basis, levels)
 
 

@@ -900,6 +900,31 @@ class TestBuilders:
         )
         assert len(eq.terms) == 13
 
+    def test_channel_order_and_thermal_pairing(self):
+        # collective lowering, collective raising, per-spin lowering,
+        # per-spin raising, dephasing; each raising jump is the adjoint of
+        # its lowering partner at multiple * nbar, the partner at multiple * (nbar + 1)
+        b = BasisDescriptor(Backend.FULL, (1, 2, 1))
+        nbar, gdep, rates = 0.3, 0.15, [1.0, 2.5]
+        reservoirs = [[0, 1], [1, 2]]
+        eq = build_realistic(b, reservoirs, nbar, True, gdep, rates=rates)
+        sites = [(0, 0), (1, 0), (1, 1), (2, 0)]
+        collective = [(reservoir_jump(b, r).toarray(), k) for r, k in zip(reservoirs, rates)]
+        per_spin = [(single_spin_lowering(b, m, s).toarray(), 1.0) for m, s in sites]
+        expected = []
+        for group in (collective, per_spin):
+            expected += [(J, k * (nbar + 1.0)) for J, k in group]
+            expected += [(J.conj().T, k * nbar) for J, k in group]
+        expected += [(single_spin_z(b, m, s).toarray(), gdep) for m, s in sites]
+        assert len(eq.terms) == len(expected) == 16
+        for term, (jump, rate) in zip(eq.terms, expected):
+            assert term.rate == rate
+            assert np.array_equal(term.jump.toarray(), jump)
+        lowering, raising = eq.terms[:2] + eq.terms[4:8], eq.terms[2:4] + eq.terms[8:12]
+        for low, high, k in zip(lowering, raising, rates + [1.0] * 4):
+            assert (low.rate, high.rate) == (k * (nbar + 1.0), k * nbar)
+            assert np.array_equal(high.jump.toarray(), low.jump.toarray().conj().T)
+
     def test_individual_terms_require_full_backend(self):
         b, _ = chain_eq(2)
         with pytest.raises(UnsupportedConfigurationError):

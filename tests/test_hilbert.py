@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from qlre import hilbert
 from qlre.hilbert import (
     DENSE_LIMIT,
     Backend,
@@ -124,6 +125,36 @@ class TestCollectiveOperators:
     def test_bad_spin_count(self, bad):
         with pytest.raises(ValueError):
             collective_lowering(bad, Backend.COLLECTIVE)
+
+    @pytest.mark.parametrize("build", [collective_lowering, collective_jz])
+    @pytest.mark.parametrize(
+        "N, backend",
+        [(0, Backend.COLLECTIVE), (-3, Backend.FULL), (1.5, Backend.COLLECTIVE), (2, "full")],
+    )
+    def test_bad_spin_count_or_backend(self, build, N, backend):
+        with pytest.raises(ValueError):
+            build(N, backend)
+
+    def test_dicke_weights_are_shared_and_read_only(self):
+        weights = hilbert._dicke_weights(3)
+        before = weights.copy()
+        with pytest.raises(ValueError):
+            weights[0] = 2.0
+        dicke_level_vector(3, 1, Backend.FULL)[:] = 7.0
+        symmetric_isometry.cache_clear()  # a fresh S, built from the shared weights
+        symmetric_isometry(3).data[:] = 5.0
+        symmetric_isometry.cache_clear()
+        assert hilbert._dicke_weights(3) is weights
+        assert np.array_equal(weights, before)
+        one_up = np.zeros(8)
+        one_up[[3, 5, 6]] = 1 / math.sqrt(3)  # two down-spins (bits set) of three
+        assert np.array_equal(dicke_level_vector(3, 1, Backend.FULL), one_up)
+        assert np.array_equal(symmetric_isometry(3).data, before)
+
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_dicke_weights_match_the_per_index_loop(self, N):
+        loop = [1.0 / math.sqrt(math.comb(N, bin(i).count("1"))) for i in range(2**N)]
+        assert np.array_equal(hilbert._dicke_weights(N), loop)
 
 
 class TestEmbedAndReservoir:

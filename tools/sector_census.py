@@ -18,9 +18,15 @@ operators, and ``evolve`` to the config's own horizon: its times,
 observables, final_rho, SolverStats and residual.  Once per run it also
 hashes ``collective_lowering`` and ``collective_jz`` for N = 1..12 on both
 backends, and ``build_collective_zero_T``'s terms on the (1, N_B, 1)
-chains, N_B = 1..5, on both backends.  Equal hashes mean bitwise equal
-arrays, and for an operator the same storage too; an exception is hashed
-by its type and message.
+chains, N_B = 1..5, on both backends.  It hashes the construction layer no
+config reaches as well: ``dicke_level_vector`` for N = 1..10 and every k
+on both backends, ``symmetric_isometry`` and ``basis_isometry``,
+``product_state`` and ``pure_product_state`` on Dicke, bitstring and
+refused levels, ``build_realistic`` with per-spin decay at nbar > 0 and
+dephasing, and ``RunSummary.to_json`` of a few small runs with their
+timings zeroed.  Equal hashes mean bitwise equal arrays, and for an
+operator the same storage too; an exception is hashed by its type and
+message.
 """
 
 from __future__ import annotations
@@ -68,15 +74,27 @@ def digest(*parts) -> str:
 
 
 def operator_digest(op) -> str:
-    """An Operator's or PureState's storage, dtype and bytes."""
-    import numpy as np
-
+    """An Operator's, DensityMatrix's or PureState's storage, dtype and bytes."""
     if hasattr(op, "amplitudes"):
         return digest("PureState", op.amplitudes)
-    m = op.matrix
+    return matrix_digest(op.matrix)
+
+
+def matrix_digest(m) -> str:
+    """A dense or CSR matrix's storage, dtype and bytes."""
+    import numpy as np
+
     if isinstance(m, np.ndarray):
         return digest("ndarray", m)
     return digest(type(m).__name__, m.indptr, m.indices, m.data, m.shape)
+
+
+def attempt(hash_of, compute, *args) -> str:
+    """hash_of(compute(*args)), or the hash of the exception it raised."""
+    try:
+        return hash_of(compute(*args))
+    except Exception as exc:  # a refused call is a result to compare too
+        return digest(type(exc).__name__, str(exc))
 
 
 def builders() -> dict:
@@ -93,6 +111,70 @@ def builders() -> dict:
             eq = build_collective_zero_T(BasisDescriptor(backend, (1, n_b, 1)), [[0, 1], [1, 2]])
             terms = [(operator_digest(t.jump), t.rate) for t in eq.terms]
             out[f"build_collective_zero_T((1, {n_b}, 1), {backend.value})"] = digest(*terms)
+    out.update(construction())
+    return out
+
+
+def construction() -> dict:
+    """Hashes of the state factors, isometries, thermal per-spin equations and summary text."""
+    import tempfile
+
+    import numpy as np
+    from qlre import Backend, BasisDescriptor, build_realistic, preset
+    from qlre.cli import run_config
+    from qlre.hilbert import (
+        basis_isometry,
+        dicke_level_vector,
+        product_state,
+        pure_product_state,
+        symmetric_isometry,
+    )
+
+    out = {}
+    for backend in Backend:
+        for n in range(1, 11):
+            for k in range(-1, n + 2):
+                out[f"dicke_level_vector({n}, {k}, {backend.value})"] = attempt(
+                    digest, dicke_level_vector, n, k, backend
+                )
+    for n in range(0, 11):
+        out[f"symmetric_isometry({n})"] = attempt(matrix_digest, symmetric_isometry, n)
+    for pops in [(1,), (3,), (1, 2), (2, 1, 3), (1, 4, 1), (3, 3, 2)]:
+        for backend in Backend:
+            basis = BasisDescriptor(backend, pops)
+            out[f"basis_isometry({pops}, {backend.value})"] = attempt(
+                matrix_digest, basis_isometry, basis
+            )
+    level_lists = {
+        (1, 3): [[0, 0], [1, 2], [1, 3], [0, 1], ["u", "udd"], ["d", "dud"], [1, "UdU"]],
+        (2, 1, 2): [[2, 0, 1], ["ud", 1, "du"], [0, "u", 2], [3, 0, 0], [0, 0], ["uu", 0, "d"]],
+        (2,): [[-1], [1.5], [None], ["x"], [np.array([1.0, 0.0])]],
+    }
+    for pops, lists in level_lists.items():
+        for backend in Backend:
+            basis = BasisDescriptor(backend, pops)
+            for levels in lists:
+                for fn in (product_state, pure_product_state):
+                    key = f"{fn.__name__}({pops}, {backend.value}, {levels!r})"
+                    out[key] = attempt(operator_digest, fn, basis, levels)
+    for pops, reservoirs, rates in [
+        ((1, 1, 1), [[0, 1], [1, 2]], [1.0, 2.5]),
+        ((1, 3, 1), [[0, 1], [1, 2]], None),
+        ((2, 2), [[0, 1]], [0.7]),
+    ]:
+        basis = BasisDescriptor(Backend.FULL, pops)
+        for nbar, individual, dep in [(0.3, True, 0.1), (0.0, True, 0.2), (1.5, True, 0.0)]:
+            eq = build_realistic(basis, reservoirs, nbar, individual, dep, rates=rates)
+            terms = [(operator_digest(t.jump), t.rate) for t in eq.terms]
+            key = f"build_realistic({pops}, {reservoirs}, {nbar}, {individual}, {dep}, {rates})"
+            out[key] = digest(*terms)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("intro-pair", "appB-oracle", "appA-mixed"):
+            cfg = preset(name)[0]
+            summary = run_config(cfg, Path(tmp))
+            summary.wall_time_s = 0.0
+            summary.phase_times_s = {k: 0.0 for k in summary.phase_times_s}
+            out[f"RunSummary.to_json({cfg.name})"] = digest(summary.to_json())
     return out
 
 
