@@ -6,15 +6,18 @@ over a parameter list (optionally in parallel processes), `reproduce` maps
 figure ids to preset bundles and writes plot-ready CSVs with a manifest,
 and `validate` runs the analytic oracle suite against the simulator.
 
-Exit codes: 0 success, 1 invalid config, unknown name or unusable --config or
---out path, 2 integration or convergence failure, 3 sweep finished with failed
-rows, 4 validation failed.  All files are written atomically (temp file in the
-target directory, then rename).  Numeric output uses 12 significant digits.
+Exit codes: 0 success, 1 invalid config, unknown name, unusable --config or
+--out path or an output file that cannot be written, 2 integration or
+convergence failure, 3 sweep finished with failed rows, 4 validation failed.
+All files are written atomically (temp file in the target directory, then
+rename; a failed write removes the temp file).  Numeric output uses 12
+significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -108,9 +111,31 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: Path, text: str):
+    """Write text to a temp file beside path, then rename it to path; a failed
+    write removes the temp file and raises a _ConfigError naming path."""
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # the temp file may never have been made
+            tmp.unlink()
+        raise _ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
+_INTEGRATION_ERRORS = (IntegrationFailure, ConvergenceFailure, NumericalFailure)
+# what a command reports as an error line and an exit code, never as a traceback
+_REPORTED = (_ConfigError, ValueError, UnsupportedConfigurationError) + _INTEGRATION_ERRORS
+
+
+def _report(exc: Exception, cfg: Optional[ScenarioConfig] = None) -> int:
+    """Print exc as one error line and return its exit code.
+
+    A _ConfigError names its field or path itself; any other failure is
+    prefixed with the name of cfg, the config that was running, if any."""
+    prefix = "" if cfg is None or isinstance(exc, _ConfigError) else f"{cfg.name}: "
+    print(f"error: {prefix}{exc}", file=sys.stderr)
+    return EXIT_INTEGRATION if isinstance(exc, _INTEGRATION_ERRORS) else EXIT_CONFIG
 
 
 def _mem_cap() -> int:
@@ -271,28 +296,18 @@ def _out_dir(spec: str) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    cfg = None
     try:
         configs = _load_configs(args.config)
         out_dir = _out_dir(args.out)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    for cfg in configs:
-        try:
+        for cfg in configs:
             summary = run_config(cfg, out_dir, force=args.force)
-        except _ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except (ValueError, UnsupportedConfigurationError) as exc:
-            print(f"error: {cfg.name}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except (IntegrationFailure, ConvergenceFailure, NumericalFailure) as exc:
-            print(f"error: {cfg.name}: {exc}", file=sys.stderr)
-            return EXIT_INTEGRATION
-        finals = ", ".join(
-            f"{k}={_fmt(v['final'])}" for k, v in summary.observables.items()
-        )
-        print(f"{cfg.name}: residual {summary.residual:.3e}  {finals}")
+            finals = ", ".join(
+                f"{k}={_fmt(v['final'])}" for k, v in summary.observables.items()
+            )
+            print(f"{cfg.name}: residual {summary.residual:.3e}  {finals}")
+    except _REPORTED as exc:
+        return _report(exc, cfg)
     return EXIT_OK
 
 
@@ -342,8 +357,7 @@ def cmd_sweep(args) -> int:
         swept = sweep(base, args.param, values)
         out_dir = _out_dir(args.out)
     except (_ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _report(exc)
 
     payloads = [(cfg, out_dir, args.force, value) for cfg, value in zip(swept, values)]
     # more workers than cores or points only oversubscribe the machine
@@ -377,7 +391,10 @@ def cmd_sweep(args) -> int:
         if row["status"] != "ok":
             failed += 1
         lines.append(",".join(cells))
-    _atomic_write(out_dir / "sweep.csv", "\n".join(lines) + "\n")
+    try:
+        _atomic_write(out_dir / "sweep.csv", "\n".join(lines) + "\n")
+    except _ConfigError as exc:
+        return _report(exc)
     print(f"sweep over {args.param}: {len(rows)} rows, {failed} failed")
     return EXIT_SWEEP_PARTIAL if failed else EXIT_OK
 
@@ -455,7 +472,7 @@ def cmd_reproduce(args) -> int:
         )
         return EXIT_CONFIG
     families, panel, curve = _FIGURES[figure]
-    files, runs = [], []
+    files, runs, cfg = [], [], None
     try:
         out_dir = _out_dir(args.out)
         for family in families:
@@ -464,16 +481,16 @@ def cmd_reproduce(args) -> int:
                 files.append({"file": f"{cfg.name}_timeseries.csv", "panel": panel})
         if curve is not None:
             if curve.configs is not None:
-                runs = [(c, run_config(c, out_dir, force=args.force)) for c in curve.configs()]
+                runs = []
+                for cfg in curve.configs():
+                    runs.append((cfg, run_config(cfg, out_dir, force=args.force)))
             rows = [",".join(_fmt(x) for x in curve.row(c, s)) for c, s in runs]
             _atomic_write(out_dir / curve.file, "\n".join([curve.header] + rows) + "\n")
             files.append({"file": curve.file, "panel": curve.panel})
-    except (_ConfigError, IntegrationFailure, ConvergenceFailure, NumericalFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, _ConfigError) else EXIT_INTEGRATION
-
-    manifest = {"figure": figure, "files": files}
-    _atomic_write(out_dir / f"{figure}_manifest.json", json.dumps(manifest, indent=2) + "\n")
+        manifest = {"figure": figure, "files": files}
+        _atomic_write(out_dir / f"{figure}_manifest.json", json.dumps(manifest, indent=2) + "\n")
+    except _REPORTED as exc:
+        return _report(exc, cfg)
     print(f"{figure}: wrote {len(files)} files to {out_dir}")
     return EXIT_OK
 

@@ -69,6 +69,7 @@ from .hilbert import (
     Operator,
     PureState,
     _check_domain_indices,
+    _require_same_basis,
     exchange_labels,
     excitation_numbers,
     fidelity_with_pure,
@@ -174,8 +175,7 @@ def lindblad_rhs(eq: MasterEquation, rho: DensityMatrix) -> np.ndarray:
     (A rho)^dag, so the result is Hermitian and traceless to 1e-12 only when
     the input and the terms are; a violation signals a numeric problem.
     """
-    if rho.basis != eq.basis:
-        raise ValueError(f"basis mismatch: {rho.basis} vs {eq.basis}")
+    _require_same_basis(rho.basis, eq.basis)
     y = rho.matrix
     active = [(t.rate, t.jump.matrix) for t in eq.terms if t.rate]
     if not np.any(y.imag) and not any(np.any(_values(O).imag) for _, O in active):
@@ -1010,8 +1010,7 @@ def evolve(
     unpacked at every sample for them; otherwise ``final_rho`` is the one
     unpack.
     """
-    if rho0.basis != eq.basis:
-        raise ValueError(f"basis mismatch: {rho0.basis} vs {eq.basis}")
+    _require_same_basis(rho0.basis, eq.basis)
     if not (t_max > 0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     if not (sample_dt > 0):
@@ -1098,8 +1097,7 @@ def steady_state(
     after MAX_SWEEPS steps, and MemoryGuardExceeded, before inverting
     anything, if a block has more than LEVEL_BLOCK_LIMIT coordinates.
     """
-    if rho0.basis != eq.basis:
-        raise ValueError(f"basis mismatch: {rho0.basis} vs {eq.basis}")
+    _require_same_basis(rho0.basis, eq.basis)
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     sector = _Sector(eq, rho0.matrix)
@@ -1122,8 +1120,7 @@ def steady_state(
 
 def _check_operator(op, basis: BasisDescriptor):
     """op, once its basis and, for an Operator, its Hermiticity are checked."""
-    if op.basis != basis:
-        raise ValueError(f"basis mismatch: {basis} vs {op.basis}")
+    _require_same_basis(basis, op.basis)
     if isinstance(op, Operator):
         dev = op.matrix - op.matrix.conj().T
         herm = abs(dev).max()

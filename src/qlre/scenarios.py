@@ -3,7 +3,13 @@ library, thermal occupation, named presets, and parameter sweeps.
 
 A scenario is an immutable value object.  Building a basis, an initial
 state, or a master equation from it never mutates the config, so sweep
-outputs can be run independently (and in parallel by the cli)."""
+outputs can be run independently (and in parallel by the cli).
+
+A preset family that scans one sweep parameter (N_B in fig3 and appB, the
+dephasing rate in fig5a, T in fig5c, F_0 in appA-mixed) is ``sweep`` of one
+base config over the listed values, each config renamed by the family's
+name format; the other presets are one config, or one per N_A (fig1a) or
+initial pattern (appA)."""
 
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -525,29 +531,59 @@ def _dark_state(basis: BasisDescriptor, n_b: int) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def _dom(population, kind="ground", **kw):
-    return DomainSpec(population, InitialSpec(kind, **kw))
+# one letter per domain's initial state: d ground, u excited, m the mixed
+# preparation at fidelity 1 (a = 1, b = 0), the base of an F_0 sweep
+_INITIALS = {
+    "d": InitialSpec("ground"),
+    "u": InitialSpec("excited"),
+    "m": InitialSpec("mixed", a=1.0, b=0.0),
+}
 
 
-def _mixed_f0(population: int, f0: float) -> InitialSpec:
-    """Solve the fully-excited/identity weights from the target fidelity.
-
-    b = (1 - f0) / (2^N - 1), scaled by 2^-N so that a population beyond the
-    float range gives b = 0 (which the validator refuses) and no OverflowError.
-    """
-    b = math.ldexp(1.0 - f0, -population) / (1.0 - math.ldexp(1.0, -population))
-    return InitialSpec("mixed", a=f0 - b, b=b)
-
-
-def _chain(name, pops, initials, reservoirs=None, **kw):
-    domains = tuple(_dom(p, k) for p, k in zip(pops, initials))
+def _chain(name, pops, pattern, reservoirs=None, **kw):
+    """One domain per population, each started in the state its letter in pattern
+    names (``_INITIALS``); by default one reservoir joins each domain to the next."""
     if reservoirs is None:
         reservoirs = [(i, i + 1) for i in range(len(pops) - 1)]
     return ScenarioConfig(
         name=name,
-        domains=domains,
-        reservoirs=tuple(ReservoirSpec(tuple(r)) for r in reservoirs),
+        domains=tuple(DomainSpec(p, _INITIALS[c]) for p, c in zip(pops, pattern)),
+        reservoirs=tuple(ReservoirSpec(r) for r in reservoirs),
         **kw,
+    )
+
+
+def _family(name_format: str, base: ScenarioConfig, parameter: str, values) -> list:
+    """``sweep(base, parameter, values)``, each config renamed ``name_format.format(value)``."""
+    return [
+        replace(cfg, name=name_format.format(value))
+        for cfg, value in zip(sweep(base, parameter, values), values)
+    ]
+
+
+def _fig3(name):
+    return _chain(name, (1, 1, 1), "dud", observables=("E_F(A,C)", "Jz_B/N_B"))
+
+
+def _fig4(name, pops, pattern, t_max):
+    # Longer chains saturate noticeably more slowly than the three-domain
+    # runs, so the horizon is chosen per chain; the tail of each ends up
+    # flat to well under 1e-6.
+    outer = chr(ord("A") + len(pops) - 1)
+    return _chain(
+        name,
+        pops,
+        pattern,
+        t_max=t_max,
+        sample_dt=t_max / 160.0,
+        observables=(f"E_F(A,{outer})",),
+    )
+
+
+def _fig5(name, **kw):
+    """The (1, 5, 1) chain of fig5a and fig5b, on the full backend for per-spin noise."""
+    return _chain(
+        name, (1, 5, 1), "dud", backend="full", t_max=20.0, observables=("E_F(A,C)",), **kw
     )
 
 
@@ -557,214 +593,63 @@ _FIG5_OMEGA0_OVER_2PI = 1.0e10
 _APPA_PATTERNS = ("ddd", "dud", "udd", "ddu", "uuu", "udu", "uud", "duu")
 _APPA_F0_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
-
-def _preset_intro_pair():
-    return [
+# preset name -> factory of its config list; no config is built at import
+_PRESETS = {
+    "intro-pair": lambda: [
+        _chain("intro-pair", (1, 1), "ud", t_max=25.0, sample_dt=0.25, observables=("E_F(A,B)",))
+    ],
+    "fig1a-sweep": lambda: [
+        _chain(f"fig1a_na{n_a}", (n_a, 1), "ud", sample_dt=0.2, observables=("E_N(A|B)",))
+        for n_a in range(1, 9)
+    ],
+    "fig3a": lambda: _family("fig3a_nb{}", _fig3("fig3a"), "N_B", (3, 6, 9, 12)),
+    "fig3b": lambda: _family("fig3b_nb{}", _fig3("fig3b"), "N_B", range(2, 13)),
+    "fig4-chain4": lambda: [_fig4("fig4_chain4", (1, 6, 6, 1), "dudd", t_max=40.0)],
+    "fig4-chain5": lambda: [_fig4("fig4_chain5", (1, 4, 4, 4, 1), "duddd", t_max=80.0)],
+    "fig5a-dephasing": lambda: _family(
+        "fig5a_dep{:g}", _fig5("fig5a"), "gamma_dep_over_gamma", _FIG5_DEP_RATES
+    ),
+    "fig5b-individual": lambda: [_fig5("fig5b_individual", include_individual=True)],
+    "fig5c-thermal": lambda: _family(
+        "fig5c_T{:g}",
         _chain(
-            "intro-pair",
-            (1, 1),
-            ("excited", "ground"),
-            reservoirs=[(0, 1)],
-            t_max=25.0,
-            sample_dt=0.25,
-            observables=("E_F(A,B)",),
-        )
-    ]
-
-
-def _preset_fig1a():
-    configs = []
-    for n_a in range(1, 9):
-        configs.append(
-            _chain(
-                f"fig1a_na{n_a}",
-                (n_a, 1),
-                ("excited", "ground"),
-                reservoirs=[(0, 1)],
-                t_max=40.0,
-                sample_dt=0.2,
-                observables=("E_N(A|B)",),
-            )
-        )
-    return configs
-
-
-def _preset_fig3(n_b_values, tag):
-    configs = []
-    for n_b in n_b_values:
-        configs.append(
-            _chain(
-                f"{tag}_nb{n_b}",
-                (1, n_b, 1),
-                ("ground", "excited", "ground"),
-                t_max=40.0,
-                sample_dt=0.1,
-                observables=("E_F(A,C)", "Jz_B/N_B"),
-            )
-        )
-    return configs
-
-
-def _preset_fig4(name, pops, t_max):
-    initials = ["ground"] * len(pops)
-    initials[1] = "excited"
-    outer = chr(ord("A") + len(pops) - 1)
-    # Longer chains saturate noticeably more slowly than the three-domain
-    # runs, so the horizon is chosen per chain; the tail of each ends up
-    # flat to well under 1e-6.
-    return [
-        _chain(
-            name,
-            pops,
-            initials,
-            t_max=t_max,
-            sample_dt=t_max / 160.0,
-            observables=(f"E_F(A,{outer})",),
-        )
-    ]
-
-
-def _preset_fig5a():
-    configs = []
-    for g in _FIG5_DEP_RATES:
-        configs.append(
-            _chain(
-                f"fig5a_dep{g:g}",
-                (1, 5, 1),
-                ("ground", "excited", "ground"),
-                backend="full",
-                gamma_dep_over_gamma=g,
-                t_max=20.0,
-                sample_dt=0.1,
-                observables=("E_F(A,C)",),
-            )
-        )
-    return configs
-
-
-def _preset_fig5b():
-    return [
-        _chain(
-            "fig5b_individual",
-            (1, 5, 1),
-            ("ground", "excited", "ground"),
-            backend="full",
-            include_individual=True,
-            t_max=20.0,
-            sample_dt=0.1,
-            observables=("E_F(A,C)",),
-        )
-    ]
-
-
-def _preset_fig5c():
-    configs = []
-    for T in _FIG5_TEMPERATURES:
-        cfg = _chain(
-            f"fig5c_T{T:g}",
+            "fig5c",
             (1, 11, 1),
-            ("ground", "excited", "ground"),
+            "dud",
+            temperature=TemperatureSpec(0.0, _FIG5_OMEGA0_OVER_2PI),
             t_max=30.0,
-            sample_dt=0.1,
             observables=("E_F(A,C)",),
-        )
-        configs.append(
-            replace(cfg, temperature=TemperatureSpec(T, _FIG5_OMEGA0_OVER_2PI))
-        )
-    return configs
-
-
-def _preset_fig6(n_d=11):
-    return [
-        ScenarioConfig(
-            name=f"fig6_star_nd{n_d}",
-            domains=(
-                _dom(1, "ground"),
-                _dom(1, "ground"),
-                _dom(1, "ground"),
-                _dom(n_d, "excited"),
-            ),
-            reservoirs=(
-                ReservoirSpec((0, 3)),
-                ReservoirSpec((1, 3)),
-                ReservoirSpec((2, 3)),
-            ),
+        ),
+        "T",
+        _FIG5_TEMPERATURES,
+    ),
+    "fig6-star": lambda: [
+        _chain(
+            "fig6_star_nd11",
+            (1, 1, 1, 11),
+            "dddu",
+            reservoirs=[(0, 3), (1, 3), (2, 3)],
             t_max=60.0,
             sample_dt=0.25,
             observables=("N_ABC",),
         )
-    ]
-
-
-def _preset_appA():
-    configs = []
-    kinds = {"d": "ground", "u": "excited"}
-    for pat in _APPA_PATTERNS:
-        configs.append(
-            _chain(
-                f"appA_{pat}",
-                (1, 4, 1),
-                tuple(kinds[c] for c in pat),
-                t_max=40.0,
-                sample_dt=0.1,
-                observables=("E_F(A,C)",),
-            )
-        )
-    return configs
-
-
-def _preset_appA_mixed():
-    configs = []
-    n_b = 4
-    for f0 in _APPA_F0_GRID:
-        configs.append(
-            ScenarioConfig(
-                name=f"appA_mixed_f{f0:g}",
-                domains=(
-                    _dom(1, "ground"),
-                    DomainSpec(n_b, _mixed_f0(n_b, f0)),
-                    _dom(1, "ground"),
-                ),
-                reservoirs=(ReservoirSpec((0, 1)), ReservoirSpec((1, 2))),
-                backend="full",
-                t_max=40.0,
-                sample_dt=0.1,
-                observables=("E_F(A,C)",),
-            )
-        )
-    return configs
-
-
-def _preset_appB():
-    configs = []
-    for n_b in range(1, 9):
-        configs.append(
-            _chain(
-                f"appB_nb{n_b}",
-                (1, n_b, 1),
-                ("excited", "ground", "ground"),
-                t_max=40.0,
-                sample_dt=0.2,
-                observables=("C(A,C)", "x_d"),
-            )
-        )
-    return configs
-
-
-_PRESETS = {
-    "intro-pair": _preset_intro_pair,
-    "fig1a-sweep": _preset_fig1a,
-    "fig3a": lambda: _preset_fig3((3, 6, 9, 12), "fig3a"),
-    "fig3b": lambda: _preset_fig3(range(2, 13), "fig3b"),
-    "fig4-chain4": lambda: _preset_fig4("fig4_chain4", (1, 6, 6, 1), t_max=40.0),
-    "fig4-chain5": lambda: _preset_fig4("fig4_chain5", (1, 4, 4, 4, 1), t_max=80.0),
-    "fig5a-dephasing": _preset_fig5a,
-    "fig5b-individual": _preset_fig5b,
-    "fig5c-thermal": _preset_fig5c,
-    "fig6-star": _preset_fig6,
-    "appA-initial-states": _preset_appA,
-    "appA-mixed": _preset_appA_mixed,
-    "appB-oracle": _preset_appB,
+    ],
+    "appA-initial-states": lambda: [
+        _chain(f"appA_{pattern}", (1, 4, 1), pattern, observables=("E_F(A,C)",))
+        for pattern in _APPA_PATTERNS
+    ],
+    "appA-mixed": lambda: _family(
+        "appA_mixed_f{:g}",
+        _chain("appA_mixed", (1, 4, 1), "dmd", backend="full", observables=("E_F(A,C)",)),
+        "F_0",
+        _APPA_F0_GRID,
+    ),
+    "appB-oracle": lambda: _family(
+        "appB_nb{}",
+        _chain("appB", (1, 1, 1), "udd", sample_dt=0.2, observables=("C(A,C)", "x_d")),
+        "N_B",
+        range(1, 9),
+    ),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
@@ -790,6 +675,16 @@ def _format_value(value) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def _mixed_f0(population: int, f0: float) -> InitialSpec:
+    """Solve the fully-excited/identity weights from the target fidelity.
+
+    b = (1 - f0) / (2^N - 1), scaled by 2^-N so that a population beyond the
+    float range gives b = 0 (which the validator refuses) and no OverflowError.
+    """
+    b = math.ldexp(1.0 - f0, -population) / (1.0 - math.ldexp(1.0, -population))
+    return InitialSpec("mixed", a=f0 - b, b=b)
 
 
 def _sweep_one(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
@@ -874,28 +769,20 @@ def _initial_from_json(fieldname: str, data) -> InitialSpec:
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    out = {
-        "name": cfg.name,
-        "domains": [
+    """cfg's fields in declaration order, with the specs as plain JSON values and
+    either ``temperature`` or ``nbar``, whichever sets the occupation, last."""
+    skip = ("nbar", "temperature")
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in skip}
+    out.update(
+        domains=[
             {"population": d.population, "initial": _initial_to_json(d.initial)}
             for d in cfg.domains
         ],
-        "reservoirs": [
-            {"domains": list(r.domains), "rate": r.rate} for r in cfg.reservoirs
-        ],
-        "include_individual": cfg.include_individual,
-        "gamma_dep_over_gamma": cfg.gamma_dep_over_gamma,
-        "backend": cfg.backend,
-        "mixed_basis": cfg.mixed_basis,
-        "t_max": cfg.t_max,
-        "sample_dt": cfg.sample_dt,
-        "observables": list(cfg.observables),
-    }
+        reservoirs=[{"domains": list(r.domains), "rate": r.rate} for r in cfg.reservoirs],
+        observables=list(cfg.observables),
+    )
     if cfg.temperature is not None:
-        out["temperature"] = {
-            "T_kelvin": cfg.temperature.T_kelvin,
-            "omega0_over_2pi_hz": cfg.temperature.omega0_over_2pi_hz,
-        }
+        out["temperature"] = asdict(cfg.temperature)
     else:
         out["nbar"] = cfg.nbar
     return out

@@ -607,6 +607,29 @@ class TestSimulateRunErrors:
         assert capsys.readouterr().err == "error: cli_chain: went wrong\n"
 
 
+class TestReproduceRunErrors:
+    """reproduce maps a failed run to the same exit code and message as simulate."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ValueError, 1),
+            (UnsupportedConfigurationError, 1),
+            (IntegrationFailure, 2),
+            (ConvergenceFailure, 2),
+            (NumericalFailure, 2),
+        ],
+    )
+    def test_exit_code(self, error, code, tmp_path, monkeypatch, capsys):
+        def failing(cfg, out_dir, force=False):
+            raise error("went wrong")
+
+        monkeypatch.setattr(cli, "run_config", failing)
+        assert main(["reproduce", "intro", "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == "error: intro-pair: went wrong\n"
+        assert not list(tmp_path.iterdir())
+
+
 class TestMemoryGuardSamples:
     """The estimate counts the samples, so a run with too many is refused before it starts."""
 
@@ -675,6 +698,27 @@ class TestUnusablePaths:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: --out: ")
         assert out.read_text() == ""
+
+
+class TestFailedWrites:
+    """An output file that cannot be written exits 1 naming it, and leaves no temp file."""
+
+    @pytest.mark.parametrize(
+        "argv, taken",
+        [
+            (["simulate", "--config", "intro-pair"], "intro-pair_timeseries.csv"),
+            (["reproduce", "intro"], "intro-pair_timeseries.csv"),
+            (["sweep", "--config", "intro-pair", *_SWEEP_ARGS], "sweep.csv"),
+        ],
+        ids=["simulate", "reproduce", "sweep"],
+    )
+    def test_exits_1_naming_the_path(self, argv, taken, tmp_path, capsys):
+        (tmp_path / taken).mkdir()
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / taken}: cannot write" in err
+        assert "Traceback" not in err
+        assert no_temp_leftovers(tmp_path)
 
 
 def test_help_exits_cleanly():

@@ -519,6 +519,108 @@ class TestPresets:
             assert a + b * 2 ** cfg.domains[1].population == pytest.approx(1.0, abs=1e-12)
 
 
+# The name and config_hash of every preset config, in preset order.  Names are
+# output file names and benchmark reference keys, and the hash covers every
+# field, so a changed preset fails here under its own name.
+_PINNED_PRESETS = {
+    "appA-initial-states": [
+        ("appA_ddd", "ac9a43d12d5d2ca5"),
+        ("appA_dud", "f18df4bca880a30e"),
+        ("appA_udd", "e066f99a5053e785"),
+        ("appA_ddu", "db9b8d0aa37e0221"),
+        ("appA_uuu", "f9211bc80a5bf36f"),
+        ("appA_udu", "da64e809a41957d8"),
+        ("appA_uud", "00087693c44b04c6"),
+        ("appA_duu", "80f16be5548f8780"),
+    ],
+    "appA-mixed": [
+        ("appA_mixed_f0.5", "080a7f74b17aaff5"),
+        ("appA_mixed_f0.6", "f82e45ebc0a142b5"),
+        ("appA_mixed_f0.7", "c0f218a1097e8e6e"),
+        ("appA_mixed_f0.8", "57df624531c3b4b9"),
+        ("appA_mixed_f0.9", "cf3dcdfe8c620e59"),
+        ("appA_mixed_f1", "d915e80758c3e1a7"),
+    ],
+    "appB-oracle": [
+        ("appB_nb1", "06cc6fd98bf536de"),
+        ("appB_nb2", "08892564e4b5b9ba"),
+        ("appB_nb3", "61267a85b0e1a79e"),
+        ("appB_nb4", "eed1bfa2f1e7c39a"),
+        ("appB_nb5", "39893b4a9f93d91f"),
+        ("appB_nb6", "91d69f63f46330b9"),
+        ("appB_nb7", "00c4b91a830d1fa2"),
+        ("appB_nb8", "913367495b7f982b"),
+    ],
+    "fig1a-sweep": [
+        ("fig1a_na1", "fa72ef3e11b49f20"),
+        ("fig1a_na2", "6540490f5534a069"),
+        ("fig1a_na3", "9d6f03abe81b95c0"),
+        ("fig1a_na4", "3c0265fa97586579"),
+        ("fig1a_na5", "886988ed0498af8e"),
+        ("fig1a_na6", "6f6cf5b2157ae4a2"),
+        ("fig1a_na7", "bc75db3fa26cabd1"),
+        ("fig1a_na8", "9e264bb16d3fad86"),
+    ],
+    "fig3a": [
+        ("fig3a_nb3", "cf1aad1695b44283"),
+        ("fig3a_nb6", "e77a746dc4ee2ae7"),
+        ("fig3a_nb9", "ed562c0f714c8fbd"),
+        ("fig3a_nb12", "a152b13c55ef0d03"),
+    ],
+    "fig3b": [
+        ("fig3b_nb2", "f8fb54d9467a930f"),
+        ("fig3b_nb3", "0e0129b396b41846"),
+        ("fig3b_nb4", "96a71189bac1c60a"),
+        ("fig3b_nb5", "2d2da5b788668bc5"),
+        ("fig3b_nb6", "9c8fd67e8c3a3ad5"),
+        ("fig3b_nb7", "6119f7af730b0e72"),
+        ("fig3b_nb8", "8cbd7b8b9ffd568c"),
+        ("fig3b_nb9", "9b43eb294fc04635"),
+        ("fig3b_nb10", "006013a2981670cc"),
+        ("fig3b_nb11", "6874dbae84d913b6"),
+        ("fig3b_nb12", "4ab8432cf67c0b14"),
+    ],
+    "fig4-chain4": [
+        ("fig4_chain4", "3e1933ec746cd861"),
+    ],
+    "fig4-chain5": [
+        ("fig4_chain5", "a2dfe4cbc3504181"),
+    ],
+    "fig5a-dephasing": [
+        ("fig5a_dep0", "537c3b4ba4b18887"),
+        ("fig5a_dep0.02", "90ad0ea909d33ba1"),
+        ("fig5a_dep0.05", "f7b9e3d7276b4fff"),
+        ("fig5a_dep0.1", "35a469dd168345ad"),
+        ("fig5a_dep0.2", "77cec9e70922d9d2"),
+    ],
+    "fig5b-individual": [
+        ("fig5b_individual", "ebc14998338c202c"),
+    ],
+    "fig5c-thermal": [
+        ("fig5c_T0", "66493f261440988b"),
+        ("fig5c_T0.1", "c9dd5ba99678124b"),
+        ("fig5c_T0.3", "ab3fa2a249a61d7d"),
+        ("fig5c_T0.5", "d5f93079c0c095b5"),
+        ("fig5c_T1", "1a048df7ead38dc7"),
+    ],
+    "fig6-star": [
+        ("fig6_star_nd11", "73da0c0835a0708a"),
+    ],
+    "intro-pair": [
+        ("intro-pair", "8a5a16fe1aceca27"),
+    ],
+}
+
+
+class TestPinnedPresets:
+    def test_every_family_is_pinned(self):
+        assert tuple(_PINNED_PRESETS) == PRESET_NAMES
+
+    @pytest.mark.parametrize("family", PRESET_NAMES)
+    def test_names_and_hashes(self, family):
+        assert [(cfg.name, config_hash(cfg)) for cfg in preset(family)] == _PINNED_PRESETS[family]
+
+
 class TestSweep:
     def test_population_sweep_renames_and_resizes(self):
         base = chain_config()

@@ -11,11 +11,12 @@ exits 1 if any do, or if a config is missing on one side.  The second form
 prints the hashes of the ``qlre`` on the path as one JSON object.
 
 The configs are every preset config, the fig6 star at N_D = 1..11, and
-every fig5a and fig5b config at N_B = 2..7.  Per config it hashes
-``_Sector``'s keys, levels, L, S, diagonal and roots, the steady state
-with its residual and step count, ``compile_observables``' keeps and
-operators, and ``evolve`` to the config's own horizon: its times,
-observables, final_rho, SolverStats and residual.  Once per run it also
+every fig5a and fig5b config at N_B = 2..7.  Per config it hashes the
+config's name, ``config_to_dict`` (as JSON, in its key order) and
+``config_hash``; ``_Sector``'s keys, levels, L, S, diagonal and roots; the
+steady state with its residual and step count; ``compile_observables``'
+keeps and operators; and ``evolve`` to the config's own horizon: its
+times, observables, final_rho, SolverStats and residual.  Once per run it also
 hashes ``collective_lowering`` and ``collective_jz`` for N = 1..12 on both
 backends, and ``build_collective_zero_T``'s terms on the (1, N_B, 1)
 chains, N_B = 1..5, on both backends.  It hashes the construction layer no
@@ -230,7 +231,12 @@ def census() -> dict:
                 "stats": digest(stats, traj.residual),
             }
 
-        row = guarded(sector)
+        row = {
+            "name": digest(cfg.name),
+            "config_to_dict": digest(json.dumps(qlre.config_to_dict(cfg))),
+            "config_hash": digest(qlre.config_hash(cfg)),
+        }
+        row.update(guarded(sector))
         row.update(guarded(steady))
         row.update(guarded(compiled))
         row.update(guarded(run))
