@@ -500,13 +500,6 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _steady_from(cfg_pops, initial, reservoirs, backend):
-    basis = BasisDescriptor(backend, cfg_pops)
-    eq = build_collective_zero_T(basis, reservoirs)
-    rho0 = product_state(basis, initial)
-    return steady_state(eq, rho0)
-
-
 def _check_measures():
     bell = np.zeros(4, dtype=complex)
     bell[1] = bell[2] = 1 / math.sqrt(2)
@@ -541,9 +534,9 @@ def _check_dark_stationarity(cap):
 def _check_weights(cap):
     worst = 0.0
     for n_b in range(1, cap + 1):
-        res = _steady_from(
-            (1, n_b, 1), [1, 0, 0], [[0, 1], [1, 2]], Backend.COLLECTIVE
-        )
+        basis = BasisDescriptor(Backend.COLLECTIVE, (1, n_b, 1))
+        eq = build_collective_zero_T(basis, [[0, 1], [1, 2]])
+        res = steady_state(eq, product_state(basis, [1, 0, 0]))
         psi = to_collective_basis(dark_state(n_b))
         weight = fidelity_with_pure(res.rho, psi)
         worst = max(worst, abs(weight - x_dark(n_b)))

@@ -181,17 +181,16 @@ class EntanglementReport:
 def entanglement_report(
     rho: DensityMatrix, partition: Optional[Iterable[int]] = None
 ) -> EntanglementReport:
-    """Concurrence and formation entropy, plus negativities if a partition is given.
+    """Concurrence, formation entropy and both negativities of a two-qubit state.
 
-    With no explicit partition, a two-factor state is split between its
-    factors.
+    The negativities are always filled: with no explicit partition the state
+    is split between its two factors.  Any state other than two qubits is
+    refused by ``concurrence``.
     """
-    if partition is None and rho.basis.num_domains == 2:
+    if partition is None:
         partition = [0]
     c = concurrence(rho)
     e = eof_from_concurrence(c)
-    if partition is None:
-        return EntanglementReport(c, e)
     return EntanglementReport(
         c, e, negativity(rho, partition), log_negativity(rho, partition)
     )

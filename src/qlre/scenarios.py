@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -788,53 +788,48 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
-def config_from_dict(data: dict) -> ScenarioConfig:
-    """Load a config from its JSON form; only the JSON shape is checked here,
-    ``ScenarioConfig`` checks and normalizes the values."""
+def _json_object(fieldname: str, data, cls) -> dict:
+    """data, once it is a JSON object whose keys are fields of the dataclass cls
+    and include every field without a default.  The config itself passes
+    fieldname "" and is named "config"; a missing key is named by its path."""
     if not isinstance(data, dict):
-        _fail("config", f"expected a JSON object, got {type(data).__name__}")
-    unknown = set(data) - {f.name for f in fields(ScenarioConfig)}
+        _fail(fieldname or "config", f"expected an object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        _fail("config", f"unknown keys {sorted(unknown)}")
-    for key in ("name", "domains", "reservoirs"):
-        if key not in data:
-            _fail(key, "missing required key")
+        _fail(fieldname or "config", f"unknown keys {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
+            _fail(f"{fieldname}.{f.name}" if fieldname else f.name, "missing required key")
+    return data
+
+
+def _json_list(fieldname: str, data, expected: str = "a list") -> list:
+    if not isinstance(data, list):
+        _fail(fieldname, f"expected {expected}")
+    return data
+
+
+def config_from_dict(data: dict) -> ScenarioConfig:
+    """Load a config from its JSON form.  Each object's allowed and required
+    keys are its spec's fields; only the JSON shape is checked here,
+    ``ScenarioConfig`` checks and normalizes the values."""
+    _json_object("", data, ScenarioConfig)
     domains = []
-    if not isinstance(data["domains"], list):
-        _fail("domains", "expected a list")
-    for i, d in enumerate(data["domains"]):
-        if not isinstance(d, dict):
-            _fail(f"domains[{i}]", f"expected an object, got {d!r}")
-        unknown = set(d) - {"population", "initial"}
-        if unknown:
-            _fail(f"domains[{i}]", f"unknown keys {sorted(unknown)}")
-        if "population" not in d:
-            _fail(f"domains[{i}].population", "missing required key")
+    for i, d in enumerate(_json_list("domains", data["domains"])):
+        _json_object(f"domains[{i}]", d, DomainSpec)
         init = _initial_from_json(f"domains[{i}].initial", d.get("initial", "ground"))
         domains.append(DomainSpec(d["population"], init))
     reservoirs = []
-    if not isinstance(data["reservoirs"], list):
-        _fail("reservoirs", "expected a list")
-    for i, r in enumerate(data["reservoirs"]):
-        if not isinstance(r, dict):
-            _fail(f"reservoirs[{i}]", f"expected an object, got {r!r}")
-        unknown = set(r) - {"domains", "rate"}
-        if unknown:
-            _fail(f"reservoirs[{i}]", f"unknown keys {sorted(unknown)}")
-        if "domains" not in r or not isinstance(r["domains"], list):
-            _fail(f"reservoirs[{i}].domains", "expected a list of domain indices")
-        reservoirs.append(ReservoirSpec(tuple(r["domains"]), r.get("rate", 1.0)))
+    for i, r in enumerate(_json_list("reservoirs", data["reservoirs"])):
+        _json_object(f"reservoirs[{i}]", r, ReservoirSpec)
+        idx = _json_list(f"reservoirs[{i}].domains", r["domains"], "a list of domain indices")
+        reservoirs.append(ReservoirSpec(**dict(r, domains=tuple(idx))))
     kwargs = dict(data, domains=domains, reservoirs=reservoirs)
     if "temperature" in data:
-        t = data["temperature"]
-        if not isinstance(t, dict) or set(t) != {"T_kelvin", "omega0_over_2pi_hz"}:
-            _fail(
-                "temperature",
-                "expected an object with keys 'T_kelvin' and 'omega0_over_2pi_hz'",
-            )
-        kwargs["temperature"] = TemperatureSpec(**t)
-    if "observables" in data and not isinstance(data["observables"], list):
-        _fail("observables", "expected a list of strings")
+        temp = _json_object("temperature", data["temperature"], TemperatureSpec)
+        kwargs["temperature"] = TemperatureSpec(**temp)
+    if "observables" in data:
+        _json_list("observables", data["observables"], "a list of strings")
     return ScenarioConfig(**kwargs)
 
 

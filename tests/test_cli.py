@@ -328,6 +328,11 @@ class TestSweep:
         assert rc == 1
         assert "single base config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", [",", " , ,", ""])
+    def test_value_list_without_values_refused(self, raw):
+        with pytest.raises(cli._ConfigError, match="^--values: no values given$"):
+            cli._parse_values(raw)
+
 
 class TestSweepJobs:
     @pytest.fixture
@@ -582,6 +587,18 @@ class TestValidate:
         assert "FAIL  measures" in out
         assert out.count("PASS") == 3
         assert err == "validation failed: measures\n"
+
+    def test_raising_check_fails_alone_and_exits_4(self, monkeypatch, capsys):
+        def broken(cap):
+            raise RuntimeError("no steady state")
+
+        monkeypatch.setattr(cli, "_check_weights", broken)
+        assert main(["validate", "--scale", "quick"]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        line = "FAIL  steady-weights     worst inf (tol 1e-06)  raised RuntimeError: no steady state"
+        assert line in out.splitlines()
+        assert out.count("PASS") == 3
+        assert err == "validation failed: steady-weights\n"
 
 
 class TestSimulateRunErrors:

@@ -878,6 +878,21 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_collective_zero_T(b, [])
 
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            ([1.0], "got 1 rates for 2 reservoirs"),
+            ([1.0, 0.0], "reservoir rates must be finite and > 0"),
+            ([1.0, -1.0], "reservoir rates must be finite and > 0"),
+            ([math.nan, 1.0], "reservoir rates must be finite and > 0"),
+            ([1.0, math.inf], "reservoir rates must be finite and > 0"),
+        ],
+    )
+    def test_bad_rates_refused(self, rates, message):
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, 1, 1))
+        with pytest.raises(ValueError, match=message):
+            build_realistic(b, [[0, 1], [1, 2]], rates=rates)
+
     def test_realistic_default_reduces_to_zero_T(self):
         b, ref = chain_eq(3)
         eq = build_realistic(b, [[0, 1], [1, 2]])
@@ -965,6 +980,12 @@ class TestEvolve:
         traj = evolve(eq, rho0, 1.0, 0.2, keep=[0])
         for snap in traj.snapshots:
             assert trace_distance(snap, rho0) < 1e-12
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan])
+    def test_non_positive_horizon_refused(self, t_max):
+        b, eq = single_qubit_eq()
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            evolve(eq, product_state(b, [1]), t_max, 0.1)
 
     def test_non_finite_sample_count_refused(self):
         b, eq = single_qubit_eq()

@@ -273,6 +273,13 @@ class TestReport:
         assert rep.eof == 0.0
         assert rep.negativity == 0.0
 
+    @pytest.mark.parametrize("partition", [None, [0]])
+    def test_three_qubit_state_refused(self, partition):
+        m = np.zeros((8, 8), dtype=complex)
+        m[7, 7] = 1.0
+        with pytest.raises(ValueError, match="expected a state of 2 two-level factors"):
+            entanglement_report(density(m, 3), partition)
+
 
 def random_mixed(rng, dim, rank):
     a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))

@@ -113,6 +113,44 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}: expected a sequence, got 5"):
             ScenarioConfig(**dict(fields, **kwargs))
 
+    @pytest.mark.parametrize(
+        "field, expected, kwargs",
+        [
+            (r"domains\[0\]", "a DomainSpec", dict(domains=({"population": 1}, DomainSpec(1)))),
+            (r"reservoirs\[0\]", "a ReservoirSpec", dict(reservoirs=({"domains": (0, 1)},))),
+            ("temperature", "a TemperatureSpec", dict(temperature=(0.1, 1e10))),
+            (
+                r"domains\[0\]\.initial",
+                "an InitialSpec",
+                dict(domains=(DomainSpec(1, "excited"), DomainSpec(1))),
+            ),
+        ],
+    )
+    def test_value_of_the_wrong_type_named(self, field, expected, kwargs):
+        fields = dict(
+            name="x", domains=(DomainSpec(1), DomainSpec(1)), reservoirs=(ReservoirSpec((0, 1)),)
+        )
+        with pytest.raises(ValueError, match=rf"^{field}: expected {expected}, got "):
+            ScenarioConfig(**dict(fields, **kwargs))
+
+    @pytest.mark.parametrize(
+        "init, message",
+        [
+            (InitialSpec("up"), "unknown kind 'up'"),
+            (
+                InitialSpec("ground", a=1.0, b=0.0),
+                "'ground' initial does not take mixture weights",
+            ),
+        ],
+    )
+    def test_malformed_initial_named(self, init, message):
+        with pytest.raises(ValueError, match=rf"^domains\[1\]\.initial: {re.escape(message)}"):
+            ScenarioConfig(
+                name="x",
+                domains=(DomainSpec(1), DomainSpec(1, init)),
+                reservoirs=(ReservoirSpec((0, 1)),),
+            )
+
     def test_single_domain_rejected(self):
         with pytest.raises(ValueError, match="domains"):
             ScenarioConfig(
@@ -654,6 +692,11 @@ class TestSweep:
         assert init.a + init.b == pytest.approx(0.75, abs=1e-12)
         assert init.a + init.b * 2**4 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("f0", [0.0, 1.5])
+    def test_fidelity_outside_the_unit_interval_refused(self, f0):
+        with pytest.raises(ValueError, match=r"^parameter F_0: fidelity must lie in \(0, 1\]"):
+            sweep(preset("appA-mixed")[0], "F_0", [f0])
+
     def test_fidelity_sweep_needs_one_mixed_domain(self):
         with pytest.raises(ValueError, match="mixed"):
             sweep(chain_config(), "F_0", [0.9])
@@ -849,6 +892,52 @@ class TestJsonRoundTrip:
         d["temperature"] = {"T_kelvin": 0.48}
         with pytest.raises(ValueError, match="temperature"):
             config_from_dict(d)
+
+    def test_non_object_config_refused(self):
+        with pytest.raises(ValueError, match=r"^config: expected an object, got \[1\]$"):
+            config_from_dict([1])
+
+    def test_unknown_initial_string_named(self):
+        d = config_to_dict(self.sample())
+        d["domains"][0]["initial"] = "up"
+        with pytest.raises(ValueError, match=r"^domains\[0\]\.initial: unknown initial 'up'$"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "message, edit",
+        [
+            ("name: missing required key", lambda d: d.pop("name")),
+            (
+                r"domains\[1\]\.population: missing required key",
+                lambda d: d["domains"][1].clear(),
+            ),
+            (
+                r"reservoirs\[0\]\.domains: missing required key",
+                lambda d: d["reservoirs"][0].clear(),
+            ),
+            (
+                r"temperature\.T_kelvin: missing required key",
+                lambda d: d["temperature"].pop("T_kelvin"),
+            ),
+            (r"temperature: unknown keys \['x'\]", lambda d: d["temperature"].update(x=1)),
+            ("temperature: expected an object, got 1", lambda d: d.update(temperature=1)),
+        ],
+    )
+    def test_keys_are_the_spec_fields(self, message, edit):
+        d = config_to_dict(self.sample())
+        edit(d)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_dict(d)
+
+    def test_defaulted_fields_may_be_left_out(self):
+        d = {
+            "name": "short",
+            "domains": [{"population": 1, "initial": "excited"}, {"population": 2}],
+            "reservoirs": [{"domains": [0, 1]}],
+        }
+        cfg = config_from_dict(d)
+        domains = (DomainSpec(1, InitialSpec("excited")), DomainSpec(2))
+        assert cfg == ScenarioConfig("short", domains, (ReservoirSpec((0, 1)),))
 
 
 class TestEquationAssembly:

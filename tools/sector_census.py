@@ -25,9 +25,11 @@ on both backends, ``symmetric_isometry`` and ``basis_isometry``,
 ``product_state`` and ``pure_product_state`` on Dicke, bitstring and
 refused levels, ``build_realistic`` with per-spin decay at nbar > 0 and
 dephasing, and ``RunSummary.to_json`` of a few small runs with their
-timings zeroed.  Equal hashes mean bitwise equal arrays, and for an
-operator the same storage too; an exception is hashed by its type and
-message.
+timings zeroed.  Of the public surface it hashes ``sorted(qlre.__all__)``,
+the names ``from qlre import *`` binds, and ``config_from_dict`` on one
+malformed config per loader refusal.  Equal hashes mean bitwise equal
+arrays, and for an operator the same storage too; an exception is hashed
+by its type and message.
 """
 
 from __future__ import annotations
@@ -113,6 +115,59 @@ def builders() -> dict:
             terms = [(operator_digest(t.jump), t.rate) for t in eq.terms]
             out[f"build_collective_zero_T((1, {n_b}, 1), {backend.value})"] = digest(*terms)
     out.update(construction())
+    out.update(loader())
+    return out
+
+
+# one malformed JSON config per refusal of the config loader, as edits of a valid one
+MALFORMED = {
+    "not an object": lambda d: [1],
+    "unknown key": lambda d: dict(d, x=1),
+    "no name": lambda d: {k: v for k, v in d.items() if k != "name"},
+    "no domains": lambda d: {k: v for k, v in d.items() if k != "domains"},
+    "domains not a list": lambda d: dict(d, domains=1),
+    "domain not an object": lambda d: dict(d, domains=[1, d["domains"][1]]),
+    "domain unknown key": lambda d: dict(d, domains=[dict(d["domains"][0], x=1), d["domains"][1]]),
+    "domain without population": lambda d: dict(d, domains=[{}, d["domains"][1]]),
+    "initial unknown string": lambda d: dict(d, domains=[{"population": 1, "initial": "up"}] * 2),
+    "initial bad mixed": lambda d: dict(
+        d, domains=[{"population": 1, "initial": {"mixed": {"a": 1}}}] * 2
+    ),
+    "initial unknown object": lambda d: dict(
+        d, domains=[{"population": 1, "initial": {"x": 1}}] * 2
+    ),
+    "initial not a string": lambda d: dict(d, domains=[{"population": 1, "initial": 3}] * 2),
+    "reservoirs not a list": lambda d: dict(d, reservoirs={}),
+    "reservoir not an object": lambda d: dict(d, reservoirs=[[0, 1]]),
+    "reservoir unknown key": lambda d: dict(d, reservoirs=[{"domains": [0, 1], "x": 1}]),
+    "reservoir without domains": lambda d: dict(d, reservoirs=[{"rate": 1.0}]),
+    "reservoir domains not a list": lambda d: dict(d, reservoirs=[{"domains": 0}]),
+    "temperature not an object": lambda d: dict(d, temperature=1),
+    "temperature missing key": lambda d: dict(d, temperature={"omega0_over_2pi_hz": 1e10}),
+    "temperature unknown key": lambda d: dict(
+        d, temperature={"T_kelvin": 0.1, "omega0_over_2pi_hz": 1e10, "x": 1}
+    ),
+    "observables not a list": lambda d: dict(d, observables="E_F(A,B)"),
+}
+
+
+def loader() -> dict:
+    """Hashes of the public names and of config_from_dict's refusals, keyed by case."""
+    import qlre
+
+    star = {}
+    exec("from qlre import *", star)
+    out = {
+        "qlre.__all__": digest(sorted(qlre.__all__)),
+        "from qlre import *": digest(sorted(set(star) - {"__builtins__"})),
+    }
+    valid = {
+        "name": "census",
+        "domains": [{"population": 1, "initial": "excited"}, {"population": 2}],
+        "reservoirs": [{"domains": [0, 1], "rate": 1.0}],
+    }
+    for case, edit in MALFORMED.items():
+        out[f"config_from_dict({case})"] = attempt(digest, qlre.config_from_dict, edit(valid))
     return out
 
 
