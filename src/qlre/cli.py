@@ -68,6 +68,7 @@ from .oracle import (
 from .scenarios import (
     PRESET_NAMES,
     ScenarioConfig,
+    _family,
     build_basis,
     build_initial_state,
     build_master_equation,
@@ -405,8 +406,8 @@ def cmd_sweep(args) -> int:
 
 
 class _Curve(NamedTuple):
-    """A plot-ready CSV, one ``row(config, summary)`` per run: the figure's runs,
-    or the ``configs()`` run for the curve alone and left out of the manifest."""
+    """A plot-ready CSV, one ``row(config, summary)`` per run: the ``configs()``
+    runs, made for the curve alone and left out of the manifest, then the figure's."""
 
     file: str
     header: str
@@ -449,7 +450,8 @@ _FIGURES = {
     "fig6": _Figure(("fig6-star",), "tripartite negativity versus time", _Curve(
         "fig6_inset.csv", "N_D,N_ABC", "steady tripartite negativity versus N_D",
         lambda c, s: (c.domains[3].population, _final(s, "N_ABC")),
-        configs=lambda: sweep(preset("fig6-star")[0], "N_D", list(range(1, 12))),
+        # N_D = 11 is the preset's own run
+        configs=lambda: _family("fig6_star_nd{}", preset("fig6-star")[0], "N_D", range(1, 11)),
     )),
     "appA": _Figure(("appA-initial-states",), "per-initial-state entanglement dynamics"),
     "appA-mixed": _Figure(("appA-mixed",), "mixed-preparation dynamics", _Curve(
@@ -481,9 +483,10 @@ def cmd_reproduce(args) -> int:
                 files.append({"file": f"{cfg.name}_timeseries.csv", "panel": panel})
         if curve is not None:
             if curve.configs is not None:
-                runs = []
+                extra = []
                 for cfg in curve.configs():
-                    runs.append((cfg, run_config(cfg, out_dir, force=args.force)))
+                    extra.append((cfg, run_config(cfg, out_dir, force=args.force)))
+                runs = extra + runs
             rows = [",".join(_fmt(x) for x in curve.row(c, s)) for c, s in runs]
             _atomic_write(out_dir / curve.file, "\n".join([curve.header] + rows) + "\n")
             files.append({"file": curve.file, "panel": curve.panel})

@@ -810,14 +810,15 @@ class _Propagator:
     exp(h A) is formed when h differs from the last advance's and reused
     while it stays the same, so a run of equal intervals costs one exponential.
     Being exact, it is stable at any h, where an explicit integrator on a
-    stiff matrix takes steps far below it.
+    stiff matrix takes steps far below it.  ``advance_to`` takes the sample's
+    time only to share ``_Krylov``'s signature; the interval h moves y.
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray):
         self.y, self._A = y, A
         self._h = self._P = None
 
-    def advance(self, h: float):
+    def advance_to(self, target: float, h: float):
         if h != self._h:
             self._h, self._P = h, _expm(h * self._A)
         self.y = self._P @ self.y
@@ -951,7 +952,7 @@ class _Krylov:
         if self._coefficients is None:  # the substep's first sample is read from its start
             self._coefficients = _Propagator(self._H, np.eye(self._H.shape[0])[0])
             h = target - self._start
-        self._coefficients.advance(h)
+        self._coefficients.advance_to(target, h)
         self.y = self._beta * (self._coefficients.y[: self._V.shape[0]] @ self._V)
 
 
@@ -1041,10 +1042,7 @@ def evolve(
     states = np.empty((times.size, y.size))
     states[0] = y
     for k in range(1, times.size):
-        if dense:
-            solver.advance(steps[k])
-        else:
-            solver.advance_to(float(times[k]), steps[k])
+        solver.advance_to(float(times[k]), steps[k])
         states[k] = solver.y
     worst_drift = _trace_drift(sector, states[1:], times[1:], route)
     linear = {part: (R @ states.T).T for part, R in maps.items()}

@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
@@ -495,6 +495,13 @@ def _domain_density(basis: BasisDescriptor, m: int, level: LevelSpec) -> np.ndar
     raise ValueError(f"domain {m}: unsupported level specification {level!r}")
 
 
+def _product(basis: BasisDescriptor, levels: Sequence, factor) -> np.ndarray:
+    """The Kronecker product of factor(basis, m, level) over the domains, in order."""
+    if len(levels) != basis.num_domains:
+        raise ValueError(f"expected {basis.num_domains} levels, got {len(levels)}")
+    return reduce(np.kron, (factor(basis, m, level) for m, level in enumerate(levels)))
+
+
 def product_state(basis: BasisDescriptor, levels: Sequence[LevelSpec]) -> DensityMatrix:
     """Tensor-product density matrix from per-domain levels.
 
@@ -509,16 +516,24 @@ def product_state(basis: BasisDescriptor, levels: Sequence[LevelSpec]) -> Densit
     d x d eigendecomposition would cost far more than the factors'); only
     its trace, where the factors' deviations multiply, is checked.
     """
-    if len(levels) != basis.num_domains:
-        raise ValueError(f"expected {basis.num_domains} levels, got {len(levels)}")
-    out = None
-    for m, level in enumerate(levels):
-        dm = _domain_density(basis, m, level)
-        out = dm if out is None else np.kron(out, dm)
+    out = _product(basis, levels, _domain_density)
     tr = out.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"product trace {tr} deviates from 1 beyond {TRACE_TOL}")
     return DensityMatrix(out, basis, validate=False)
+
+
+def _pure_factor(basis: BasisDescriptor, m: int, level: Union[int, str, np.ndarray]) -> np.ndarray:
+    if isinstance(level, (int, np.integer, str)):
+        return _level_vector(basis, m, level)
+    if not isinstance(level, np.ndarray):
+        raise ValueError(f"domain {m}: unsupported pure level {level!r}")
+    vec = np.array(level, dtype=complex).ravel()  # a copy, not a view of the caller's array
+    if vec.size != basis.domain_dims[m]:
+        raise ValueError(
+            f"domain {m}: amplitude vector has length {vec.size}, expected {basis.domain_dims[m]}"
+        )
+    return vec
 
 
 def pure_product_state(
@@ -526,23 +541,7 @@ def pure_product_state(
 ) -> PureState:
     """Tensor-product pure state from per-domain Dicke levels, bitstrings, or
     explicit amplitude vectors (length = that domain's local dimension)."""
-    if len(levels) != basis.num_domains:
-        raise ValueError(f"expected {basis.num_domains} levels, got {len(levels)}")
-    out = np.ones(1, dtype=complex)
-    for m, level in enumerate(levels):
-        if isinstance(level, (int, np.integer, str)):
-            vec = _level_vector(basis, m, level)
-        elif isinstance(level, np.ndarray):
-            vec = np.asarray(level, dtype=complex).ravel()
-            if vec.size != basis.domain_dims[m]:
-                raise ValueError(
-                    f"domain {m}: amplitude vector has length {vec.size}, "
-                    f"expected {basis.domain_dims[m]}"
-                )
-        else:
-            raise ValueError(f"domain {m}: unsupported pure level {level!r}")
-        out = np.kron(out, vec)
-    return PureState(out, basis)
+    return PureState(_product(basis, levels, _pure_factor), basis)
 
 
 def ground_state(basis: BasisDescriptor) -> DensityMatrix:

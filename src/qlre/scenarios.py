@@ -7,9 +7,15 @@ outputs can be run independently (and in parallel by the cli).
 
 A preset family that scans one sweep parameter (N_B in fig3 and appB, the
 dephasing rate in fig5a, T in fig5c, F_0 in appA-mixed) is ``sweep`` of one
-base config over the listed values, each config renamed by the family's
-name format; the other presets are one config, or one per N_A (fig1a) or
-initial pattern (appA)."""
+base config over the listed values, each config built once, under the
+family's name format; the other presets are one config, or one per N_A
+(fig1a) or initial pattern (appA).
+
+A mixed preparation a |up..up><up..up| + b 1 has preparation fidelity
+F_0 = a + b and trace a + b D = 1, where D, the dimension the identity
+spans, is 2^N on the full basis and N + 1 on the symmetric ladder
+(``mixed_basis``).  An F_0 sweep solves a and b from these two equations,
+and an N_B or N_D sweep solves them again at the new N, keeping F_0."""
 
 from __future__ import annotations
 
@@ -53,29 +59,6 @@ from .entanglement import (  # noqa: F401
     tripartite_negativity,
 )
 from .hilbert import fidelity_with_pure, partial_trace  # noqa: F401
-
-__all__ = [
-    "TemperatureSpec",
-    "InitialSpec",
-    "DomainSpec",
-    "ReservoirSpec",
-    "ScenarioConfig",
-    "PRESET_NAMES",
-    "SWEEP_PARAMETERS",
-    "bose_einstein_nbar",
-    "resolved_nbar",
-    "effective_backend",
-    "hilbert_dimension",
-    "build_basis",
-    "build_initial_state",
-    "build_master_equation",
-    "compile_observables",
-    "preset",
-    "sweep",
-    "config_to_dict",
-    "config_from_dict",
-    "config_hash",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +215,7 @@ def _validate_initial(
     if init.kind == "mixed":
         a = _check_finite(fieldname + ".mixed.a", init.a, minimum=0.0)
         b = _check_finite(fieldname + ".mixed.b", init.b, minimum=0.0)
-        # as a float: 2**population of a huge population would not fit in memory
-        if mixed_basis == "full":
-            side = 2.0**population if population < 1024 else math.inf
-        else:
-            side = float(population + 1)
+        side = _mixed_side(population, mixed_basis)
         total = a + b * side if b else a
         if abs(total - 1.0) > 1e-9:
             _fail(
@@ -245,6 +224,15 @@ def _validate_initial(
             )
         return replace(init, a=a, b=b)
     return init
+
+
+def _mixed_side(population: int, mixed_basis: str) -> float:
+    """The dimension the identity of a mixed preparation spans: 2^N on the full
+    basis, N + 1 on the symmetric ladder.  A float, and inf from N = 1024: 2**N
+    of a huge population would not fit in memory."""
+    if mixed_basis == "full":
+        return 2.0**population if population < 1024 else math.inf
+    return float(population + 1)
 
 
 # Names become output file names, so they may not carry path separators
@@ -554,11 +542,8 @@ def _chain(name, pops, pattern, reservoirs=None, **kw):
 
 
 def _family(name_format: str, base: ScenarioConfig, parameter: str, values) -> list:
-    """``sweep(base, parameter, values)``, each config renamed ``name_format.format(value)``."""
-    return [
-        replace(cfg, name=name_format.format(value))
-        for cfg, value in zip(sweep(base, parameter, values), values)
-    ]
+    """``sweep(base, parameter, values)``, each config named ``name_format.format(value)``."""
+    return [_sweep_one(base, parameter, v, name_format.format(v)) for v in values]
 
 
 def _fig3(name):
@@ -677,18 +662,20 @@ def _format_value(value) -> str:
     return f"{value:g}" if isinstance(value, float) else str(value)
 
 
-def _mixed_f0(population: int, f0: float) -> InitialSpec:
-    """Solve the fully-excited/identity weights from the target fidelity.
+def _mixed_f0(population: int, f0: float, mixed_basis: str) -> InitialSpec:
+    """The mixed weights of preparation fidelity a + b = f0 and trace a + b*side = 1.
 
-    b = (1 - f0) / (2^N - 1), scaled by 2^-N so that a population beyond the
-    float range gives b = 0 (which the validator refuses) and no OverflowError.
+    side is ``_mixed_side``; where it is inf, b = 0 (which the validator refuses
+    unless f0 = 1) and no OverflowError.
     """
-    b = math.ldexp(1.0 - f0, -population) / (1.0 - math.ldexp(1.0, -population))
+    b = (1.0 - f0) / (_mixed_side(population, mixed_basis) - 1.0)
     return InitialSpec("mixed", a=f0 - b, b=b)
 
 
-def _sweep_one(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
-    name = f"{base.name}_{parameter}{_format_value(value)}"
+def _sweep_one(base: ScenarioConfig, parameter: str, value, name=None) -> ScenarioConfig:
+    """base with parameter set to value, named name, by default after base, parameter and value."""
+    if name is None:
+        name = f"{base.name}_{parameter}{_format_value(value)}"
     if parameter in ("N_B", "N_D"):
         idx = 1 if parameter == "N_B" else 3
         if idx >= len(base.domains):
@@ -700,18 +687,9 @@ def _sweep_one(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
         if init.kind == "mixed" and _is_int(value) and value >= 1:
             # preserve the preparation fidelity a + b across the size change;
             # the validator refuses any other population before the weights
-            init = _mixed_f0(value, init.a + init.b)
-        domains = list(base.domains)
-        domains[idx] = DomainSpec(value, init)
-        return replace(base, name=name, domains=tuple(domains))
-    if parameter == "T":
-        if base.temperature is None:
-            raise ValueError("parameter T needs a config with a temperature block")
-        temp = TemperatureSpec(value, base.temperature.omega0_over_2pi_hz)
-        return replace(base, name=name, temperature=temp)
-    if parameter == "gamma_dep_over_gamma":
-        return replace(base, name=name, gamma_dep_over_gamma=value)
-    if parameter == "F_0":
+            init = _mixed_f0(value, init.a + init.b, base.mixed_basis)
+        domain = DomainSpec(value, init)
+    elif parameter == "F_0":
         mixed_idx = [i for i, d in enumerate(base.domains) if d.initial.kind == "mixed"]
         if len(mixed_idx) != 1:
             raise ValueError(
@@ -720,13 +698,22 @@ def _sweep_one(base: ScenarioConfig, parameter: str, value) -> ScenarioConfig:
         f0 = _check_finite(f"parameter {parameter}", value)
         if not 0.0 < f0 <= 1.0:
             raise ValueError(f"parameter F_0: fidelity must lie in (0, 1], got {value!r}")
-        i = mixed_idx[0]
-        domains = list(base.domains)
-        domains[i] = DomainSpec(domains[i].population, _mixed_f0(domains[i].population, f0))
-        return replace(base, name=name, domains=tuple(domains))
-    raise ValueError(
-        f"unknown sweep parameter {parameter!r}; valid names: {', '.join(SWEEP_PARAMETERS)}"
-    )
+        idx = mixed_idx[0]
+        population = base.domains[idx].population
+        domain = DomainSpec(population, _mixed_f0(population, f0, base.mixed_basis))
+    elif parameter == "T":
+        if base.temperature is None:
+            raise ValueError("parameter T needs a config with a temperature block")
+        temp = TemperatureSpec(value, base.temperature.omega0_over_2pi_hz)
+        return replace(base, name=name, temperature=temp)
+    elif parameter == "gamma_dep_over_gamma":
+        return replace(base, name=name, gamma_dep_over_gamma=value)
+    else:
+        raise ValueError(
+            f"unknown sweep parameter {parameter!r}; valid names: {', '.join(SWEEP_PARAMETERS)}"
+        )
+    domains = base.domains[:idx] + (domain,) + base.domains[idx + 1 :]
+    return replace(base, name=name, domains=domains)
 
 
 def sweep(base: ScenarioConfig, parameter: str, values: Sequence):

@@ -322,6 +322,22 @@ class TestSweep:
         assert rc == 1
         assert "error: domains[1].initial: mixed weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param, values", [("F_0", "0.6,0.8"), ("N_B", "3,5")])
+    def test_symmetric_mixed_sweep_runs(self, tmp_path, param, values):
+        # B mixed on the ladder at a + b = 0.6, a + 5 b = 1
+        base = chain("sym", n_b=4, t_max=2.0)
+        mixed = DomainSpec(4, InitialSpec("mixed", a=0.5, b=0.1))
+        cfg = dataclasses.replace(
+            base, domains=(base.domains[0], mixed, base.domains[2]), mixed_basis="symmetric"
+        )
+        src = write_config(tmp_path / "base.json", cfg)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", src, "--param", param, "--values", values,
+                   "--out", str(out)])
+        assert rc == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[v, "ok"] for v in values.split(",")]
+
     def test_preset_family_rejected_as_base(self, tmp_path, capsys):
         rc = main(["sweep", "--config", "fig3a", "--param", "N_B", "--values", "1",
                    "--out", str(tmp_path)])
@@ -464,7 +480,7 @@ _FIG3A = [f"fig3a_nb{n}" for n in (3, 6, 9, 12)]
 _FIG3B = [f"fig3b_nb{n}" for n in range(2, 13)]
 _FIG5A = [f"fig5a_dep{g}" for g in ("0", "0.02", "0.05", "0.1", "0.2")]
 _FIG5C = [f"fig5c_T{t}" for t in ("0", "0.1", "0.3", "0.5", "1")]
-_FIG6 = ["fig6_star_nd11"] + [f"fig6_star_nd11_N_D{n}" for n in range(1, 12)]
+_FIG6 = ["fig6_star_nd11"] + [f"fig6_star_nd{n}" for n in range(1, 11)]
 _APPA = [f"appA_{p}" for p in ("ddd", "dud", "udd", "ddu", "uuu", "udu", "uud", "duu")]
 _APPA_MIXED = [f"appA_mixed_f{f}" for f in ("0.5", "0.6", "0.7", "0.8", "0.9", "1")]
 _APPB = [f"appB_nb{n}" for n in range(1, 9)]
@@ -503,14 +519,15 @@ _REPRODUCE_PINS = {
     "fig5a": (_FIG5A, _series(_FIG5A, _NOISE), {}),
     "fig5b": (["fig5b_individual"], _series(["fig5b_individual"], _NOISE), {}),
     "fig5c": (_FIG5C, _series(_FIG5C, _NOISE), {}),
-    # twelve runs, but only the star's own series and the inset are listed
+    # eleven runs, but only the star's own series and the inset are listed; the
+    # star's own run, the first, gives the inset's N_D = 11 row
     "fig6": (
         _FIG6,
         _series(_FIG6[:1], "tripartite negativity versus time")
         + [{"file": "fig6_inset.csv", "panel": "steady tripartite negativity versus N_D"}],
         {"fig6_inset.csv": "N_D,N_ABC\n"
          "1,2.625\n2,3.625\n3,4.625\n4,5.625\n5,6.625\n6,7.625\n7,8.625\n8,9.625\n"
-         "9,10.625\n10,11.625\n11,12.625\n"},
+         "9,10.625\n10,11.625\n11,1.625\n"},
     ),
     "appA": (_APPA, _series(_APPA, "per-initial-state entanglement dynamics"), {}),
     "appA-mixed": (

@@ -1195,6 +1195,16 @@ class TestTrajectoryType:
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), {"x": np.array([1.0])}, None, rho)
 
+    def test_empty_times_refused(self):
+        rho = ground_state(BasisDescriptor(Backend.COLLECTIVE, (1,)))
+        with pytest.raises(ValueError, match=r"^times must be a nonempty 1-D array$"):
+            Trajectory(np.array([]), {}, None, rho)
+
+    def test_snapshot_count_checked(self):
+        rho = ground_state(BasisDescriptor(Backend.COLLECTIVE, (1,)))
+        with pytest.raises(ValueError, match=r"^snapshot count does not match times$"):
+            Trajectory(np.array([0.0, 1.0]), {}, [rho], rho)
+
 
 def projected_steady_state(eq, rho0):
     """P_inf rho0 from an SVD of the dense sector Liouvillian.

@@ -1,4 +1,6 @@
 import math
+import re
+import types
 from itertools import combinations, permutations
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from qlre import hilbert
+from qlre.errors import NumericalFailure
 from qlre.hilbert import (
     DENSE_LIMIT,
     Backend,
@@ -732,3 +735,70 @@ class TestMetrics:
             mats.append(DensityMatrix(M / M.trace(), b))
         a, b_, c = mats
         assert trace_distance(a, c) <= trace_distance(a, b_) + trace_distance(b_, c) + 1e-12
+
+
+_ONE = BasisDescriptor(Backend.FULL, (1,))
+_PAIR = BasisDescriptor(Backend.FULL, (1, 1))
+_LADDER = BasisDescriptor(Backend.COLLECTIVE, (1,))
+# not Hermitian, so <+|rho|+> = 0.5 + 0.1j; validate=False lets it through
+_SKEW = np.array([[0.5, 0.1j], [0.1j, 0.5]])
+_PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
+
+
+class TestRefusals:
+    """Each call is refused with the exception and message below."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: Operator(np.eye(3), _ONE), ValueError,
+             "operator shape (3, 3) does not match basis dimension 2"),
+            (lambda: PureState(np.ones(3) / math.sqrt(3), _ONE), ValueError,
+             "amplitude vector length 3 does not match basis dimension 2"),
+            (lambda: DensityMatrix(np.eye(3) / 3, _ONE), ValueError,
+             "matrix shape (3, 3) does not match basis dimension 2"),
+            (lambda: embed(collective_jz(1, Backend.FULL), _PAIR, 2), ValueError,
+             "domain index 2 out of range"),
+            (lambda: single_spin_lowering(_PAIR, 2, 0), ValueError, "domain index 2 out of range"),
+            (lambda: single_spin_z(_PAIR, -1, 0), ValueError, "domain index -1 out of range"),
+            (lambda: pure_product_state(BasisDescriptor(Backend.FULL, (2,)), ["ux"]), ValueError,
+             "bitstring 'ux' must have 2 characters from 'u'/'d'"),
+            (lambda: product_state(_PAIR, [0]), ValueError, "expected 2 levels, got 1"),
+            (lambda: product_state(_PAIR, [np.eye(3) / 3, 0]), ValueError,
+             "domain 0: matrix shape (3, 3), expected (2, 2)"),
+            (lambda: product_state(_PAIR, [0, 1.5]), ValueError,
+             "domain 1: unsupported level specification 1.5"),
+            (lambda: pure_product_state(_PAIR, [0, 0, 0]), ValueError, "expected 2 levels, got 3"),
+            (lambda: pure_product_state(_PAIR, [0, np.ones(3)]), ValueError,
+             "domain 1: amplitude vector has length 3, expected 2"),
+            (lambda: pure_product_state(_PAIR, [None, 0]), ValueError,
+             "domain 0: unsupported pure level None"),
+            (lambda: fidelity_with_pure(DensityMatrix(_SKEW, _ONE, validate=False),
+                                        PureState(_PLUS, _ONE)),
+             NumericalFailure, "fidelity has imaginary residue 1.000e-01"),
+            (lambda: symmetric_isometry(0), ValueError, "spin count must be >= 1"),
+            (lambda: basis_isometry(_ONE), ValueError,
+             "basis_isometry expects a collective-backend basis"),
+            (lambda: to_full_basis(ground_state(_ONE)), ValueError,
+             "basis_isometry expects a collective-backend basis"),
+            (lambda: to_full_basis(types.SimpleNamespace(basis=_LADDER)), ValueError,
+             "cannot convert SimpleNamespace"),
+            (lambda: to_collective_basis(ground_state(_LADDER)), ValueError,
+             "to_collective_basis expects a full-backend input"),
+            (lambda: to_collective_basis(types.SimpleNamespace(basis=_ONE)), ValueError,
+             "cannot convert SimpleNamespace"),
+        ],
+        ids=[
+            "Operator shape", "PureState length", "DensityMatrix shape", "embed domain",
+            "single_spin_lowering domain", "single_spin_z domain", "bad bitstring",
+            "product_state level count", "product_state factor shape",
+            "product_state unsupported level", "pure_product_state level count",
+            "pure_product_state vector length", "pure_product_state unsupported level",
+            "fidelity imaginary residue", "symmetric_isometry(0)", "basis_isometry full",
+            "to_full_basis wrong backend", "to_full_basis unsupported type",
+            "to_collective_basis wrong backend", "to_collective_basis unsupported type",
+        ],
+    )
+    def test_refused_by_name(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -23,6 +23,7 @@ from qlre.hilbert import (
     trace_distance,
 )
 from qlre.oracle import (
+    DarkStateFamily,
     chain_basis,
     concurrence_analytic,
     dark_state,
@@ -81,6 +82,11 @@ class TestDarkState:
 
 
 class TestFamily:
+    def test_non_orthonormal_triple_refused(self):
+        fam = dark_state_family(2)
+        with pytest.raises(ValueError, match=r"^family is not orthonormal to 1e-12$"):
+            DarkStateFamily(2, fam.psi_d, fam.psi_d, fam.psi_2)
+
     @pytest.mark.parametrize("n_b", [1, 2, 3, 5, 8])
     def test_orthonormal_triple(self, n_b):
         fam = dark_state_family(n_b)
@@ -249,6 +255,13 @@ class TestTripartite:
         m[0, 0] = 1.0  # fully excited: outside the ground/W span
         _, _, resid = tripartite_decompose(DensityMatrix(m, b))
         assert resid == pytest.approx(1.0, abs=1e-12)
+
+    def test_decompose_refuses_a_pair(self):
+        pair = ground_state(BasisDescriptor(Backend.FULL, (1, 1)))
+        with pytest.raises(
+            ValueError, match=r"^expected a three-spin state, got dimensions \(2, 2\)$"
+        ):
+            tripartite_decompose(pair)
 
     def test_star_steady_state_is_ground_w_mixture(self):
         n_d = 6

@@ -349,6 +349,17 @@ class TestValidation:
                 observables=("N_ABC",),
             )
 
+    def test_tripartite_needs_single_spin_domains(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^observables\[0\]: N_ABC needs single-spin domains A, B, C; domain 1 has more$",
+        ):
+            chain_config(pops=(1, 2, 1), observables=("N_ABC",))
+
+    def test_unknown_mixed_basis_named(self):
+        with pytest.raises(ValueError, match=r"^mixed_basis: unknown value 'ladder'"):
+            chain_config(mixed_basis="ladder")
+
     def test_dark_weight_needs_single_spin_edges(self):
         with pytest.raises(ValueError, match="x_d"):
             chain_config(pops=(2, 4, 1), initials=("ground", "excited", "ground"),
@@ -708,6 +719,19 @@ class TestSweep:
         init = out.domains[1].initial
         assert init.a + init.b == pytest.approx(f0, abs=1e-12)
         assert init.a + init.b * 2**6 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "parameter, value", [("F_0", 0.6), ("F_0", 0.8), ("N_B", 3), ("N_B", 5)]
+    )
+    def test_symmetric_mixed_sweep_keeps_fidelity_on_the_ladder(self, parameter, value):
+        # B at a + b = 0.6 with a + 5 b = 1: the identity spans the N + 1 ladder levels
+        base = chain_config(mixed_basis="symmetric")
+        mixed = DomainSpec(4, InitialSpec("mixed", a=0.5, b=0.1))
+        base = replace(base, domains=(base.domains[0], mixed, base.domains[2]))
+        cfg = sweep(base, parameter, [value])[0]
+        init, n = cfg.domains[1].initial, cfg.domains[1].population
+        assert init.a + init.b == pytest.approx(value if parameter == "F_0" else 0.6, abs=1e-12)
+        assert init.a + init.b * (n + 1) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("value", [4.5, True, 0])
     @pytest.mark.parametrize("family", ["fig3a", "appA-mixed"])

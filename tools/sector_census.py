@@ -27,9 +27,11 @@ refused levels, ``build_realistic`` with per-spin decay at nbar > 0 and
 dephasing, and ``RunSummary.to_json`` of a few small runs with their
 timings zeroed.  Of the public surface it hashes ``sorted(qlre.__all__)``,
 the names ``from qlre import *`` binds, and ``config_from_dict`` on one
-malformed config per loader refusal.  Equal hashes mean bitwise equal
-arrays, and for an operator the same storage too; an exception is hashed
-by its type and message.
+malformed config per loader refusal.  Of the mixed-weight rule it hashes
+``sweep`` of a mixed (1, 4, 1) chain, on the full and the symmetric mixed
+basis, to F_0 = 0.5, 0.8 and 1, and of each of those to N_B = 1..12.
+Equal hashes mean bitwise equal arrays, and for an operator the same
+storage too; an exception is hashed by its type and message.
 """
 
 from __future__ import annotations
@@ -116,6 +118,34 @@ def builders() -> dict:
             out[f"build_collective_zero_T((1, {n_b}, 1), {backend.value})"] = digest(*terms)
     out.update(construction())
     out.update(loader())
+    out.update(mixed_sweeps())
+    return out
+
+
+def mixed_sweeps() -> dict:
+    """Hashes of the mixed-weight rule: a (1, 4, 1) chain with B mixed at a = 1, b = 0 on
+    either mixed basis, swept to each F_0 and that config swept to each N_B, keyed by call."""
+    from qlre import DomainSpec, InitialSpec, ReservoirSpec, ScenarioConfig, config_hash, sweep
+
+    def config_digest(cfgs):
+        return digest(*[(repr(c), config_hash(c)) for c in cfgs])
+
+    out = {}
+    for mixed_basis in ("full", "symmetric"):
+        mixed = DomainSpec(4, InitialSpec("mixed", a=1.0, b=0.0))
+        base = ScenarioConfig(
+            name="census_mixed",
+            domains=(DomainSpec(1), mixed, DomainSpec(1)),
+            reservoirs=(ReservoirSpec((0, 1)), ReservoirSpec((1, 2))),
+            mixed_basis=mixed_basis,
+        )
+        for f0 in (0.5, 0.8, 1.0):
+            key = f"sweep({mixed_basis}, F_0={f0})"
+            out[key] = attempt(config_digest, sweep, base, "F_0", [f0])
+            for n_b in range(1, 13):
+                out[f"{key} N_B={n_b}"] = attempt(
+                    config_digest, lambda: sweep(sweep(base, "F_0", [f0])[0], "N_B", [n_b])
+                )
     return out
 
 
