@@ -525,12 +525,10 @@ def _check_measures():
 def _check_dark_stationarity(cap):
     worst = 0.0
     for n_b in range(1, cap + 1):
-        rho_full = dark_state(n_b).projector()
-        eq_full = build_collective_zero_T(rho_full.basis, [[0, 1], [1, 2]])
-        worst = max(worst, float(np.linalg.norm(lindblad_rhs(eq_full, rho_full))))
-        rho_coll = to_collective_basis(rho_full)
-        eq_coll = build_collective_zero_T(rho_coll.basis, [[0, 1], [1, 2]])
-        worst = max(worst, float(np.linalg.norm(lindblad_rhs(eq_coll, rho_coll))))
+        for backend in Backend:
+            rho = dark_state(n_b, backend).projector()
+            eq = build_collective_zero_T(rho.basis, [[0, 1], [1, 2]])
+            worst = max(worst, float(np.linalg.norm(lindblad_rhs(eq, rho))))
     return worst, f"dark-state rhs norm, sizes 1..{cap}, both backends"
 
 
@@ -539,13 +537,11 @@ def _check_weights(cap):
     for n_b in range(1, cap + 1):
         basis = BasisDescriptor(Backend.COLLECTIVE, (1, n_b, 1))
         eq = build_collective_zero_T(basis, [[0, 1], [1, 2]])
-        res = steady_state(eq, product_state(basis, [1, 0, 0]))
-        psi = to_collective_basis(dark_state(n_b))
-        weight = fidelity_with_pure(res.rho, psi)
+        rho = steady_state(eq, product_state(basis, [1, 0, 0])).rho
+        weight = fidelity_with_pure(rho, dark_state(n_b, Backend.COLLECTIVE))
         worst = max(worst, abs(weight - x_dark(n_b)))
-        full = to_full_basis(res.rho)
-        worst = max(worst, abs(concurrence(partial_trace(full, [0, 2])) - x_reduced(n_b)))
-        worst = max(worst, trace_distance(full, edge_excited_steady(n_b)))
+        worst = max(worst, abs(concurrence(partial_trace(rho, [0, 2])) - x_reduced(n_b)))
+        worst = max(worst, trace_distance(rho, edge_excited_steady(n_b, Backend.COLLECTIVE)))
     return worst, f"steady-state weights versus closed forms, sizes 1..{cap}"
 
 

@@ -70,6 +70,11 @@ class Backend(enum.Enum):
     FULL = "full"
 
 
+def _is_int(value) -> bool:
+    """An integer, but not a boolean (``bool`` subclasses ``int``)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _domain_dim(pop: int, backend: Backend) -> int:
     return pop + 1 if backend is Backend.COLLECTIVE else 2**pop
 
@@ -87,7 +92,7 @@ class BasisDescriptor:
         if len(self.domain_pops) == 0:
             raise ValueError("at least one domain is required")
         for n in self.domain_pops:
-            if not isinstance(n, (int, np.integer)) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise ValueError(f"domain population must be a positive integer, got {n!r}")
         object.__setattr__(self, "domain_pops", tuple(int(n) for n in self.domain_pops))
 

@@ -8,9 +8,10 @@ builds those vectors and the resulting steady-state mixtures directly from
 their coefficient formulas, with no integration involved, so the simulator
 can be checked against them.
 
-Everything here is constructed in the full (product) backend, where the
-permutation structure of the coefficients is explicit; use the basis-change
-helpers from the core module to compare against collective-backend runs.
+The dark state and the edge-excited steady state are built on either
+backend, by placing their amplitudes at computed indices; the same indices
+hold in both orderings, so the solver's own basis needs no conversion.
+The rest is built in the full (product) backend.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from .hilbert import (
     BasisDescriptor,
     DensityMatrix,
     PureState,
+    _is_int,
     dicke_level_vector,
 )
 
 
 def _check_nb(n_b) -> int:
-    if not isinstance(n_b, (int, np.integer)) or n_b < 1:
+    if not _is_int(n_b) or n_b < 1:
         raise ValueError(f"central-domain population must be an integer >= 1, got {n_b!r}")
     return int(n_b)
 
@@ -40,51 +42,42 @@ def chain_basis(n_b: int) -> BasisDescriptor:
     return BasisDescriptor(Backend.FULL, (1, _check_nb(n_b), 1))
 
 
-def _edge_vectors(n_b: int):
-    """The three building blocks of the single-excitation sector.
+def _single_excitation(n_b: int, backend: Backend, on_a, on_b, on_c) -> PureState:
+    """on_a |A up> + on_c |C up> + on_b |B's symmetric single excitation>, the rest down.
 
-    Returns (up_A, up_C, sum_B) where the first two have the excitation on
-    an outer spin and sum_B is the unnormalized sum over all placements of
-    one excitation in the central domain (norm sqrt(n_b)).
+    With d_B the central domain's dimension, the index of (a, b, c) is
+    2 d_B a + 2 b + c in either backend, and B's ground is its level
+    d_B - 1; so A's excitation sits at 2 d_B - 1, C's at 4 d_B - 2, and B's
+    level j at 2 (d_B + j) + 1, weighted by its unit Dicke vector.
     """
-    down = np.array([0.0, 1.0], dtype=complex)
-    up = np.array([1.0, 0.0], dtype=complex)
-    ground_b = np.zeros(2**n_b, dtype=complex)
-    ground_b[-1] = 1.0
-    one_up_b = math.sqrt(n_b) * dicke_level_vector(n_b, 1, Backend.FULL)
-    up_a = np.kron(np.kron(up, ground_b), down)
-    up_c = np.kron(np.kron(down, ground_b), up)
-    sum_b = np.kron(np.kron(down, one_up_b), down)
-    return up_a, up_c, sum_b
+    basis = BasisDescriptor(backend, (1, _check_nb(n_b), 1))
+    d_b = basis.domain_dims[1]
+    vec = np.zeros(4 * d_b, dtype=complex)
+    vec[2 * d_b - 1], vec[4 * d_b - 2] = on_a, on_c
+    vec[2 * d_b + 1 : 4 * d_b : 2] += on_b * dicke_level_vector(n_b, 1, backend)
+    return PureState(vec, basis)
 
 
-def dark_state(n_b: int) -> PureState:
-    """The stationary single-excitation state of the chain.
+def dark_state(n_b: int, backend: Backend = Backend.FULL) -> PureState:
+    """The stationary single-excitation state of the chain, on either backend.
 
     sqrt(n_b/(2 n_b + 1)) * { excitation on A + excitation on C
     - (1/n_b) * (sum over single-excitation placements in the middle) }.
     Annihilated by both reservoir jump operators.
     """
-    n_b = _check_nb(n_b)
-    up_a, up_c, sum_b = _edge_vectors(n_b)
-    norm = math.sqrt(n_b / (2.0 * n_b + 1.0))
-    vec = norm * (up_a + up_c - sum_b / n_b)
-    return PureState(vec, chain_basis(n_b))
+    norm = math.sqrt(x_dark(n_b))
+    return _single_excitation(n_b, backend, norm, -norm / math.sqrt(n_b), norm)
 
 
 def psi_1(n_b: int) -> PureState:
     """First decaying companion of the dark state (coefficient +2 pattern)."""
-    n_b = _check_nb(n_b)
-    up_a, up_c, sum_b = _edge_vectors(n_b)
-    vec = (up_a + up_c + 2.0 * sum_b) / math.sqrt(2.0 + 4.0 * n_b)
-    return PureState(vec, chain_basis(n_b))
+    den = math.sqrt(2.0 + 4.0 * _check_nb(n_b))
+    return _single_excitation(n_b, Backend.FULL, 1.0 / den, 2.0 * math.sqrt(n_b) / den, 1.0 / den)
 
 
 def psi_2(n_b: int) -> PureState:
     """Second decaying companion: antisymmetric combination of the edges."""
-    n_b = _check_nb(n_b)
-    up_a, up_c, _ = _edge_vectors(n_b)
-    return PureState((up_a - up_c) / math.sqrt(2.0), chain_basis(n_b))
+    return _single_excitation(n_b, Backend.FULL, 1.0 / math.sqrt(2.0), 0.0, -1.0 / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -124,26 +117,28 @@ def concurrence_analytic(n_b: int) -> float:
     return x_reduced(n_b)
 
 
-def edge_excited_steady(n_b: int) -> DensityMatrix:
+def _with_ground(psi: PureState, x: float) -> DensityMatrix:
+    """x |psi><psi| + (1 - x) |ground><ground|, the ground being the last basis vector.
+
+    A mix of two orthogonal unit-vector projectors is a state by
+    construction, so it is not checked again.
+    """
+    rho = psi.projector().matrix
+    rho *= x
+    rho[-1, -1] += 1.0 - x
+    return DensityMatrix(rho, psi.basis, validate=False)
+
+
+def edge_excited_steady(n_b: int, backend: Backend = Backend.FULL) -> DensityMatrix:
     """Exact relaxation endpoint from one excitation on the first outer spin.
 
-    (1 - x_d) * ground + x_d * dark projector, in the full backend: a mix of two
-    orthogonal unit-vector projectors, a state by construction, not checked again.
+    (1 - x_d) * ground + x_d * dark projector, on either backend.
     """
-    n_b = _check_nb(n_b)
-    xd = x_dark(n_b)
-    rho = dark_state(n_b).projector().matrix
-    rho *= xd
-    rho[-1, -1] += 1.0 - xd
-    return DensityMatrix(rho, chain_basis(n_b), validate=False)
+    return _with_ground(dark_state(n_b, backend), x_dark(n_b))
 
 
 def _pair_basis() -> BasisDescriptor:
     return BasisDescriptor(Backend.FULL, (1, 1))
-
-
-def _triplet_pair() -> np.ndarray:
-    return np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
 def edge_excited_pair_steady(n_b: int) -> DensityMatrix:
@@ -151,11 +146,8 @@ def edge_excited_pair_steady(n_b: int) -> DensityMatrix:
 
     x * (symmetric Bell pair) + (1 - x) * (both down), x = x_reduced(n_b).
     """
-    x = x_reduced(n_b)
-    plus = _triplet_pair()
-    rho = x * np.outer(plus, plus.conj())
-    rho[3, 3] += 1.0 - x
-    return DensityMatrix(rho, _pair_basis())
+    plus = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    return _with_ground(PureState(plus, _pair_basis()), x_reduced(n_b))
 
 
 def intro_pair_steady() -> DensityMatrix:
@@ -163,10 +155,8 @@ def intro_pair_steady() -> DensityMatrix:
 
     Equal mixture of the ground pair and the antisymmetric Bell pair.
     """
-    minus = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-    rho = 0.5 * np.outer(minus, minus.conj())
-    rho[3, 3] += 0.5
-    return DensityMatrix(rho, _pair_basis())
+    minus = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return _with_ground(PureState(minus, _pair_basis()), 0.5)
 
 
 _W_STATE = np.zeros(8, dtype=complex)

@@ -40,7 +40,7 @@ from .hilbert import (
     Backend,
     BasisDescriptor,
     DensityMatrix,
-    PureState,
+    _is_int,
     collective_jz,
     embed,
     product_state,
@@ -170,11 +170,6 @@ def _as_tuple(fieldname: str, value) -> tuple:
         return tuple(value)
     except TypeError:
         _fail(fieldname, f"expected a sequence, got {value!r}")
-
-
-def _is_int(value) -> bool:
-    """An integer, but not a boolean (``bool`` subclasses ``int``)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_finite(fieldname: str, value, minimum=None, strict=False) -> float:
@@ -472,7 +467,7 @@ def _parse_observable(fieldname: str, text: str, cfg: ScenarioConfig) -> Callabl
         if len(pops) != 3 or pops[0] != 1 or pops[2] != 1:
             _fail(fieldname, "x_d is defined for the (1, N_B, 1) chain only")
         return lambda basis: Observable(
-            lambda v, t: np.clip(v, 0.0, 1.0), operator=_dark_state(basis, pops[1])
+            lambda v, t: np.clip(v, 0.0, 1.0), operator=dark_state(pops[1], basis.backend)
         )
     _fail(fieldname, f"unrecognized observable {text!r}")
 
@@ -487,7 +482,7 @@ def compile_observables(cfg: ScenarioConfig, basis: BasisDescriptor) -> dict:
     E_F, C, E_N, N and N_ABC reduce rho to their domains, then apply an
     entanglement measure; Jz_X is Tr(Jz rho), over N_X when normalized; x_d
     is the dark-state weight Tr(|d><d| rho), clamped to [0, 1], with |d> built
-    on the run's basis (``_dark_state``).  Each string is parsed once per
+    on the run's basis by ``oracle.dark_state``.  Each string is parsed once per
     call, by ``_parse_observable``, the parser that validates the config, and
     the builder it returns makes the Observable.  No map is built here:
     ``evolve`` builds those on its sector coordinates.
@@ -496,22 +491,6 @@ def compile_observables(cfg: ScenarioConfig, basis: BasisDescriptor) -> dict:
         text: _parse_observable(f"observables[{i}]", text, cfg)(basis)
         for i, text in enumerate(cfg.observables)
     }
-
-
-def _dark_state(basis: BasisDescriptor, n_b: int) -> PureState:
-    """``oracle.dark_state`` of the (1, n_b, 1) chain on the run's basis.
-
-    On the collective ladder, index 2 (n_b + 1) a + 2 b + c with b the
-    central domain's down-spins, its three amplitudes are placed directly:
-    sqrt(x_d) on the excitation at A (0, n_b, 1) and at C (1, n_b, 0), and
-    -sqrt(x_d / n_b) on B's symmetric single excitation (1, n_b - 1, 1).
-    """
-    if basis.backend is Backend.FULL:
-        return dark_state(n_b)
-    norm = math.sqrt(n_b / (2.0 * n_b + 1.0))
-    amplitudes = np.zeros(basis.dim, dtype=complex)
-    amplitudes[[2 * n_b + 1, 4 * n_b + 2, 4 * n_b + 1]] = norm, norm, -norm / math.sqrt(n_b)
-    return PureState(amplitudes, basis)
 
 
 # ---------------------------------------------------------------------------

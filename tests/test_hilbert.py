@@ -787,6 +787,8 @@ class TestRefusals:
              "to_collective_basis expects a full-backend input"),
             (lambda: to_collective_basis(types.SimpleNamespace(basis=_ONE)), ValueError,
              "cannot convert SimpleNamespace"),
+            (lambda: BasisDescriptor(Backend.FULL, (True, 2)), ValueError,
+             "domain population must be a positive integer, got True"),
         ],
         ids=[
             "Operator shape", "PureState length", "DensityMatrix shape", "embed domain",
@@ -797,6 +799,7 @@ class TestRefusals:
             "fidelity imaginary residue", "symmetric_isometry(0)", "basis_isometry full",
             "to_full_basis wrong backend", "to_full_basis unsupported type",
             "to_collective_basis wrong backend", "to_collective_basis unsupported type",
+            "boolean population",
         ],
     )
     def test_refused_by_name(self, call, error, message):

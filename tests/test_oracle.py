@@ -80,6 +80,11 @@ class TestDarkState:
         with pytest.raises((ValueError, TypeError)):
             dark_state(bad)
 
+    @pytest.mark.parametrize("fn", [dark_state, x_dark])
+    def test_boolean_size_refused(self, fn):
+        with pytest.raises(ValueError, match=r"integer >= 1, got True$"):
+            fn(True)
+
 
 class TestFamily:
     def test_non_orthonormal_triple_refused(self):
@@ -176,6 +181,22 @@ class TestSteadyStates:
         rho0 = product_state(b, ["u", "d" * n_b, "d"])
         res = steady_state(eq, rho0)
         assert trace_distance(res.rho, edge_excited_steady(n_b)) < 1e-7
+
+    @pytest.mark.parametrize("n_b", range(9, 17))
+    def test_ladder_simulation_past_the_full_basis(self, n_b):
+        # the full basis would hold 2^(n_b + 2) states; the ladder holds 4 (n_b + 1)
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, n_b, 1))
+        res = steady_state(chain_equation(b), product_state(b, [1, 0, 0]))
+        assert trace_distance(res.rho, edge_excited_steady(n_b, Backend.COLLECTIVE)) < 1e-7
+        pair = concurrence(partial_trace(res.rho, [0, 2]))
+        assert pair == pytest.approx(x_reduced(n_b), abs=1e-6)
+
+    @pytest.mark.parametrize("n_b", range(1, 9))
+    def test_on_the_ladder_is_the_projected_closed_form(self, n_b):
+        rho = edge_excited_steady(n_b, Backend.COLLECTIVE)
+        expected = to_collective_basis(edge_excited_steady(n_b))
+        assert rho.basis == expected.basis
+        assert np.max(np.abs(rho.matrix - expected.matrix)) <= 1e-15
 
     def test_structure(self):
         n_b = 3

@@ -10,7 +10,6 @@ from qlre.dynamics import evolve
 from qlre.entanglement import entanglement_of_formation
 from qlre.hilbert import (
     Backend,
-    BasisDescriptor,
     dicke_level_vector,
     fidelity_with_pure,
     partial_trace,
@@ -20,7 +19,6 @@ from qlre.hilbert import (
 from qlre.oracle import dark_state, edge_excited_steady
 from qlre.scenarios import (
     PRESET_NAMES,
-    _dark_state,
     SWEEP_PARAMETERS,
     DomainSpec,
     InitialSpec,
@@ -501,13 +499,10 @@ class TestObservables:
 
     @pytest.mark.parametrize("n_b", range(1, 13))
     def test_dark_state_on_the_ladder_is_the_projected_closed_form(self, n_b):
-        basis = BasisDescriptor(Backend.COLLECTIVE, (1, n_b, 1))
-        psi = _dark_state(basis, n_b)
+        psi = dark_state(n_b, Backend.COLLECTIVE)
         expected = to_collective_basis(dark_state(n_b))
         assert psi.basis == expected.basis
         assert np.max(np.abs(psi.amplitudes - expected.amplitudes)) <= 1e-15
-        full = BasisDescriptor(Backend.FULL, (1, n_b, 1))
-        assert np.array_equal(_dark_state(full, n_b).amplitudes, dark_state(n_b).amplitudes)
 
     def test_negativity_of_product_state_vanishes(self):
         cfg = chain_config(pops=(1, 1), initials=("excited", "ground"),

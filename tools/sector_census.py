@@ -29,7 +29,11 @@ timings zeroed.  Of the public surface it hashes ``sorted(qlre.__all__)``,
 the names ``from qlre import *`` binds, and ``config_from_dict`` on one
 malformed config per loader refusal.  Of the mixed-weight rule it hashes
 ``sweep`` of a mixed (1, 4, 1) chain, on the full and the symmetric mixed
-basis, to F_0 = 0.5, 0.8 and 1, and of each of those to N_B = 1..12.
+basis, to F_0 = 0.5, 0.8 and 1, and of each of those to N_B = 1..12.  Of the
+closed forms it hashes ``dark_state`` and ``edge_excited_steady`` on both
+backends for N_B = 1..10 (the full ``edge_excited_steady`` up to N_B = 8),
+``psi_1``, ``psi_2``, ``dark_state_family`` and ``edge_excited_pair_steady``
+for N_B = 1..10, ``intro_pair_steady`` and ``w_state``.
 Equal hashes mean bitwise equal arrays, and for an operator the same
 storage too; an exception is hashed by its type and message.
 """
@@ -119,6 +123,34 @@ def builders() -> dict:
     out.update(construction())
     out.update(loader())
     out.update(mixed_sweeps())
+    out.update(closed_forms())
+    return out
+
+
+def closed_forms() -> dict:
+    """Hashes of the oracle's states, keyed by call: the dark state and the edge-excited
+    steady state on both backends (the full steady state up to N_B = 8), the bright
+    companions and the family, the reduced pair, the intro pair and the W state."""
+    from qlre import Backend, oracle
+
+    out = {}
+    for n in range(1, 11):
+        for backend in Backend:
+            call = f"({n}, {backend.value})"
+            out["dark_state" + call] = attempt(operator_digest, oracle.dark_state, n, backend)
+            if backend is Backend.COLLECTIVE or n <= 8:
+                out["edge_excited_steady" + call] = attempt(
+                    operator_digest, oracle.edge_excited_steady, n, backend
+                )
+        for fn in (oracle.psi_1, oracle.psi_2, oracle.edge_excited_pair_steady):
+            out[f"{fn.__name__}({n})"] = attempt(operator_digest, fn, n)
+        out[f"dark_state_family({n})"] = attempt(
+            lambda f: digest(*[operator_digest(s) for s in (f.psi_d, f.psi_1, f.psi_2)]),
+            oracle.dark_state_family,
+            n,
+        )
+    out["intro_pair_steady()"] = operator_digest(oracle.intro_pair_steady())
+    out["w_state()"] = operator_digest(oracle.w_state())
     return out
 
 
