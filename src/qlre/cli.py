@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import io
 import json
 import logging
 import math
@@ -109,6 +111,16 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     return "%.12g" % x
+
+
+def _csv_header(fields) -> str:
+    """One CSV header line, each field quoted as the csv module quotes it (RFC 4180).
+
+    Observable names such as E_F(A,C) hold commas; the numbers of the rows never need quotes.
+    """
+    line = io.StringIO()
+    csv.writer(line, lineterminator="").writerow(fields)
+    return line.getvalue()
 
 
 def _atomic_write(path: Path, text: str):
@@ -238,7 +250,7 @@ def run_config(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> RunSu
         # one format string per row, as _fmt would write each cell
         row = ",".join(["%.12g"] * (1 + len(cfg.observables)))
         table = np.column_stack([traj.times] + [traj.observables[n] for n in cfg.observables])
-        lines = ["t_scaled," + ",".join(cfg.observables)]
+        lines = [_csv_header(["t_scaled", *cfg.observables])]
         lines += [row % tuple(values) for values in table.tolist()]
         _atomic_write(out_dir / f"{cfg.name}_timeseries.csv", "\n".join(lines) + "\n")
     clock.append(time.perf_counter())
@@ -260,21 +272,26 @@ def run_config(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> RunSu
 
 
 def _load_configs(spec: str) -> list:
-    """A --config value is a JSON file path or a preset name."""
+    """A --config value is a readable JSON file, else a preset name, else an error.
+
+    Another path that exists, such as a directory, cannot be read; a preset of
+    its name still is one, so ``--out intro-pair`` does not hide the preset.
+    """
     path = Path(spec)
-    if path.exists():
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        if spec in PRESET_NAMES:
+            return preset(spec)
+        if path.exists():
             raise _ConfigError(f"{spec}: cannot read ({exc})")
+    else:
+        try:
+            return [config_from_dict(json.loads(text))]
         except json.JSONDecodeError as exc:
             raise _ConfigError(f"{spec}: not valid JSON ({exc})")
-        try:
-            return [config_from_dict(data)]
         except ValueError as exc:
             raise _ConfigError(f"{spec}: {exc}")
-    if spec in PRESET_NAMES:
-        return preset(spec)
     raise _ConfigError(
         f"{spec!r} is neither a readable file nor a preset; "
         f"presets: {', '.join(PRESET_NAMES)}"
@@ -376,11 +393,11 @@ def cmd_sweep(args) -> int:
     header = [args.param, "status"]
     for n in obs_names:
         header += [f"final_{n}", f"t_half_{n}"]
-    lines = [",".join(header)]
+    lines = [_csv_header(header)]
     failed = 0
     for row in rows:
-        # the file is plain comma-joined: a failure message keeps its text
-        # but not its commas or line breaks
+        # the rows are comma-joined without quotes: a failure message keeps
+        # its text but not its commas or line breaks
         status = " ".join(row["status"].replace(",", ";").split())
         cells = [_fmt(row["value"]), status]
         for n in obs_names:

@@ -60,7 +60,6 @@ from .errors import (
     NumericalFailure,
     UndefinedResultError,
     UnsupportedConfigurationError,
-    at_sample,
 )
 from .hilbert import (
     Backend,
@@ -69,6 +68,8 @@ from .hilbert import (
     Operator,
     PureState,
     _check_domain_indices,
+    _check_hermitian,
+    _real_parts,
     _require_same_basis,
     exchange_labels,
     excitation_numbers,
@@ -145,10 +146,15 @@ class LindbladTerm:
     rate: float
 
     def __post_init__(self):
-        r = float(self.rate)
-        if not math.isfinite(r) or r < 0:
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate!r}")
-        object.__setattr__(self, "rate", r)
+        object.__setattr__(self, "rate", _nonnegative("rate", self.rate))
+
+
+def _nonnegative(name: str, value) -> float:
+    """value as a float, refused with its name unless it is finite and >= 0 (NaN is refused)."""
+    number = float(value)
+    if not 0 <= number < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -247,12 +253,8 @@ def build_realistic(
     Per-spin channels act on individual product-space sites and therefore
     require the full backend.
     """
-    nbar = float(nbar)
-    gdep = float(gamma_dep_over_gamma)
-    if not math.isfinite(nbar) or nbar < 0:
-        raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
-    if not math.isfinite(gdep) or gdep < 0:
-        raise ValueError(f"gamma_dep_over_gamma must be finite and >= 0, got {gdep!r}")
+    nbar = _nonnegative("nbar", nbar)
+    gdep = _nonnegative("gamma_dep_over_gamma", gamma_dep_over_gamma)
     if not reservoirs:
         raise ValueError("at least one reservoir is required")
     if rates is None:
@@ -795,9 +797,12 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 
 def _trace_drift(sector: _Sector, states: np.ndarray, times: np.ndarray, route: str) -> float:
-    """The worst |Tr rho - 1| of the states (rows); the first above TRACE_DRIFT_TOL raises."""
+    """The worst |Tr rho - 1| of the states (rows).
+
+    The first state whose drift is above TRACE_DRIFT_TOL, or NaN, raises.
+    """
     drift = np.abs(sector.trace(states) - 1.0)
-    bad = np.flatnonzero(drift > TRACE_DRIFT_TOL)
+    bad = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL))
     if bad.size:
         t, worst = times[bad[0]], drift[bad[0]]
         raise NumericalFailure(f"{route} state drifted at scaled time {t:.6g}: trace {worst:.3e}")
@@ -928,7 +933,7 @@ class _Krylov:
                 break
             self.rejected += 1
             tau *= 0.9 * (KRYLOV_TOL / err) ** xm
-            if tau < np.finfo(float).eps * max(1.0, t0):
+            if not tau >= np.finfo(float).eps * max(1.0, t0):  # a NaN estimate stops here too
                 raise IntegrationFailure(
                     f"Krylov substep underflow at scaled time {t0:.6g} "
                     f"(estimated error {err:.3e})"
@@ -1120,22 +1125,8 @@ def _check_operator(op, basis: BasisDescriptor):
     """op, once its basis and, for an Operator, its Hermiticity are checked."""
     _require_same_basis(basis, op.basis)
     if isinstance(op, Operator):
-        dev = op.matrix - op.matrix.conj().T
-        herm = abs(dev).max()
-        if herm > 1e-10:
-            raise ValueError(f"operator is not Hermitian (max deviation {herm:.3e})")
+        _check_hermitian(op.matrix, "operator")
     return op
-
-
-def _real_parts(values: np.ndarray, times: Optional[np.ndarray] = None) -> np.ndarray:
-    """The real parts of expectation values; an imaginary residue above 1e-10 raises."""
-    bad = np.flatnonzero(np.abs(values.imag) > 1e-10)
-    if bad.size:
-        k = bad[0]
-        raise NumericalFailure(
-            f"expectation has imaginary residue {values.imag[k]:.3e}{at_sample(times, k)}"
-        )
-    return values.real
 
 
 def expectation(rho: DensityMatrix, op: Operator) -> float:

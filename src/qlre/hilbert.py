@@ -36,6 +36,15 @@ built by placing their entries at indices computed from the basis
 ordering, with no Kronecker products; ``_place`` applies the storage rule.
 ``embed`` (a Kronecker product with identities on the other domains)
 serves the observables, such as a domain's Jz.
+
+Each state check is written once, as a test that NaN fails:
+``_check_hermitian`` (a DensityMatrix, and an operator read as an
+observable), ``_check_unit`` (a PureState's norm, a DensityMatrix's trace
+and a product's trace) and ``_real_parts`` (the imaginary residue of an
+expectation value or a fidelity).  A NaN or inf entry is therefore refused
+with the check named.  Both basis conversions conjugate through the one
+``basis_isometry`` (``_conjugate``), and ``symmetric_isometry`` is its
+one-domain ladder.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, at_sample
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -173,9 +182,7 @@ class PureState:
             raise ValueError(
                 f"amplitude vector length {vec.size} does not match basis dimension {self.basis.dim}"
             )
-        norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        _check_unit(np.linalg.norm(vec), "state norm", NORM_TOL)
         object.__setattr__(self, "amplitudes", vec)
 
     def projector(self) -> "DensityMatrix":
@@ -206,15 +213,39 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
         if not self.validate:
             return
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
-        tr = mat.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
+        _check_hermitian(mat, "matrix")
+        _check_unit(mat.trace(), "trace", TRACE_TOL)
         evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
         if evals[0] < EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue {evals[0]:.3e} below floor {EIGENVALUE_FLOOR}")
+
+
+def _check_hermitian(matrix: MatrixLike, what: str):
+    """Refuse a dense or CSR matrix whose largest |M - M^dag| entry is above HERMITICITY_TOL.
+
+    A non-finite entry makes that deviation NaN, which is refused too.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is the NaN refused below
+        herm = abs(matrix - matrix.conj().T).max()
+    if not herm <= HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian: max deviation {herm:.3e}")
+
+
+def _check_unit(value, what: str, tol: float):
+    """Refuse a norm or trace farther than tol from 1, or NaN."""
+    if not abs(value - 1.0) <= tol:
+        raise ValueError(f"{what} {value} deviates from 1 beyond {tol}")
+
+
+def _real_parts(values: np.ndarray, times=None, what: str = "expectation") -> np.ndarray:
+    """The real parts of values; an imaginary residue above HERMITICITY_TOL, or NaN, raises."""
+    bad = np.flatnonzero(~(np.abs(values.imag) <= HERMITICITY_TOL))
+    if bad.size:
+        k = bad[0]
+        raise NumericalFailure(
+            f"{what} has imaginary residue {values.imag[k]:.3e}{at_sample(times, k)}"
+        )
+    return values.real
 
 
 def _require_same_basis(a: BasisDescriptor, b: BasisDescriptor):
@@ -270,14 +301,13 @@ def _ladder_element(N, level: np.ndarray) -> np.ndarray:
 
 
 def collective_jz(N: int, backend: Backend) -> Operator:
-    """Collective Jz for a single domain: diagonal, N/2 minus the down-spins, in both backends.
+    """Collective Jz for a single domain: diagonal, the excited spins less N/2, in both backends.
 
     ``BasisDescriptor``, through ``single_domain_basis``, checks N and the backend.
     """
     basis = single_domain_basis(N, backend)
     index = np.arange(basis.dim)
-    downs = index if backend is Backend.COLLECTIVE else _popcounts(N)
-    return Operator(_place(index, index, N / 2.0 - downs, basis.dim), basis)
+    return Operator(_place(index, index, excitation_numbers(basis) - N / 2, basis.dim), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +552,7 @@ def product_state(basis: BasisDescriptor, levels: Sequence[LevelSpec]) -> Densit
     its trace, where the factors' deviations multiply, is checked.
     """
     out = _product(basis, levels, _domain_density)
-    tr = out.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"product trace {tr} deviates from 1 beyond {TRACE_TOL}")
+    _check_unit(out.trace(), "product trace", TRACE_TOL)
     return DensityMatrix(out, basis, validate=False)
 
 
@@ -579,9 +607,7 @@ def fidelity_with_pure(rho: DensityMatrix, psi: PureState) -> float:
     """<psi|rho|psi>, a real number in [0, 1]."""
     _require_same_basis(rho.basis, psi.basis)
     val = np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)
-    if abs(val.imag) > 1e-10:
-        raise NumericalFailure(f"fidelity has imaginary residue {val.imag:.3e}")
-    return float(min(1.0, max(0.0, val.real)))
+    return float(min(1.0, max(0.0, _real_parts(np.array([val]), what="fidelity")[0])))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -604,13 +630,11 @@ def symmetric_isometry(N: int) -> sp.csr_array:
     Column i (level m = N/2 - i) maps to the equal-weight superposition of
     all bitstrings with i down-spins, at the weights of ``_dicke_weights``.
     Columns are orthonormal, so S.conj().T @ S is the identity on the
-    collective space.
+    collective space.  It is ``basis_isometry`` of the one-domain ladder.
     """
-    import scipy.sparse as sp
     if N < 1:
         raise ValueError("spin count must be >= 1")
-    data = _dicke_weights(N).astype(complex)
-    return sp.csr_array((data, (np.arange(2**N), _popcounts(N))), shape=(2**N, N + 1))
+    return basis_isometry(single_domain_basis(N, Backend.COLLECTIVE))
 
 
 def basis_isometry(basis: BasisDescriptor) -> sp.csr_array:
@@ -630,11 +654,10 @@ def basis_isometry(basis: BasisDescriptor) -> sp.csr_array:
     shift = sum(basis.domain_pops)
     cols, values = np.zeros(full, dtype=np.int64), np.ones(full, dtype=complex)
     for N in basis.domain_pops:
-        S = symmetric_isometry(N)  # one entry per row: S.indices and S.data are by row
         shift -= N
         local = (states >> shift) & (2**N - 1)
-        cols = cols * (N + 1) + S.indices[local]
-        values = values * S.data[local]
+        cols = cols * (N + 1) + _popcounts(N)[local]
+        values = values * _dicke_weights(N)[local]
     return sp.csr_array((values, cols, np.arange(full + 1)), shape=(full, basis.dim))
 
 
@@ -643,18 +666,8 @@ def to_full_basis(obj):
 
     S rho S^dag is a state whenever rho is: it is not checked again, and keeps rho's flag.
     """
-    import scipy.sparse as sp
     S = basis_isometry(obj.basis)
-    target = obj.basis.counterpart()
-    if isinstance(obj, PureState):
-        return PureState(S @ obj.amplitudes, target)
-    if isinstance(obj, DensityMatrix):
-        out = DensityMatrix(S @ obj.matrix @ S.conj().T.toarray(), target, validate=False)
-        object.__setattr__(out, "validate", obj.validate)
-        return out
-    if isinstance(obj, Operator):
-        return Operator(_by_size(S @ sp.csr_array(obj.matrix) @ S.conj().T), target)
-    raise ValueError(f"cannot convert {type(obj).__name__}")
+    return _conjugate(obj, S, S.conj().T, obj.basis.counterpart(), validate=False)
 
 
 def to_collective_basis(obj):
@@ -664,18 +677,27 @@ def to_collective_basis(obj):
     the symmetric sector of every domain; the resulting state validation
     catches leakage outside it.
     """
-    import scipy.sparse as sp
     if obj.basis.backend is not Backend.FULL:
         raise ValueError("to_collective_basis expects a full-backend input")
     target = obj.basis.counterpart()
     S = basis_isometry(target)
-    Sd = S.conj().T.tocsr()
+    return _conjugate(obj, S.conj().T.tocsr(), S, target, validate=True)
+
+
+def _conjugate(obj, left, right, target: BasisDescriptor, validate: bool):
+    """left obj right on target, for a state or an operator; a PureState takes left alone.
+
+    A DensityMatrix is checked when validate is set, and keeps obj's flag otherwise.
+    """
+    import scipy.sparse as sp
     if isinstance(obj, PureState):
-        return PureState(Sd @ obj.amplitudes, target)
+        return PureState(left @ obj.amplitudes, target)
     if isinstance(obj, DensityMatrix):
-        return DensityMatrix((Sd @ obj.matrix) @ S.toarray(), target)
+        out = DensityMatrix(left @ obj.matrix @ right.toarray(), target, validate=validate)
+        object.__setattr__(out, "validate", validate or obj.validate)
+        return out
     if isinstance(obj, Operator):
-        return Operator(_by_size(Sd @ sp.csr_array(obj.matrix) @ S), target)
+        return Operator(_by_size(left @ sp.csr_array(obj.matrix) @ right), target)
     raise ValueError(f"cannot convert {type(obj).__name__}")
 
 

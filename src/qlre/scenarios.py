@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import MasterEquation, Observable, build_realistic
+from .dynamics import MasterEquation, Observable, _nonnegative, build_realistic
 from .entanglement import (
     concurrence_array,
     eof_from_concurrence_array,
@@ -80,11 +80,9 @@ def bose_einstein_nbar(omega0_over_2pi_hz: float, T_kelvin: float) -> float:
     exactly 0, as does any exponent large enough to underflow.
     """
     f = float(omega0_over_2pi_hz)
-    T = float(T_kelvin)
     if not math.isfinite(f) or f <= 0:
         raise ValueError(f"omega0_over_2pi_hz must be finite and > 0, got {f!r}")
-    if not math.isfinite(T) or T < 0:
-        raise ValueError(f"T_kelvin must be finite and >= 0, got {T!r}")
+    T = _nonnegative("T_kelvin", T_kelvin)
     if T == 0.0:
         return 0.0
     x = PLANCK * f / (BOLTZMANN * T)

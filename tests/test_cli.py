@@ -1,4 +1,5 @@
 import ast
+import csv
 import dataclasses
 import json
 import logging
@@ -65,7 +66,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", src, "--out", str(out)]) == 0
         csv = (out / "cli_chain_timeseries.csv").read_text().splitlines()
-        assert csv[0] == "t_scaled,E_F(A,C)"
+        assert csv[0] == 't_scaled,"E_F(A,C)"'
         assert len(csv) == 1 + 13  # header plus t = 0, 0.5, ..., 6.0
         assert csv[1].startswith("0,")
         assert no_temp_leftovers(out)
@@ -97,7 +98,7 @@ class TestSimulate:
         traj = evolve(build_master_equation(cfg), build_initial_state(cfg), cfg.t_max,
                       cfg.sample_dt, observables=compile_observables(cfg, build_basis(cfg)))
         assert traj.times[-2:].tolist() == [1.0, 1.05]
-        lines = ["t_scaled," + ",".join(cfg.observables)]
+        lines = ['t_scaled,"E_F(A,C)",Jz_B/N_B']
         for i, t in enumerate(traj.times):
             row = [cli._fmt(t)] + [cli._fmt(traj.observables[n][i]) for n in cfg.observables]
             lines.append(",".join(row))
@@ -253,7 +254,7 @@ class TestSweep:
         rc, out = self.run_sweep(tmp_path, "2,1")
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "N_B,status,final_E_F(A,C),t_half_E_F(A,C)"
+        assert lines[0] == 'N_B,status,"final_E_F(A,C)","t_half_E_F(A,C)"'
         assert [ln.split(",")[0] for ln in lines[1:]] == ["1", "2"]
         assert all(ln.split(",")[1] == "ok" for ln in lines[1:])
         assert no_temp_leftovers(out)
@@ -732,6 +733,33 @@ class TestUnusablePaths:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: --out: ")
         assert out.read_text() == ""
+
+
+class TestCsvFiles:
+    def test_every_file_reads_back_as_a_table(self, tmp_path):
+        # fig3b's E_F(A,C) and the sweep's final_E_F(A,C) hold commas, quoted in the headers
+        assert main(["reproduce", "fig3b", "--out", str(tmp_path / "fig3b")]) == 0
+        src = write_config(tmp_path / "base.json", chain())
+        assert main(["sweep", "--config", src, *_SWEEP_ARGS, "--out", str(tmp_path / "sweep")]) == 0
+        files = sorted(tmp_path.glob("*/*.csv"))
+        assert len(files) == 14  # fig3b's 11 time series and curve, the sweep's one and its table
+        headers = set()
+        for path in files:
+            with path.open(newline="") as f:
+                rows = list(csv.reader(f))
+            assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}, path.name
+            headers.update(rows[0])
+        assert {"E_F(A,C)", "final_E_F(A,C)", "t_half_E_F(A,C)"} <= headers
+
+    def test_a_preset_name_is_read_beside_a_directory_of_that_name(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the first run makes the directory intro-pair; the second still finds the preset
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert main(["simulate", "--config", "intro-pair", "--out", "intro-pair"]) == 0
+        assert "error" not in capsys.readouterr().err
+        assert (tmp_path / "intro-pair" / "intro-pair_timeseries.csv").is_file()
 
 
 class TestFailedWrites:

@@ -1,7 +1,11 @@
 import dataclasses
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1160,6 +1164,77 @@ class TestExpectation:
         value = expectation(rho, jz)
         assert value == pytest.approx(expectation(rho, Operator(jz.toarray(), b)), abs=1e-14)
         assert value == pytest.approx(np.trace(rho.matrix @ jz.toarray()).real, abs=1e-14)
+
+
+def _with_nan(name, in_jump):
+    """A preset's equation and initial state with its first jump's entries NaN, or rho0[-1, -1]."""
+    cfg = preset(name)[0]
+    eq, rho0 = build_master_equation(cfg), build_initial_state(cfg)
+    if in_jump:
+        jump = Operator(np.where(eq.terms[0].jump.matrix != 0, np.nan, 0.0), eq.basis)
+        return MasterEquation((LindbladTerm(jump, 1.0),) + eq.terms[1:], eq.basis), rho0
+    matrix = rho0.matrix.copy()
+    matrix[-1, -1] = np.nan  # the ground state's weight: the sector stays rho0's
+    return eq, DensityMatrix(matrix, eq.basis, validate=False)
+
+
+class TestNonFinite:
+    """A NaN state or jump ends a run with a named error: it neither hangs nor passes."""
+
+    @pytest.mark.parametrize("in_jump", [False, True], ids=["rho0 entry", "jump"])
+    def test_krylov_route_raises_at_once(self, in_jump):
+        # fig4-chain4 in a fresh interpreter with a deadline, so a hanging rejection loop
+        # fails the test instead of stalling the suite
+        code = (
+            "import warnings\n"
+            "from test_dynamics import _with_nan, evolve\n"
+            "warnings.simplefilter('error')\n"
+            f"eq, rho0 = _with_nan('fig4-chain4', {in_jump})\n"
+            "try:\n"
+            "    evolve(eq, rho0, 40.0, 0.25)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        paths = [Path(dynamics.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+            check=True,
+        )
+        assert done.stdout.startswith(
+            "IntegrationFailure Krylov substep underflow at scaled time 0 (estimated error nan)"
+        )
+
+    @pytest.mark.parametrize("in_jump", [False, True], ids=["rho0 entry", "jump"])
+    def test_dense_route_names_the_first_sample(self, in_jump):
+        eq, rho0 = _with_nan("intro-pair", in_jump)
+        with pytest.raises(NumericalFailure, match="propagated state drifted at scaled time 0.25"):
+            evolve(eq, rho0, 1.0, 0.25)
+
+    @pytest.mark.parametrize("in_jump", [False, True], ids=["rho0 entry", "jump"])
+    def test_steady_state_raises_at_the_first_sweep(self, in_jump):
+        eq, rho0 = _with_nan("fig4-chain4", in_jump)
+        with pytest.raises(NumericalFailure, match="drifted at scaled time 256: trace nan"):
+            steady_state(eq, rho0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rate_is_refused_by_name(self, value):
+        op = collective_lowering(1, Backend.COLLECTIVE)
+        with pytest.raises(ValueError, match=f"rate must be finite and >= 0, got {value!r}"):
+            LindbladTerm(op, value)
+
+    @pytest.mark.parametrize("name", ["nbar", "gamma_dep_over_gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_noise_argument_is_refused_by_name(self, name, value):
+        b = BasisDescriptor(Backend.FULL, (1, 1))
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {value!r}"):
+            build_realistic(b, [[0, 1]], **{name: value})
+
+    def test_expectation_of_a_nan_state_raises(self):
+        b = BasisDescriptor(Backend.COLLECTIVE, (1,))
+        rho = DensityMatrix(np.diag([np.nan, 1.0]), b, validate=False)
+        with pytest.raises(NumericalFailure, match="expectation has imaginary residue nan"):
+            expectation(rho, collective_jz(1, Backend.COLLECTIVE))
 
 
 class TestHalfMaxTime:

@@ -537,6 +537,47 @@ class TestStates:
             DensityMatrix(np.diag([1.5, -0.5]), b)  # negative eigenvalue
 
 
+class TestNonFinite:
+    """NaN or inf in a state is refused with a ValueError naming the check, and no warning."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([np.inf, 0.0]),
+         np.array([[0.5, np.inf], [np.inf, 0.5]])],
+        ids=["all NaN", "NaN diagonal entry", "inf diagonal entry", "inf coherences"],
+    )
+    def test_density_matrix(self, matrix):
+        b = BasisDescriptor(Backend.COLLECTIVE, (1,))
+        with pytest.raises(ValueError, match="matrix is not Hermitian: max deviation nan"):
+            DensityMatrix(matrix, b)
+
+    def test_density_matrix_above_the_eigensolver(self):
+        # d = 196: the eigendecomposition would raise LinAlgError on the NaN
+        b = BasisDescriptor(Backend.COLLECTIVE, (1, 6, 6, 1))
+        matrix = ground_state(b).matrix.copy()
+        matrix[3, 3] = np.nan
+        with pytest.raises(ValueError, match="matrix is not Hermitian: max deviation nan"):
+            DensityMatrix(matrix, b)
+
+    def test_pure_state_amplitude(self):
+        b = BasisDescriptor(Backend.COLLECTIVE, (1,))
+        with pytest.raises(ValueError, match="state norm nan deviates from 1 beyond"):
+            PureState(np.array([np.nan, 1.0]), b)
+
+    def test_product_state_factor(self):
+        b = BasisDescriptor(Backend.COLLECTIVE, (2, 1))
+        factor = np.diag([np.nan, 1.0])
+        message = "domain 1: matrix is not Hermitian: max deviation nan"
+        with pytest.raises(ValueError, match=message):
+            product_state(b, [0, factor])
+
+    def test_fidelity_of_a_nan_state_raises(self):
+        b = BasisDescriptor(Backend.COLLECTIVE, (1,))
+        rho = DensityMatrix(np.diag([np.nan, 1.0]), b, validate=False)
+        with pytest.raises(NumericalFailure, match="fidelity has imaginary residue nan"):
+            fidelity_with_pure(rho, PureState(np.array([1.0, 0.0]), b))
+
+
 class TestOperatorAdjoint:
     def test_csr_adjoint_stays_csr(self):
         # above DENSE_LIMIT the jump is CSR, as in every thermal run there

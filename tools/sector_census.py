@@ -33,7 +33,14 @@ basis, to F_0 = 0.5, 0.8 and 1, and of each of those to N_B = 1..12.  Of the
 closed forms it hashes ``dark_state`` and ``edge_excited_steady`` on both
 backends for N_B = 1..10 (the full ``edge_excited_steady`` up to N_B = 8),
 ``psi_1``, ``psi_2``, ``dark_state_family`` and ``edge_excited_pair_steady``
-for N_B = 1..10, ``intro_pair_steady`` and ``w_state``.
+for N_B = 1..10, ``intro_pair_steady`` and ``w_state``.  Of the basis
+maps it hashes ``to_full_basis`` and ``to_collective_basis`` of a state, a
+pure state, a jump and a domain's Jz on the (1, N, 1) ladders, N = 1..8,
+and on a 9-spin domain, with ``expectation`` of that Jz and
+``fidelity_with_pure`` on both backends; of the state checks, the refusals
+of ``DensityMatrix``, ``PureState`` and ``product_state`` for a
+non-Hermitian matrix, a wrong trace or norm and a NaN or inf input, and
+``expectation`` and ``fidelity_with_pure`` of a NaN state.
 Equal hashes mean bitwise equal arrays, and for an operator the same
 storage too; an exception is hashed by its type and message.
 """
@@ -124,6 +131,100 @@ def builders() -> dict:
     out.update(loader())
     out.update(mixed_sweeps())
     out.update(closed_forms())
+    out.update(conversions())
+    out.update(state_checks())
+    return out
+
+
+def conversions() -> dict:
+    """Hashes of the basis maps and of the values read on either side of them, keyed by call."""
+    import numpy as np
+    from qlre import Backend, BasisDescriptor
+    from qlre.dynamics import expectation
+    from qlre.hilbert import (
+        DensityMatrix,
+        PureState,
+        collective_jz,
+        embed,
+        fidelity_with_pure,
+        reservoir_jump,
+        to_collective_basis,
+        to_full_basis,
+    )
+
+    out = {}
+    for pops in [(1, n, 1) for n in range(1, 9)] + [(9,)]:
+        basis = BasisDescriptor(Backend.COLLECTIVE, pops)
+        a = np.random.default_rng(basis.dim).normal(size=(2, basis.dim, basis.dim))
+        m = a[0] + 1j * a[1]
+        rho = m @ m.conj().T
+        middle = len(pops) // 2
+        objects = {
+            "state": DensityMatrix(rho / rho.trace(), basis),
+            "pure": PureState(m[:, 0] / np.linalg.norm(m[:, 0]), basis),
+            "jump": reservoir_jump(basis, range(len(pops))),
+            "Jz": embed(collective_jz(pops[middle], Backend.COLLECTIVE), basis, middle),
+        }
+        full = {}
+        for kind, obj in objects.items():
+            full[kind] = to_full_basis(obj)
+            out[f"to_full_basis({pops}, {kind})"] = operator_digest(full[kind])
+            out[f"to_collective_basis({pops}, {kind})"] = attempt(
+                operator_digest, to_collective_basis, full[kind]
+            )
+        for side, objs in (("collective", objects), ("full", full)):
+            out[f"expectation({pops}, {side})"] = attempt(
+                digest, expectation, objs["state"], objs["Jz"]
+            )
+            out[f"fidelity_with_pure({pops}, {side})"] = attempt(
+                digest, fidelity_with_pure, objs["state"], objs["pure"]
+            )
+    return out
+
+
+def state_checks() -> dict:
+    """Hashes of the state checks' refusals and of the values read off a NaN state, by case."""
+    import numpy as np
+    from qlre import Backend, BasisDescriptor
+    from qlre.dynamics import expectation
+    from qlre.hilbert import (
+        DensityMatrix,
+        PureState,
+        collective_jz,
+        fidelity_with_pure,
+        product_state,
+    )
+
+    one = BasisDescriptor(Backend.COLLECTIVE, (1,))
+    chain = BasisDescriptor(Backend.COLLECTIVE, (1, 6, 6, 1))
+    at_196 = np.zeros((196, 196), dtype=complex)
+    at_196[0, 0], at_196[-1, -1] = np.nan, 1.0
+    matrices = {
+        "non-Hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+        "trace 1.4": np.diag([0.7, 0.7]),
+        "NaN": np.full((2, 2), np.nan),
+        "NaN diagonal entry": np.diag([np.nan, 1.0]),
+        "inf": np.diag([np.inf, 0.0]),
+    }
+    out = {}
+    for case, matrix in matrices.items():
+        out[f"DensityMatrix({case})"] = attempt(operator_digest, DensityMatrix, matrix, one)
+        out[f"product_state({case} factor)"] = attempt(
+            operator_digest, product_state, BasisDescriptor(Backend.COLLECTIVE, (2, 1)),
+            [0, matrix],
+        )
+    out["DensityMatrix(NaN at d = 196)"] = attempt(operator_digest, DensityMatrix, at_196, chain)
+    for case, amplitudes in {
+        "norm sqrt 2": [1.0, 1.0], "NaN": [np.nan, 0.0], "inf": [np.inf, 0.0]
+    }.items():
+        out[f"PureState({case})"] = attempt(operator_digest, PureState, np.array(amplitudes), one)
+    nan_state = DensityMatrix(np.full((2, 2), np.nan), one, validate=False)
+    out["expectation(NaN state)"] = attempt(
+        digest, expectation, nan_state, collective_jz(1, Backend.COLLECTIVE)
+    )
+    out["fidelity_with_pure(NaN state)"] = attempt(
+        digest, fidelity_with_pure, nan_state, PureState(np.array([1.0, 0.0]), one)
+    )
     return out
 
 
